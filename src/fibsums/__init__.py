@@ -24,7 +24,7 @@ from .identities import (
     special_linear_rhs,
 )
 from .quadfield import ALPHA, BETA, ONE, SQRT5, ZERO, NonInvertibleError, QuadNum, alpha_pow, beta_pow, root5_parts
-from .sequences import ExactRational, SequenceKind, binomial, direct_sum, fib, lucas
+from .sequences import SequenceKind, binomial, direct_sum, fib, lucas
 from .transform import (
     BinomialKernel,
     IrrationalResultError,
@@ -53,7 +53,6 @@ __all__ = [
     "BETA",
     "BinomialKernel",
     "EvalOutcome",
-    "ExactRational",
     "GridSpec",
     "IdentityDescriptor",
     "IdentityId",

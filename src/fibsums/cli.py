@@ -1,7 +1,7 @@
 """Command-line front end: sequence values, exact sums, identity checks,
 grid verification, benchmarks and the catalog listing.
 
-Exit codes: 0 success/verified, 1 verification failure, 2 usage error.
+Exit codes: 0 success/verified, 1 verification failure or internal error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from . import quadfield, sequences
 from .identities import (
     IdentityId,
     IdentityParams,
-    InapplicableParamsError,
     catalog,
     descriptor,
     eval_pair,
@@ -145,7 +144,7 @@ def bench_identity(id: IdentityId, params: IdentityParams, reps: int) -> dict:
     desc = descriptor(id)
     outcome = eval_pair(id, params)
     if not outcome.match:
-        raise InapplicableParamsError(f"{id.value}: sides disagree, refusing to time")
+        raise ArithmeticError(f"{id.value}: sides disagree, refusing to time")
 
     def timed(fn) -> list[float]:
         samples = []
@@ -253,9 +252,13 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (InapplicableParamsError, ValueError) as exc:
+    except ValueError as exc:  # InapplicableParamsError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        # IntegralityError, IrrationalResultError, a bench mismatch: internal, not usage
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         return 0
 

@@ -8,7 +8,8 @@ equality, which is what the grid verifier drives.
 
 Closed forms are computed with integer Fibonacci/Lucas values only, apart
 from F1/L1 and the quadratic base forms, which delegate to the Q(alpha)
-engine in `transform`.  Integer powers follow the 0^0 = 1 convention.
+engine in `transform`.  A 5^k prefactor is applied once, by `_times_5pow`.
+Integer powers follow the 0^0 = 1 convention.
 """
 
 from __future__ import annotations
@@ -86,10 +87,14 @@ def _sgn(e: int) -> int:
     return -1 if e % 2 else 1
 
 
-def _require_integer(value: Fraction) -> Fraction:
-    if value.denominator != 1:
-        raise IntegralityError(f"expected an integer value, got {value}")
-    return value
+def _times_5pow(value: int, e: int) -> Fraction:
+    """value * 5^e; the one integrality check, raising IntegralityError on a remainder."""
+    if e >= 0:
+        return Fraction(value * 5**e)
+    q, rem = divmod(value, 5**-e)
+    if rem:
+        raise IntegralityError(f"expected an integer value, got {Fraction(value, 5**-e)}")
+    return Fraction(q)
 
 
 # ---------------------------------------------------------------------------
@@ -153,72 +158,54 @@ def special_linear_rhs(id: IdentityId, params: IdentityParams) -> Fraction:
             out = _sgn(js) * 5 ** ((n + 1) // 2) * fib(jr) ** n * fib(p * n - js)
     else:
         raise ValueError(f"special_linear_rhs only evaluates E5..E12, got {id}")
-    return _require_integer(Fraction(out))
+    return Fraction(out)
 
 
 def quadratic_rhs(id: IdentityId, n: int, j: int, r: int, s: int, p: int) -> Fraction:
     """Closed forms of the squared-value identities Q13..Q16 (Q13/Q14 need p != 0)."""
     if id in (IdentityId.Q13, IdentityId.Q14) and p == 0:
         raise InapplicableParamsError("p must be nonzero")
-    return _quadratic_formula(id, n, j, r, s, p)
-
-
-def _quadratic_formula(id: IdentityId, n: int, j: int, r: int, s: int, p: int) -> Fraction:
-    # The bare formula, without the p != 0 gate; run_grid uses this for
-    # out-of-contract exploration when skip_inapplicable is off.
     if n < 0:
         raise InapplicableParamsError("n must be non-negative")
     js = j * s
     f2 = fib(2 * j * r) ** n
     f1 = fib(j * r) ** n
-    five = Fraction(5)
     if id is IdentityId.Q13:
-        out = Fraction(f2 * lucas(p * n - 2 * js) - _sgn(js) * 2 * f1 * lucas(j * r + p) ** n, 5)
-    elif id is IdentityId.Q14:
-        out = Fraction(f2 * lucas(p * n - 2 * js) + _sgn(js) * 2 * f1 * lucas(j * r + p) ** n)
-    elif id is IdentityId.Q15:
-        tail = _sgn(js) * five ** (n - 1) * 2 * f1 * fib(j * r + p) ** n
-        if n % 2 == 0:
-            out = five ** (n // 2 - 1) * f2 * lucas(p * n - 2 * js) - tail
-        else:
-            out = five ** ((n - 1) // 2) * f2 * fib(p * n - 2 * js) - tail
-    elif id is IdentityId.Q16:
-        tail = _sgn(js) * 5**n * 2 * f1 * fib(j * r + p) ** n
-        if n % 2 == 0:
-            out = Fraction(5 ** (n // 2) * f2 * lucas(p * n - 2 * js) + tail)
-        else:
-            out = Fraction(5 ** ((n + 1) // 2) * f2 * fib(p * n - 2 * js) + tail)
-    else:
-        raise ValueError(f"quadratic_rhs only evaluates Q13..Q16, got {id}")
-    return _require_integer(out)
+        return _times_5pow(f2 * lucas(p * n - 2 * js) - _sgn(js) * 2 * f1 * lucas(j * r + p) ** n, -1)
+    if id is IdentityId.Q14:
+        return Fraction(f2 * lucas(p * n - 2 * js) + _sgn(js) * 2 * f1 * lucas(j * r + p) ** n)
+    if id in (IdentityId.Q15, IdentityId.Q16):
+        # Both parities of n share one prefactor 5^e, e = ceil(n/2) (Q16) or
+        # ceil(n/2) - 1 (Q15); the tail's 5^(n-1) or 5^n leaves 5^(n//2) inside.
+        head = f2 * (fib(p * n - 2 * js) if n % 2 else lucas(p * n - 2 * js))
+        tail = _sgn(js) * 5 ** (n // 2) * 2 * f1 * fib(j * r + p) ** n
+        if id is IdentityId.Q15:
+            return _times_5pow(head - tail, (n + 1) // 2 - 1)
+        return _times_5pow(head + tail, (n + 1) // 2)
+    raise ValueError(f"quadratic_rhs only evaluates Q13..Q16, got {id}")
 
 
 def cubic_rhs(id: IdentityId, n: int, s: int) -> Fraction:
     """Closed forms of the cubed-value identities C18..C23."""
     if n < 0:
         raise InapplicableParamsError("n must be non-negative")
-    five = Fraction(5)
     if id is IdentityId.C18:
-        out = Fraction(2**n * fib(2 * n + 3 * s) + 3 * fib(n - s), 5)
-    elif id is IdentityId.C19:
-        out = Fraction(2**n * lucas(2 * n + 3 * s) + 3 * lucas(n - s))
-    elif id is IdentityId.C20:
-        out = Fraction(_sgn(n) * 2**n * fib(n + 3 * s) - _sgn(s) * 3 * fib(2 * n + s), 5)
-    elif id is IdentityId.C21:
-        out = Fraction(_sgn(n) * 2**n * lucas(n + 3 * s) + _sgn(s) * 3 * lucas(2 * n + s))
-    elif id is IdentityId.C22:
+        return _times_5pow(2**n * fib(2 * n + 3 * s) + 3 * fib(n - s), -1)
+    if id is IdentityId.C19:
+        return Fraction(2**n * lucas(2 * n + 3 * s) + 3 * lucas(n - s))
+    if id is IdentityId.C20:
+        return _times_5pow(_sgn(n) * 2**n * fib(n + 3 * s) - _sgn(s) * 3 * fib(2 * n + s), -1)
+    if id is IdentityId.C21:
+        return Fraction(_sgn(n) * 2**n * lucas(n + 3 * s) + _sgn(s) * 3 * lucas(2 * n + s))
+    if id is IdentityId.C22:
         if n % 2 == 0:
-            out = five ** (n // 2 - 1) * (fib(3 * n + 3 * s) - _sgn(s) * 3 * fib(s))
-        else:
-            out = five ** ((n - 3) // 2) * (lucas(3 * n + 3 * s) + _sgn(s) * 3 * lucas(s))
-    elif id is IdentityId.C23:
+            return _times_5pow(fib(3 * n + 3 * s) - _sgn(s) * 3 * fib(s), n // 2 - 1)
+        return _times_5pow(lucas(3 * n + 3 * s) + _sgn(s) * 3 * lucas(s), n // 2 - 1)
+    if id is IdentityId.C23:
         if n % 2 == 0:
-            out = Fraction(5 ** (n // 2) * (lucas(3 * n + 3 * s) + _sgn(s) * 3 * lucas(s)))
-        else:
-            out = Fraction(5 ** ((n + 1) // 2) * (fib(3 * n + 3 * s) - _sgn(s) * 3 * fib(s)))
-    else:
-        raise ValueError(f"cubic_rhs only evaluates C18..C23, got {id}")
-    return _require_integer(out)
+            return _times_5pow(lucas(3 * n + 3 * s) + _sgn(s) * 3 * lucas(s), n // 2)
+        return _times_5pow(fib(3 * n + 3 * s) - _sgn(s) * 3 * fib(s), (n + 1) // 2)
+    raise ValueError(f"cubic_rhs only evaluates C18..C23, got {id}")
 
 
 def even_power_rhs(
@@ -242,11 +229,13 @@ def even_power_rhs(
     if m < 0:
         raise InapplicableParamsError("m must be non-negative")
     js, jr = j * s, j * r
-    jmr_even = (j * m * r) % 2 == 0
+    lucas_first = ((j * m * r) % 2 == 0) != alternating
     two_m = 2 * m
     idx2 = jr * n + 2 * js
+    is_fib = kind is SequenceKind.FIB
+    sign_e = js + jr * n + 1 if is_fib else js + jr * n
 
-    def row(sign_e: int, first: Callable[[int], int], second: Callable[[int], int]) -> int:
+    def row(first: Callable[[int], int], second: Callable[[int], int]) -> int:
         total = 0
         for i in range(m):
             t = m - i
@@ -254,44 +243,20 @@ def even_power_rhs(
             total += -term if (sign_e * i) % 2 else term
         return total
 
-    center = binomial(two_m, m)
-    is_fib = kind is SequenceKind.FIB
-    five = Fraction(5)
-    if not alternating:
-        csign = _sgn(m * (js + 1)) if is_fib else _sgn(m * js)
-        if jmr_even:
-            body = row(js + jr * n + 1 if is_fib else js + jr * n, lucas, lucas)
-            body += csign * center * 2**n
-            out = Fraction(body, 5**m) if is_fib else Fraction(body)
-        else:
-            if n % 2 == 0:
-                acc = row(s + 1 if is_fib else s, fib, lucas)
-                shift = n // 2
-            else:
-                acc = row(s if is_fib else s + 1, fib, fib)
-                shift = (n + 1) // 2
-            out = five ** (shift - m) * acc if is_fib else Fraction(5**shift * acc)
-            if n == 0:  # the (1 - 1)^n center term, nonzero only via 0^0 = 1
-                out += Fraction(csign * center, 5**m if is_fib else 1)
+    if lucas_first:
+        # (jmr even, plus signs) or (jmr odd, alternating)
+        acc = row(lucas, lucas)
+        shift = 0
     else:
-        csign = _sgn(m * (js + 1)) if is_fib else _sgn(m * js)
-        if not jmr_even:
-            body = _sgn(n) * row(s + n + 1 if is_fib else s + n, lucas, lucas)
-            body += csign * center * 2**n
-            out = Fraction(body, 5**m) if is_fib else Fraction(body)
-        else:
-            if n % 2 == 0:
-                acc = row(js + 1 if is_fib else js, fib, lucas)
-                shift = n // 2
-                flip = 1
-            else:
-                acc = row(js + jr + 1 if is_fib else js + jr, fib, fib)
-                shift = (n + 1) // 2
-                flip = -1
-            out = flip * (five ** (shift - m) * acc if is_fib else Fraction(5**shift * acc))
-            if n == 0:
-                out += Fraction(csign * center, 5**m if is_fib else 1)
-    return _require_integer(out)
+        # Fibonacci first factors and a power of 5 set by the parity of n
+        acc = row(fib, fib) if n % 2 else row(fib, lucas)
+        shift = (n + 1) // 2
+    if alternating and n % 2:
+        acc = -acc
+    csign = _sgn(m * (js + 1)) if is_fib else _sgn(m * js)
+    # 0^0 = 1: the Fibonacci-first branch keeps its centre term at n = 0 only
+    center = csign * binomial(two_m, m) * (2 if lucas_first else 0) ** n
+    return _times_5pow(acc * 5**shift + center, -m if is_fib else 0)
 
 
 def odd_power_rhs(
@@ -313,7 +278,6 @@ def odd_power_rhs(
     if m < 0:
         raise InapplicableParamsError("m must be non-negative")
     js, jr = j * s, j * r
-    jr_even = jr % 2 == 0
     big = 2 * m + 1
     idx2 = jr * n + js
     is_fib = kind is SequenceKind.FIB
@@ -327,27 +291,21 @@ def odd_power_rhs(
             total += -term if (sign_e * i) % 2 else term
         return total
 
-    five = Fraction(5)
-    if jr_even != alternating:
+    if (jr % 2 == 0) != alternating:
         # (jr even, plus signs) or (jr odd, alternating): Lucas first factors.
         acc = row(lucas, fib) if is_fib else row(lucas, lucas)
-        out = Fraction(acc, 5**m) if is_fib else Fraction(acc)
-        if alternating and n % 2:
-            out = -out
+        shift = 0
     else:
         # (jr odd, plus signs) or (jr even, alternating): Fibonacci first
         # factors and a power of 5 set by the parity of n.
         if n % 2 == 0:
             acc = row(fib, fib) if is_fib else row(fib, lucas)
-            shift = n // 2
-            flip = 1
         else:
             acc = row(fib, lucas) if is_fib else row(fib, fib)
-            shift = (n - 1) // 2 if is_fib else (n + 1) // 2
-            flip = -1 if alternating else 1
-        out = five ** (shift - m) * acc if is_fib else Fraction(5**shift * acc)
-        out = flip * out
-    return _require_integer(out)
+        shift = n // 2 if is_fib else (n + 1) // 2
+    if alternating and n % 2:
+        acc = -acc
+    return _times_5pow(acc, shift - m if is_fib else shift)
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +359,6 @@ def _nonzero_p(params: IdentityParams) -> str | None:
     return None
 
 
-def _alt_sign(e: int) -> int:
-    # weight z = (-1)^e embedding the printed (-1)^(ek) factor
-    return -1 if e % 2 else 1
-
-
 def _build_catalog() -> tuple[IdentityDescriptor, ...]:
     F, L = SequenceKind.FIB, SequenceKind.LUCAS
     nj = ("n", "j", "r", "s")
@@ -427,27 +380,27 @@ def _build_catalog() -> tuple[IdentityDescriptor, ...]:
         IdentityDescriptor(
             IdentityId.E5, F, nj,
             "sum_k (-1)^(jrk) C(n,k) F[j(2rk+s)] = (-1)^(jrn) L[jr]^n F[j(rn+s)]",
-            lambda q: (q.n, 1, _alt_sign(q.j * q.r), q.j, 2 * q.r, q.s, 1),
+            lambda q: (q.n, 1, _sgn(q.j * q.r), q.j, 2 * q.r, q.s, 1),
             lambda q: special_linear_rhs(IdentityId.E5, q),
         ),
         IdentityDescriptor(
             IdentityId.E6, L, nj,
             "sum_k (-1)^(jrk) C(n,k) L[j(2rk+s)] = (-1)^(jrn) L[jr]^n L[j(rn+s)]",
-            lambda q: (q.n, 1, _alt_sign(q.j * q.r), q.j, 2 * q.r, q.s, 1),
+            lambda q: (q.n, 1, _sgn(q.j * q.r), q.j, 2 * q.r, q.s, 1),
             lambda q: special_linear_rhs(IdentityId.E6, q),
         ),
         IdentityDescriptor(
             IdentityId.E7, F, nj,
             "sum_k (-1)^((jr+1)k) C(n,k) F[j(2rk+s)] = 5^(n/2) F[jr]^n F[j(rn+s)]"
             " (n even) | (-1)^(jr+1) 5^((n-1)/2) F[jr]^n L[j(rn+s)] (n odd)",
-            lambda q: (q.n, 1, _alt_sign(q.j * q.r + 1), q.j, 2 * q.r, q.s, 1),
+            lambda q: (q.n, 1, _sgn(q.j * q.r + 1), q.j, 2 * q.r, q.s, 1),
             lambda q: special_linear_rhs(IdentityId.E7, q),
         ),
         IdentityDescriptor(
             IdentityId.E8, L, nj,
             "sum_k (-1)^((jr+1)k) C(n,k) L[j(2rk+s)] = 5^(n/2) F[jr]^n L[j(rn+s)]"
             " (n even) | (-1)^(jr+1) 5^((n+1)/2) F[jr]^n F[j(rn+s)] (n odd)",
-            lambda q: (q.n, 1, _alt_sign(q.j * q.r + 1), q.j, 2 * q.r, q.s, 1),
+            lambda q: (q.n, 1, _sgn(q.j * q.r + 1), q.j, 2 * q.r, q.s, 1),
             lambda q: special_linear_rhs(IdentityId.E8, q),
         ),
         IdentityDescriptor(
@@ -503,7 +456,7 @@ def _build_catalog() -> tuple[IdentityDescriptor, ...]:
             "sum_k (-1)^k C(n,k) F[2jr+p]^(n-k) F[p]^k F[j(rk+s)]^2"
             " = (F[2jr]^n L[pn-2js] - (-1)^(js) 2 F[jr]^n L[jr+p]^n)/5, p != 0",
             lambda q: (q.n, fib(2 * q.j * q.r + q.p), -fib(q.p), q.j, q.r, q.s, 2),
-            lambda q: _quadratic_formula(IdentityId.Q13, q.n, q.j, q.r, q.s, q.p),
+            lambda q: quadratic_rhs(IdentityId.Q13, q.n, q.j, q.r, q.s, q.p),
             _nonzero_p,
         ),
         IdentityDescriptor(
@@ -511,7 +464,7 @@ def _build_catalog() -> tuple[IdentityDescriptor, ...]:
             "sum_k (-1)^k C(n,k) F[2jr+p]^(n-k) F[p]^k L[j(rk+s)]^2"
             " = F[2jr]^n L[pn-2js] + (-1)^(js) 2 F[jr]^n L[jr+p]^n, p != 0",
             lambda q: (q.n, fib(2 * q.j * q.r + q.p), -fib(q.p), q.j, q.r, q.s, 2),
-            lambda q: _quadratic_formula(IdentityId.Q14, q.n, q.j, q.r, q.s, q.p),
+            lambda q: quadratic_rhs(IdentityId.Q14, q.n, q.j, q.r, q.s, q.p),
             _nonzero_p,
         ),
         IdentityDescriptor(
@@ -660,10 +613,3 @@ def eval_pair(id: IdentityId, params: IdentityParams) -> EvalOutcome:
     rhs = desc.rhs(params)
     return EvalOutcome(lhs, rhs, lhs == rhs)
 
-
-def eval_pair_unchecked(id: IdentityId, params: IdentityParams) -> EvalOutcome:
-    """eval_pair without the domain gate, for out-of-contract exploration."""
-    desc = descriptor(id)
-    lhs = desc.lhs(params)
-    rhs = desc.rhs(params)
-    return EvalOutcome(lhs, rhs, lhs == rhs)

@@ -87,11 +87,6 @@ class QuadNum:
     def is_rational(self) -> bool:
         return self.v == 0
 
-    def root5_parts(self) -> tuple[Fraction, Fraction]:
-        """(p, q) with self = p + q*sqrt5; i.e. p = u + v/2, q = v/2."""
-        q = Fraction(self.v, 2)
-        return Fraction(self.u) + q, q
-
     def __str__(self) -> str:
         return f"{self.u} + {self.v}*alpha"
 
@@ -122,8 +117,9 @@ def beta_pow(n: int) -> QuadNum:
 
 
 def root5_parts(a: QuadNum) -> tuple[Fraction, Fraction]:
-    """Decompose a = p + q*sqrt5 into exact rational (p, q)."""
-    return a.root5_parts()
+    """Decompose a = p + q*sqrt5 into exact rational (p, q): p = u + v/2, q = v/2."""
+    q = Fraction(a.v, 2)
+    return Fraction(a.u) + q, q
 
 
 def clear_caches() -> None:

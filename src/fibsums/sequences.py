@@ -11,11 +11,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-# Exact rationals are stdlib fractions: always normalized, denominator > 0,
-# gcd(|num|, den) = 1, and Fraction(0) is canonically 0/1.
-ExactRational = Fraction
-
-
 class SequenceKind(Enum):
     """Which of the two companion sequences a sum is taken over."""
 
@@ -73,12 +68,11 @@ def clear_caches() -> None:
     _fib_pair.cache_clear()
 
 
-def _as_int(q: int | Fraction) -> int | None:
-    if isinstance(q, int):
+def as_exact(q: int | Fraction) -> int | Fraction:
+    """q as an int when it is integral, otherwise the Fraction unchanged."""
+    if isinstance(q, int) or q.denominator != 1:
         return q
-    if q.denominator == 1:
-        return q.numerator
-    return None
+    return q.numerator
 
 
 def direct_sum(
@@ -103,9 +97,9 @@ def direct_sum(
         raise ValueError(f"direct_sum requires m >= 0, got m={m}")
     seq = fib if kind is SequenceKind.FIB else lucas
 
-    xi = _as_int(x)
-    zi = _as_int(z)
-    if xi is not None and zi is not None:
+    xi = as_exact(x)
+    zi = as_exact(z)
+    if isinstance(xi, int) and isinstance(zi, int):
         # All-integer path (the common case on verification grids).
         xpow = [1] * (n + 1)
         zpow = [1] * (n + 1)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .quadfield import SQRT5, ZERO, QuadNum, alpha_pow
-from .sequences import SequenceKind, binomial
+from .sequences import SequenceKind, as_exact, binomial
 
 
 class IrrationalResultError(ArithmeticError):
@@ -99,19 +99,9 @@ def kernel_eval(h: Kernel, point: QuadNum) -> QuadNum:
     return acc
 
 
-def _lemma_points(j: int, m: int, z: int | Fraction, primed: bool = False) -> list[QuadNum]:
-    # Evaluation points beta^(ij) alpha^((m-i)j) z for i = 0..m; the primed
-    # variant uses the equivalent (-1)^(ij) alpha^((m-2i)j) z form.
-    points = []
-    for i in range(m + 1):
-        if primed:
-            pt = alpha_pow((m - 2 * i) * j) * z
-            if (i * j) % 2:
-                pt = -pt
-        else:
-            pt = alpha_pow(i * j).conj() * alpha_pow((m - i) * j) * z
-        points.append(pt)
-    return points
+def _lemma_points(j: int, m: int, z: int | Fraction) -> list[QuadNum]:
+    # Evaluation points beta^(ij) alpha^((m-i)j) z for i = 0..m.
+    return [alpha_pow(i * j).conj() * alpha_pow((m - i) * j) * z for i in range(m + 1)]
 
 
 def _reduce(h: Kernel, j: int, m: int, z: int | Fraction, kind: SequenceKind) -> Fraction:
@@ -145,12 +135,6 @@ def reduce_L(h: Kernel, j: int, m: int, z: int | Fraction) -> Fraction:
     return _reduce(h, j, m, z, SequenceKind.LUCAS)
 
 
-def _as_exact(q: int | Fraction) -> int | Fraction:
-    if isinstance(q, Fraction) and q.denominator == 1:
-        return q.numerator
-    return q
-
-
 def binomial_rhs(bk: BinomialKernel, j: int, m: int, kind: SequenceKind) -> Fraction:
     """Closed form of sum_k C(n,k) x^(n-k) z^k W_{j(rk+s)}^m, evaluated in Q(alpha).
 
@@ -162,8 +146,8 @@ def binomial_rhs(bk: BinomialKernel, j: int, m: int, kind: SequenceKind) -> Frac
     if m < 0:
         raise ValueError(f"binomial_rhs requires m >= 0, got m={m}")
     n, r, s = bk.n, bk.r, bk.s
-    x = _as_exact(bk.x)
-    z = _as_exact(bk.z)
+    x = as_exact(bk.x)
+    z = as_exact(bk.z)
     xq = QuadNum(x, 0)
     is_fib = kind is SequenceKind.FIB
     acc = ZERO

@@ -55,7 +55,6 @@ class GridSpec:
     s_range: Range = (-4, 4)
     p_range: Range = (-4, 4)
     m_range: Range = (0, 3)
-    skip_inapplicable: bool = True
 
     def __post_init__(self) -> None:
         _check_range("n", self.n_range, nonneg=True)
@@ -188,7 +187,7 @@ def _record_key(rec: VerificationRecord) -> tuple:
 
 # --- grid enumeration and evaluation ---------------------------------------
 
-_Task = tuple[str, tuple[int, int, int, int, int, int], bool]
+_Task = tuple[str, tuple[int, int, int, int, int, int]]
 _Result = tuple[str | None, Fraction | None, Fraction | None, bool | None]
 
 
@@ -206,17 +205,16 @@ def _enumerate_tasks(spec: GridSpec) -> list[_Task]:
             else:
                 axes.append((getattr(IdentityParams(), slot),))
         for combo in product(*axes):
-            tasks.append((desc.id.value, combo, spec.skip_inapplicable))
+            tasks.append((desc.id.value, combo))
     return tasks
 
 
 def _eval_task(task: _Task) -> _Result:
-    id_value, combo, skip_inapplicable = task
-    id = IdentityId(id_value)
+    id_value, combo = task
     params = IdentityParams(*combo)
-    desc = descriptor(id)
+    desc = descriptor(IdentityId(id_value))
     ok, reason = desc.applicable(params)
-    if not ok and skip_inapplicable:
+    if not ok:
         return (reason, None, None, None)
     lhs = desc.lhs(params)
     rhs = desc.rhs(params)
@@ -228,16 +226,18 @@ def _eval_chunk(chunk: list[_Task]) -> list[_Result]:
 
 
 def _run_tasks(tasks: list[_Task], parallelism: int) -> list[_Result]:
-    if parallelism <= 1 or len(tasks) < 64:
+    # at most one worker per CPU and per chunk: fork starts all max_workers at once
+    workers = min(parallelism, os.cpu_count() or 1)
+    if workers <= 1 or len(tasks) < 64:
         return _eval_chunk(tasks)
-    chunk_size = max(64, len(tasks) // (parallelism * 16))
+    chunk_size = max(64, len(tasks) // (workers * 16))
     chunks = [tasks[i : i + chunk_size] for i in range(0, len(tasks), chunk_size)]
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
         ctx = multiprocessing.get_context()
     results: list[_Result] = []
-    with ProcessPoolExecutor(max_workers=parallelism, mp_context=ctx) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(chunks)), mp_context=ctx) as pool:
         for part in pool.map(_eval_chunk, chunks):
             results.extend(part)
     return results
@@ -246,9 +246,7 @@ def _run_tasks(tasks: list[_Task], parallelism: int) -> list[_Result]:
 def run_grid(spec: GridSpec, parallelism: int = 1) -> Report:
     """One record per grid point, in canonical order, identical on every run.
 
-    Inapplicable points become skipped records when spec.skip_inapplicable
-    (the default); otherwise they are evaluated out-of-contract and recorded
-    like any other point.
+    Points outside an identity's domain become skipped records.
     """
     if parallelism < 1:
         raise ValueError(f"parallelism must be positive, got {parallelism}")

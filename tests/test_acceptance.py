@@ -7,6 +7,7 @@ tolerance anywhere is the soft 10x speedup floor of the benchmark criterion.
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -237,6 +238,9 @@ def test_criterion_8_determinism():
     ]
     serial = run_grids(specs, parallelism=1).to_jsonl()
     parallel = run_grids(specs, parallelism=4).to_jsonl()
+    # the serial report's bytes, pinned so they also stay identical across versions
+    digest = hashlib.sha256(serial.encode()).hexdigest()
+    assert digest == "072aa91ea4b6a5354c8015a735e571dcff3c6f0a96011003815426a3f3ee05a5"
     ok = serial == parallel
     _report(
         f"{'PASS' if ok else 'FAIL'}: criterion 8 (determinism): "

@@ -5,9 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from fibsums import IdentityId
+from fibsums import IdentityId, IntegralityError
 from fibsums.cli import bench_identity, main
 from fibsums.identities import IdentityParams, _BY_ID, IdentityDescriptor
+
+
+def _raise_integrality(params):
+    raise IntegralityError("expected an integer value, got 1/5")
 
 
 def run_cli(capsys, *argv):
@@ -91,6 +95,27 @@ class TestClosed:
         assert "MISMATCH" in out
 
 
+class TestInternalError:
+    # an IntegralityError is an internal inconsistency: exit 1, never 2 or a traceback
+    @pytest.fixture(autouse=True)
+    def broken_c18(self, monkeypatch):
+        real = _BY_ID[IdentityId.C18]
+        broken = IdentityDescriptor(
+            real.id, real.kind, real.slots, real.anchor, real.lhs_args, _raise_integrality
+        )
+        monkeypatch.setitem(_BY_ID, IdentityId.C18, broken)
+
+    def test_closed(self, capsys):
+        code, out, err = run_cli(capsys, "closed", "--id", "C18", "--n", "2", "--s", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: expected an integer value, got 1/5\n"
+
+    def test_verify(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--ids", "C18", "--n", "0..2", "--s", "0..1", "--jobs", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: expected an integer value, got 1/5\n"
+
+
 class TestVerify:
     def test_small_grid_json(self, capsys):
         code, out, _ = run_cli(
@@ -156,6 +181,16 @@ class TestBench:
         monkeypatch.setitem(_BY_ID, IdentityId.C18, broken)
         with pytest.raises(Exception, match="refusing to time"):
             bench_identity(IdentityId.C18, IdentityParams(n=2, s=1), 1)
+
+    def test_mismatch_exits_one(self, capsys, monkeypatch):
+        real = _BY_ID[IdentityId.C18]
+        broken = IdentityDescriptor(
+            real.id, real.kind, real.slots, real.anchor, real.lhs_args, lambda q: Fraction(1)
+        )
+        monkeypatch.setitem(_BY_ID, IdentityId.C18, broken)
+        code, out, err = run_cli(capsys, "bench", "--id", "C18", "--n", "2", "--s", "1", "--reps", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: C18: sides disagree, refusing to time\n"
 
     def test_even_family_params_wired(self, capsys):
         code, out, _ = run_cli(

@@ -24,7 +24,9 @@ from fibsums import (
     quadratic_rhs,
     special_linear_rhs,
 )
-from fibsums.identities import SLOT_ORDER, _require_integer, eval_pair_unchecked
+from fibsums.identities import SLOT_ORDER, _times_5pow
+
+from oracles import naive_fib, naive_lucas
 
 F, L = SequenceKind.FIB, SequenceKind.LUCAS
 P = IdentityParams
@@ -206,11 +208,17 @@ class TestEvalPair:
             eval_pair(IdentityId.Q13, P(n=1, p=0))
 
     def test_out_of_contract_p_zero_observation(self):
-        # the p != 0 restriction looks conservative: both sides agree at p = 0
-        for id in (IdentityId.Q13, IdentityId.Q14):
-            for n in range(4):
-                outcome = eval_pair_unchecked(id, P(n=n, j=2, r=-1, s=1, p=0))
-                assert outcome.match
+        # the p != 0 restriction looks conservative: the oracle side equals the
+        # printed Q13/Q14 formula at p = 0 too
+        j, r, s, p = 2, -1, 1, 0
+        js, jr = j * s, j * r
+        sign = -1 if js % 2 else 1
+        for n in range(4):
+            head = naive_fib(2 * jr) ** n * naive_lucas(p * n - 2 * js)
+            tail = sign * 2 * naive_fib(jr) ** n * naive_lucas(jr + p) ** n
+            params = P(n=n, j=j, r=r, s=s, p=p)
+            assert descriptor(IdentityId.Q13).lhs(params) == Fraction(head - tail, 5)
+            assert descriptor(IdentityId.Q14).lhs(params) == head + tail
 
     def test_whole_catalog_small_box(self):
         # every identity, a small parameter box, exact match everywhere
@@ -233,10 +241,16 @@ class TestEvalPair:
 
 
 class TestIntegrality:
-    def test_require_integer_passes_and_raises(self):
-        assert _require_integer(Fraction(4)) == 4
+    def test_times_5pow_passes_and_raises(self):
+        assert _times_5pow(4, 0) == 4
+        assert _times_5pow(-3, 2) == -75
+        assert _times_5pow(-50, -2) == -2
+        for value, e in ((4, 0), (-3, 2), (-50, -2)):
+            assert type(_times_5pow(value, e)) is Fraction
         with pytest.raises(IntegralityError):
-            _require_integer(Fraction(1, 5))
+            _times_5pow(1, -1)
+        with pytest.raises(IntegralityError):
+            _times_5pow(-30, -2)
 
     def test_closed_forms_integral_on_sample(self):
         for n, s in product(range(5), range(-2, 3)):

@@ -25,9 +25,20 @@ from fibsums import (
 )
 from fibsums.transform import _lemma_points, rationalize_root5
 
-from oracles import frac_pow
+from oracles import frac_pow, naive_fib
 
 F, L = SequenceKind.FIB, SequenceKind.LUCAS
+
+
+def _primed_points(j, m, z):
+    # the primed form (-1)^(ij) alpha^((m-2i)j) z of the lemma points, with
+    # alpha^t = F_{t-1} + F_t alpha built from the naive recurrence
+    points = []
+    for i in range(m + 1):
+        t = (m - 2 * i) * j
+        sign = -1 if (i * j) % 2 else 1
+        points.append(QuadNum(sign * naive_fib(t - 1) * z, sign * naive_fib(t) * z))
+    return points
 
 
 class TestKernelEval:
@@ -127,7 +138,7 @@ class TestReduce:
         for m in range(5):
             for j in range(-3, 4):
                 for z in (1, -2, Fraction(3, 2)):
-                    assert _lemma_points(j, m, z) == _lemma_points(j, m, z, primed=True)
+                    assert _lemma_points(j, m, z) == _primed_points(j, m, z)
 
     def test_primed_sum_agrees_on_kernel(self):
         h = Kernel.from_pairs([(1, 3), (2, -1), (Fraction(1, 2), 0)])
@@ -136,7 +147,7 @@ class TestReduce:
                 acc_plain = QuadNum(0, 0)
                 acc_primed = QuadNum(0, 0)
                 for i, (pt_plain, pt_primed) in enumerate(
-                    zip(_lemma_points(j, m, 2), _lemma_points(j, m, 2, primed=True))
+                    zip(_lemma_points(j, m, 2), _primed_points(j, m, 2))
                 ):
                     sign = -1 if i % 2 else 1
                     acc_plain = acc_plain + sign * binomial(m, i) * kernel_eval(h, pt_plain)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fibsums import GridSpec, IdentityId, IdentityParams, Report, VerificationRecord, summarize
+from fibsums import verify
 from fibsums.verify import (
     default_grid_specs,
     dump_json,
@@ -61,11 +62,6 @@ class TestRunGrid:
         assert checked == 0 and skipped == len(report.records)
         assert report.passed  # skips are not failures
 
-    def test_skip_inapplicable_false_evaluates_out_of_contract(self):
-        report = run_grid(small_spec(ids=(IdentityId.Q13,), p_range=(0, 0), skip_inapplicable=False))
-        assert all(rec.skipped_reason is None for rec in report.records)
-        assert report.passed  # p=0 holds in practice; recorded, not asserted by the paper
-
     def test_empty_ids(self):
         report = run_grid(small_spec(ids=()))
         assert report.records == []
@@ -82,6 +78,48 @@ class TestRunGrid:
     def test_rejects_bad_parallelism(self):
         with pytest.raises(ValueError):
             run_grid(small_spec(), parallelism=0)
+
+
+class TestWorkerClamp:
+    """The pool gets min(parallelism, CPUs, chunks) workers; no process is started."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        created = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers, mp_context=None):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingExecutor)
+        return created
+
+    def test_clamped_to_cpu_count(self, pools, monkeypatch):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
+        spec = small_spec(n_range=(0, 40), s_range=(-10, 10))  # 861 points, 14 chunks
+        report = run_grid(spec, parallelism=100_000)
+        assert pools == [3]
+        assert report.to_jsonl() == run_grid(spec).to_jsonl()
+
+    def test_clamped_to_chunk_count(self, pools, monkeypatch):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
+        run_grid(small_spec(n_range=(0, 63), s_range=(0, 1)), parallelism=100_000)  # 2 chunks of 64
+        assert pools == [2]
+
+    def test_unknown_cpu_count_runs_serially(self, pools, monkeypatch):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+        report = run_grid(small_spec(n_range=(0, 40), s_range=(-10, 10)), parallelism=100_000)
+        assert pools == []
+        assert report.passed
 
 
 class TestDeterminism:
