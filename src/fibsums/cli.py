@@ -24,7 +24,7 @@ from .identities import (
     eval_pair,
 )
 from .sequences import SequenceKind, direct_sum, fib, lucas
-from .verify import decimal_str, default_grid_specs, dump_json, run_grids, summarize
+from .verify import decimal_str, default_grid_specs, dump_json, stream_grids, summarize
 
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
@@ -112,11 +112,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         sel = tuple(i for i in spec.ids if i in wanted)
         if sel:
             specs.append(replace(spec, ids=sel, **overrides))
-    report = run_grids(specs, args.jobs)
-    if args.format == "json":
-        sys.stdout.write(report.to_jsonl())
-    else:
+    # json: the points' lines stream out as their chunks complete, the summary line closes them
+    out = sys.stdout if args.format == "json" else None
+    report = stream_grids(specs, args.jobs, out)
+    if out is None:
         print(summarize(report))
+    else:
+        out.write(dump_json(report.summary_json()) + "\n")
     return 0 if report.passed else 1
 
 

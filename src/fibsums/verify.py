@@ -2,30 +2,42 @@
 
 A grid spec names a set of identities and inclusive integer ranges for the
 parameter slots; unused slots are collapsed to a single canonical point.
-`run_grid` checks every remaining grid point against the direct-summation
-oracle, optionally across worker processes.  Records are always emitted in
-the canonical order (catalog position, then params lexicographically), so a
-report is byte-for-byte reproducible regardless of parallelism.
+Every grid point is checked against the direct-summation oracle, optionally
+across worker processes.  Points are enumerated lazily in the canonical order
+(catalog position, then params lexicographically) and checked in chunks of
+one identity each; results come back in that order, so a report is
+byte-for-byte reproducible regardless of parallelism.
+
+`run_grid`/`run_grids` return a `Report` holding every record.
+`stream_grids` keeps only the totals and the failures and can write each
+chunk's JSONL lines as the chunk completes, so its memory does not grow with
+the grid.
 
 Report serialization is JSON lines: one object per record with keys
-id, params (object of ints), lhs, rhs (decimal strings), match (bool) or
-skipped (string), followed by one trailing summary object with totals.
+id, params (object of ints), lhs, rhs (decimal strings), match (bool),
+skipped (string) or error (string, with match false), followed by one
+trailing summary object with totals.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
+import math
 import multiprocessing
 import os
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from typing import Iterable, Sequence
+from functools import partial
+from itertools import islice, product
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .identities import (
     SLOT_ORDER,
+    IdentityDescriptor,
     IdentityId,
     IdentityParams,
     catalog,
@@ -70,12 +82,15 @@ class GridSpec:
 
 @dataclass(frozen=True, slots=True)
 class VerificationRecord:
+    """One grid point: skipped, checked (match), or failed with an arithmetic error."""
+
     id: IdentityId
     params: IdentityParams
     lhs: Fraction | None
     rhs: Fraction | None
     match: bool | None
     skipped_reason: str | None = None
+    error: str | None = None
 
 
 @dataclass(slots=True)
@@ -94,10 +109,14 @@ class Report:
     @classmethod
     def from_records(cls, records: Iterable[VerificationRecord]) -> Report:
         ordered = sorted(records, key=_record_key)
-        totals: dict[IdentityId, IdTotals] = {}
-        failures = []
-        for rec in ordered:
-            t = totals.setdefault(rec.id, IdTotals())
+        report = cls(ordered)
+        report.count(ordered)
+        return report
+
+    def count(self, records: Iterable[VerificationRecord]) -> None:
+        """Add records to the totals and failures (not to `records`)."""
+        for rec in records:
+            t = self.totals.setdefault(rec.id, IdTotals())
             if rec.skipped_reason is not None:
                 t.skipped += 1
                 continue
@@ -105,8 +124,17 @@ class Report:
             if rec.match:
                 t.matched += 1
             else:
-                failures.append(rec)
-        return cls(ordered, totals, failures)
+                self.failures.append(rec)
+
+    def merge(self, part: Report) -> None:
+        """Append a report whose points all follow this one's in canonical order."""
+        self.records.extend(part.records)
+        for id, t in part.totals.items():
+            mine = self.totals.setdefault(id, IdTotals())
+            mine.checked += t.checked
+            mine.matched += t.matched
+            mine.skipped += t.skipped
+        self.failures.extend(part.failures)
 
     @property
     def passed(self) -> bool:
@@ -141,38 +169,45 @@ class Report:
         return "\n".join(dump_json(obj) for obj in self.to_json_objects()) + "\n"
 
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def dump_json(obj: dict) -> str:
     """The one JSON writer used for reports; compact and key-order preserving."""
-    return json.dumps(obj, separators=(",", ":"))
-
-
-_digits_unlocked = False
+    return _ENCODER.encode(obj)
 
 
 def decimal_str(value: Fraction | int) -> str:
     """Decimal string of an exact value, however large.
 
-    Lifts the interpreter's int-to-str digit cap on first use; grid values
-    routinely exceed the default 4300-digit limit.
+    Grid values can exceed the interpreter's int-to-str digit cap (4300 by
+    default); the cap is lifted for such a value only and then put back.
     """
-    global _digits_unlocked
-    if not _digits_unlocked:
+    try:
+        return str(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
         try:
-            sys.set_int_max_str_digits(0)
-        except (AttributeError, ValueError):
-            pass
-        _digits_unlocked = True
-    return str(value)
+            return str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def record_to_json(rec: VerificationRecord) -> dict:
-    slots = descriptor(rec.id).slots
+    return _json_object(rec, descriptor(rec.id).slots)
+
+
+def _json_object(rec: VerificationRecord, slots: tuple[str, ...]) -> dict:
     obj: dict = {
         "id": rec.id.value,
         "params": {slot: getattr(rec.params, slot) for slot in slots},
     }
     if rec.skipped_reason is not None:
         obj["skipped"] = rec.skipped_reason
+    elif rec.error is not None:
+        obj["error"] = rec.error
+        obj["match"] = False
     else:
         obj["lhs"] = decimal_str(rec.lhs)
         obj["rhs"] = decimal_str(rec.rhs)
@@ -185,62 +220,113 @@ def _record_key(rec: VerificationRecord) -> tuple:
     return (catalog_index(rec.id), q.n, q.j, q.r, q.s, q.p, q.m)
 
 
-# --- grid enumeration and evaluation ---------------------------------------
+# --- enumeration, chunk evaluation and scheduling ---------------------------
 
-_Task = tuple[str, tuple[int, int, int, int, int, int]]
-_Result = tuple[str | None, Fraction | None, Fraction | None, bool | None]
+_Combo = tuple[int, int, int, int, int, int]  # values in SLOT_ORDER
+_Chunk = tuple[IdentityId, list[_Combo]]
+
+_CANONICAL = IdentityParams()
+_MAX_CHUNK = 2048  # points; bounds the text a chunk carries
+_WINDOW_PER_WORKER = 4  # chunks in flight per worker process
 
 
-def _enumerate_tasks(spec: GridSpec) -> list[_Task]:
-    tasks: list[_Task] = []
-    wanted = set(spec.ids)
+def _axes(desc: IdentityDescriptor, spec: GridSpec) -> list[Sequence[int]]:
+    axes: list[Sequence[int]] = []
+    for slot in SLOT_ORDER:
+        if slot in desc.slots:
+            lo, hi = spec.range_for(slot)
+            axes.append(range(lo, hi + 1))
+        else:
+            axes.append((getattr(_CANONICAL, slot),))
+    return axes
+
+
+def _chunks(specs: Sequence[GridSpec], size: int) -> Iterator[_Chunk]:
+    """Chunks of at most `size` points, in canonical order, never sorted.
+
+    Each spec's product is already ordered; where specs share an identity,
+    the stable merge keeps equal points in spec order, as a stable sort of the
+    concatenated records would.
+    """
     for desc in catalog():
-        if desc.id not in wanted:
-            continue
-        axes = []
-        for slot in SLOT_ORDER:
-            if slot in desc.slots:
-                lo, hi = spec.range_for(slot)
-                axes.append(range(lo, hi + 1))
-            else:
-                axes.append((getattr(IdentityParams(), slot),))
-        for combo in product(*axes):
-            tasks.append((desc.id.value, combo))
-    return tasks
+        grids = [product(*_axes(desc, spec)) for spec in specs if desc.id in spec.ids]
+        combos = grids[0] if len(grids) == 1 else heapq.merge(*grids)
+        while batch := list(islice(combos, size)):
+            yield desc.id, batch
 
 
-def _eval_task(task: _Task) -> _Result:
-    id_value, combo = task
-    params = IdentityParams(*combo)
-    desc = descriptor(IdentityId(id_value))
+def _check(desc: IdentityDescriptor, params: IdentityParams) -> VerificationRecord:
     ok, reason = desc.applicable(params)
     if not ok:
-        return (reason, None, None, None)
-    lhs = desc.lhs(params)
-    rhs = desc.rhs(params)
-    return (None, lhs, rhs, lhs == rhs)
+        return VerificationRecord(desc.id, params, None, None, None, reason)
+    try:
+        lhs = desc.lhs(params)
+        rhs = desc.rhs(params)
+    except ArithmeticError as exc:  # IntegralityError, IrrationalResultError, ...
+        return VerificationRecord(
+            desc.id, params, None, None, False, error=f"{type(exc).__name__}: {exc}"
+        )
+    return VerificationRecord(desc.id, params, lhs, rhs, lhs == rhs)
 
 
-def _eval_chunk(chunk: list[_Task]) -> list[_Result]:
-    return [_eval_task(t) for t in chunk]
+def _check_chunk(chunk: _Chunk, keep: bool, render: bool) -> tuple[Report, str]:
+    """Check one chunk: its tallied report (with the records if `keep`) and,
+    if `render`, its JSONL lines."""
+    id, combos = chunk
+    desc = descriptor(id)
+    records = [_check(desc, IdentityParams(*combo)) for combo in combos]
+    part = Report(records if keep else [])
+    part.count(records)
+    slots = desc.slots
+    text = "".join([f"{dump_json(_json_object(rec, slots))}\n" for rec in records]) if render else ""
+    return part, text
 
 
-def _run_tasks(tasks: list[_Task], parallelism: int) -> list[_Result]:
-    # at most one worker per CPU and per chunk: fork starts all max_workers at once
-    workers = min(parallelism, os.cpu_count() or 1)
-    if workers <= 1 or len(tasks) < 64:
-        return _eval_chunk(tasks)
-    chunk_size = max(64, len(tasks) // (workers * 16))
-    chunks = [tasks[i : i + chunk_size] for i in range(0, len(tasks), chunk_size)]
+def _in_order(fn: Callable, chunks: Iterable, workers: int) -> Iterator:
+    """fn over chunks, results in submission order.
+
+    With more than one worker the chunks run in a fork pool with at most
+    _WINDOW_PER_WORKER * workers of them submitted and not yet yielded.
+    """
+    if workers <= 1:
+        yield from map(fn, chunks)
+        return
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
         ctx = multiprocessing.get_context()
-    results: list[_Result] = []
-    with ProcessPoolExecutor(max_workers=min(workers, len(chunks)), mp_context=ctx) as pool:
-        for part in pool.map(_eval_chunk, chunks):
-            results.extend(part)
-    return results
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        window: deque = deque()
+        try:
+            for chunk in chunks:
+                window.append(pool.submit(fn, chunk))
+                if len(window) >= _WINDOW_PER_WORKER * workers:
+                    yield window.popleft().result()
+            while window:
+                yield window.popleft().result()
+        finally:
+            for future in window:
+                future.cancel()
+
+
+def _checked_chunks(
+    specs: Sequence[GridSpec], parallelism: int, keep: bool, render: bool
+) -> Iterator[tuple[Report, str]]:
+    """Every point of `specs`, checked chunk by chunk: (part, text) in canonical order."""
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be positive, got {parallelism}")
+    # points per identity, from the range sizes
+    sizes = [
+        sum(math.prod(map(len, _axes(desc, spec))) for spec in specs if desc.id in spec.ids)
+        for desc in catalog()
+    ]
+    points = sum(sizes)
+    # at most one worker per CPU and per chunk: fork starts all max_workers at once
+    workers = min(parallelism, os.cpu_count() or 1)
+    size = min(_MAX_CHUNK, max(64, points // (workers * 16)))
+    workers = min(workers, sum(-(-n // size) for n in sizes)) if points >= 64 else 1
+    fn = partial(_check_chunk, keep=keep, render=render)
+    return _in_order(fn, _chunks(specs, size), workers)
 
 
 def run_grid(spec: GridSpec, parallelism: int = 1) -> Report:
@@ -248,23 +334,30 @@ def run_grid(spec: GridSpec, parallelism: int = 1) -> Report:
 
     Points outside an identity's domain become skipped records.
     """
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be positive, got {parallelism}")
-    tasks = _enumerate_tasks(spec)
-    results = _run_tasks(tasks, parallelism)
-    records = [
-        VerificationRecord(IdentityId(t[0]), IdentityParams(*t[1]), lhs, rhs, match, reason)
-        for t, (reason, lhs, rhs, match) in zip(tasks, results)
-    ]
-    return Report.from_records(records)
+    return run_grids([spec], parallelism)
 
 
 def run_grids(specs: Sequence[GridSpec], parallelism: int = 1) -> Report:
-    """Run several grid specs and merge into one canonical report."""
-    records: list[VerificationRecord] = []
-    for spec in specs:
-        records.extend(run_grid(spec, parallelism).records)
-    return Report.from_records(records)
+    """Run several grid specs as one canonical report."""
+    report = Report([])
+    for part, _ in _checked_chunks(specs, parallelism, keep=True, render=False):
+        report.merge(part)
+    return report
+
+
+def stream_grids(specs: Sequence[GridSpec], parallelism: int = 1, out: TextIO | None = None) -> Report:
+    """Check every point of `specs`, keeping only the totals and the failures.
+
+    With `out`, the points' JSONL lines are written to it in canonical order,
+    one write per chunk, as the chunks complete; the trailing summary line is
+    `dump_json(report.summary_json())`, left to the caller.
+    """
+    report = Report([])
+    for part, text in _checked_chunks(specs, parallelism, keep=False, render=out is not None):
+        report.merge(part)
+        if text:
+            out.write(text)
+    return report
 
 
 _ODD_IDS = (
@@ -294,7 +387,7 @@ def run_default_grid(parallelism: int | None = None) -> Report:
 def summarize(report: Report) -> str:
     """Per-identity one-line totals plus a global PASS/FAIL verdict."""
     checked, matched, skipped = report.counts()
-    if not report.records:
+    if not report.totals:
         return "PASS (0 checks)"
     lines = []
     for id, t in sorted(report.totals.items(), key=lambda kv: catalog_index(kv[0])):
@@ -303,7 +396,8 @@ def summarize(report: Report) -> str:
         )
     for rec in report.failures:
         obj = record_to_json(rec)
-        lines.append(f"FAIL {rec.id.value} params={obj['params']} lhs={obj['lhs']} rhs={obj['rhs']}")
+        found = f"error={rec.error}" if rec.error is not None else f"lhs={obj['lhs']} rhs={obj['rhs']}"
+        lines.append(f"FAIL {rec.id.value} params={obj['params']} {found}")
     if report.passed:
         lines.append(f"PASS ({checked} checks, {skipped} skipped)")
     else:

@@ -1,13 +1,19 @@
 import json
+import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from fibsums import IdentityId, IntegralityError
 from fibsums.cli import bench_identity, main
 from fibsums.identities import IdentityParams, _BY_ID, IdentityDescriptor
+from fibsums.verify import default_grid_specs, run_grids
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _raise_integrality(params):
@@ -110,10 +116,29 @@ class TestInternalError:
         assert (code, out) == (1, "")
         assert err == "error: expected an integer value, got 1/5\n"
 
+    # in verify it is a failed check carrying the error, so the report stays whole
     def test_verify(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--ids", "C18", "--n", "0..2", "--s", "0..1", "--jobs", "1")
-        assert (code, out) == (1, "")
-        assert err == "error: expected an integer value, got 1/5\n"
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert lines[1] == "FAIL C18 params={'n': 0, 's': 0} error=IntegralityError: expected an integer value, got 1/5"
+        assert lines[-1] == "FAIL (6 mismatches of 6 checks)"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_verify_json(self, capsys, jobs):
+        code, out, err = run_cli(
+            capsys, "verify", "--ids", "C18", "--n", "0..40", "--s", "-1..1", "--format", "json", "--jobs", jobs
+        )
+        assert (code, err) == (1, "")
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert len(rows) == 124
+        assert rows[0] == {
+            "id": "C18",
+            "params": {"n": 0, "s": -1},
+            "error": "IntegralityError: expected an integer value, got 1/5",
+            "match": False,
+        }
+        assert rows[-1]["failed"] == 123 and rows[-1]["verdict"] == "FAIL"
 
 
 class TestVerify:
@@ -163,6 +188,35 @@ class TestVerify:
         assert code == 2
 
 
+class TestStreamedVerify:
+    """`python -m fibsums verify --format json` in a fresh interpreter, serial and with workers."""
+
+    ARGV = ["--ids", "C18,Q13,EVEN_L,ODD_F", "--n", "0..12", "--j", "1..2", "--r", "-1..1", "--s", "0..3", "--p", "-1..1"]
+    POINTS = 13 * 4 + 13 * 2 * 3 * 4 * 3 + 13 * 2 * 3 * 4 * 4 + 13 * 2 * 3 * 4 * 3
+
+    def run(self, jobs: str) -> bytes:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fibsums", "verify", *self.ARGV, "--format", "json", "--jobs", jobs],
+            capture_output=True, env=env, cwd=ROOT,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_bytes_equal_across_jobs_and_library(self):
+        serial, parallel = self.run("1"), self.run("2")
+        assert serial == parallel
+        assert serial.count(b"\n") == self.POINTS + 1
+        ranges = dict(n_range=(0, 12), j_range=(1, 2), r_range=(-1, 1), s_range=(0, 3), p_range=(-1, 1))
+        wanted = {IdentityId.C18, IdentityId.Q13, IdentityId.EVEN_L, IdentityId.ODD_F}
+        specs = [
+            replace(spec, ids=tuple(i for i in spec.ids if i in wanted), **ranges)
+            for spec in default_grid_specs()
+        ]
+        assert serial.decode() == run_grids(specs).to_jsonl()
+
+
 class TestBench:
     def test_small_bench(self, capsys):
         code, out, _ = run_cli(
@@ -208,6 +262,16 @@ class TestBench:
     def test_inapplicable(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--id", "Q13", "--n", "5", "--p", "0")
         assert code == 2
+
+
+class TestFib:
+    def test_huge_value_prints_and_leaves_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(capsys, "fib", "100000")
+        digits = out.strip()
+        assert code == 0
+        assert len(digits) == 20899 and digits.isdigit() and digits.endswith("5")
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestList:

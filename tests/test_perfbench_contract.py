@@ -1,0 +1,40 @@
+"""The benchmark's trace mode wraps fibsums names by hand.
+
+This runs `perfbench/tracing.py` against the package, read-only, so that a
+rename of a wrapped boundary fails here instead of breaking
+`python3 perfbench/run.py --trace 1`.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from fibsums import cli, verify
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trace_mode_wraps_and_restores(capsys):
+    tracing, run = _load("tracing"), _load("run")
+    from_records = vars(verify.Report)["from_records"]
+    to_jsonl = verify.Report.to_jsonl
+    main = cli.main
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer, run.FAMILIES, True)
+    try:
+        code = cli.main(["verify", "--ids", "C18", "--n", "0..2", "--s", "0..1", "--jobs", "1"])
+    finally:
+        tracer.restore()
+    assert code == 0
+    assert "PASS (6 checks, 0 skipped)" in capsys.readouterr().out
+    assert tracer.calls["main"] == 1
+    assert tracer.calls["closed:cubic"] == tracer.calls["oracle:cubic"] == 6
+    assert vars(verify.Report)["from_records"] is from_records
+    assert verify.Report.to_jsonl is to_jsonl
+    assert cli.main is main

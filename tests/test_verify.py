@@ -1,5 +1,8 @@
+import io
 import json
 import random
+import sys
+from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
@@ -7,12 +10,14 @@ import pytest
 from fibsums import GridSpec, IdentityId, IdentityParams, Report, VerificationRecord, summarize
 from fibsums import verify
 from fibsums.verify import (
+    decimal_str,
     default_grid_specs,
     dump_json,
     record_to_json,
     run_default_grid,
     run_grid,
     run_grids,
+    stream_grids,
 )
 
 
@@ -97,8 +102,10 @@ class TestWorkerClamp:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, iterable):
-                return map(fn, iterable)
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingExecutor)
         return created
@@ -120,6 +127,92 @@ class TestWorkerClamp:
         report = run_grid(small_spec(n_range=(0, 40), s_range=(-10, 10)), parallelism=100_000)
         assert pools == []
         assert report.passed
+
+
+class TestInOrder:
+    """Results come back in submission order, with a bounded number in flight."""
+
+    def test_out_of_order_completion(self, monkeypatch):
+        submitted, taken, completed, in_flight = [0], [0], [], []
+
+        class LazyFuture(Future):
+            def __init__(self, pool):
+                super().__init__()
+                self.pool = pool
+
+            def result(self, timeout=None):
+                if not self.done():
+                    self.pool.complete_newest_first()
+                taken[0] += 1
+                return super().result(timeout)
+
+        class ReversingExecutor:
+            """Runs nothing until a result is awaited, then the newest task first."""
+
+            def __init__(self, max_workers, mp_context=None):
+                self.pending = []
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = LazyFuture(self)
+                self.pending.append((future, fn, args))
+                submitted[0] += 1
+                in_flight.append(submitted[0] - taken[0])
+                return future
+
+            def complete_newest_first(self):
+                while self.pending:
+                    future, fn, args = self.pending.pop()
+                    completed.append(args[0])
+                    future.set_result(fn(*args))
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", ReversingExecutor)
+        results = list(verify._in_order(lambda x: x * x, iter(range(100)), workers=3))
+        assert results == [x * x for x in range(100)]
+        assert completed != sorted(completed)
+        assert max(in_flight) == verify._WINDOW_PER_WORKER * 3
+
+
+class TestStreaming:
+    def test_specs_sharing_an_identity_keep_sorted_order(self):
+        a = small_spec(ids=(IdentityId.C18, IdentityId.F1), n_range=(0, 3), s_range=(-1, 1))
+        b = small_spec(ids=(IdentityId.C18,), n_range=(2, 5), s_range=(0, 2))
+        expected = Report.from_records(run_grid(a).records + run_grid(b).records)
+        merged = run_grids([a, b])
+        assert merged.records == expected.records
+        assert merged.to_jsonl() == expected.to_jsonl()
+        out = io.StringIO()
+        streamed = stream_grids([a, b], out=out)
+        assert out.getvalue() + dump_json(streamed.summary_json()) + "\n" == expected.to_jsonl()
+
+    def test_stream_keeps_totals_and_failures_only(self):
+        report = stream_grids([small_spec(n_range=(0, 40), s_range=(-1, 1))], parallelism=2)
+        assert report.records == []
+        assert report.counts() == (123, 123, 0)
+        assert summarize(report) == summarize(run_grid(small_spec(n_range=(0, 40), s_range=(-1, 1))))
+
+    def test_empty_stream(self):
+        out = io.StringIO()
+        report = stream_grids([small_spec(ids=())], out=out)
+        assert out.getvalue() == ""
+        assert summarize(report) == "PASS (0 checks)"
+
+
+class TestDecimalStr:
+    def test_long_values_leave_the_digit_limit_alone(self):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert decimal_str(10**10000 + 7) == "1" + "0" * 9999 + "7"
+            assert decimal_str(Fraction(3, 10**9999 + 1)) == "3/1" + "0" * 9998 + "1"
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 class TestDeterminism:
