@@ -99,7 +99,7 @@ SQRT5 = QuadNum(-1, 2)  # 2*alpha - 1
 _ALPHA_INV = QuadNum(-1, 1)  # alpha - 1 = -beta; alpha is a unit of norm -1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # the full default grid needs 25 entries
 def alpha_pow(n: int) -> QuadNum:
     """alpha^n for any integer n, by binary exponentiation.
 

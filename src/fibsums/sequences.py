@@ -10,6 +10,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 class SequenceKind(Enum):
     """Which of the two companion sequences a sum is taken over."""
@@ -18,7 +19,8 @@ class SequenceKind(Enum):
     LUCAS = "L"
 
 
-@lru_cache(maxsize=None)
+# A fast-doubling call adds about log2(n) entries; the full default grid needs 338.
+@lru_cache(maxsize=1024)
 def _fib_pair(n: int) -> tuple[int, int]:
     # (F_n, F_{n+1}) for n >= 0 by fast doubling:
     #   F_{2k}   = F_k (2 F_{k+1} - F_k)
@@ -90,6 +92,9 @@ def direct_sum(
     W is F or L per `kind`.  0^0 = 1 throughout: for the x and z weight
     powers and for W^m when W = 0, m = 0.  This is the brute-force oracle
     every closed form is checked against; it never consults any identity.
+
+    Rational weights are scaled by the common denominator D of x and z:
+    the sum is the integer sum at (D x, D z) divided by D^n.
     """
     if n < 0:
         raise ValueError(f"direct_sum requires n >= 0, got n={n}")
@@ -100,23 +105,30 @@ def direct_sum(
     xi = as_exact(x)
     zi = as_exact(z)
     if isinstance(xi, int) and isinstance(zi, int):
-        # All-integer path (the common case on verification grids).
-        xpow = [1] * (n + 1)
-        zpow = [1] * (n + 1)
-        for i in range(1, n + 1):
-            xpow[i] = xpow[i - 1] * xi
-            zpow[i] = zpow[i - 1] * zi
-        total = 0
-        c = 1
-        for k in range(n + 1):
-            total += c * xpow[n - k] * zpow[k] * seq(j * (r * k + s)) ** m
-            c = c * (n - k) // (k + 1)
-        return Fraction(total)
+        return Fraction(_integer_sum(n, xi, zi, j, r, s, m, seq))
+    den = math.lcm(xi.denominator, zi.denominator)
+    return Fraction(_integer_sum(n, int(xi * den), int(zi * den), j, r, s, m, seq), den**n)
 
-    xq = Fraction(x)
-    zq = Fraction(z)
-    total = Fraction(0)
+
+def _integer_sum(
+    n: int, x: int, z: int, j: int, r: int, s: int, m: int, seq: Callable[[int], int]
+) -> int:
+    # The terms t_k W_{a+kd}^m with t_k = C(n,k) x^(n-k) z^k, a = js, d = jr.
+    if x == 0:
+        # only k = n survives, since 0^0 = 1
+        return z**n * seq(j * (r * n + s)) ** m
+    # W follows the Fibonacci recurrence, so stepping its index by d is the
+    # matrix product Q^a Q^d, as in fast doubling:
+    #   W_{a+d} = F_{d-1} W_a + F_d W_{a+1},  W_{a+d+1} = F_d W_a + F_{d+1} W_{a+1}.
+    a = j * s
+    w, w1 = seq(a), seq(a + 1)
+    f0, f1 = fib(j * r - 1), fib(j * r)
+    f2 = f0 + f1
+    # t_{k+1} = t_k (n-k) z / ((k+1) x), and the division is exact.
+    t = x**n
+    total = 0
     for k in range(n + 1):
-        w = Fraction(seq(j * (r * k + s))) ** m
-        total += binomial(n, k) * xq ** (n - k) * zq**k * w
+        total += t * w**m
+        t = t * (n - k) * z // ((k + 1) * x)
+        w, w1 = f0 * w + f1 * w1, f1 * w + f2 * w1
     return total

@@ -8,7 +8,8 @@ rename of a wrapped boundary fails here instead of breaking
 import importlib.util
 from pathlib import Path
 
-from fibsums import cli, verify
+from fibsums import cli, sequences, verify
+from fibsums.identities import IdentityId, IdentityParams, descriptor
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -38,3 +39,21 @@ def test_trace_mode_wraps_and_restores(capsys):
     assert vars(verify.Report)["from_records"] is from_records
     assert verify.Report.to_jsonl is to_jsonl
     assert cli.main is main
+
+
+def test_trace_mode_times_the_oracle():
+    # `sequences.direct_sum.total_s` reads the "direct_sum" span; if the
+    # oracle stopped going through the wrapped name it would read 0 silently.
+    tracing, run = _load("tracing"), _load("run")
+    direct_sum = sequences.direct_sum
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer, run.FAMILIES, True)
+    try:
+        value = descriptor(IdentityId.C18).lhs(IdentityParams(n=40, s=1))
+    finally:
+        tracer.restore()
+    assert value == direct_sum(40, 1, 1, 1, 1, 1, 3, sequences.SequenceKind.FIB)
+    assert tracer.calls["direct_sum"] == 1
+    assert tracer.total["direct_sum"] > 0
+    assert tracer.calls["oracle:cubic"] == 1
+    assert sequences.direct_sum is direct_sum

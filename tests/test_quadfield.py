@@ -90,6 +90,18 @@ class TestAlphaPowers:
         for n in range(-200, 201):
             assert alpha_pow(n) == QuadNum(fib(n - 1), fib(n)), n
 
+    def test_memo_bounded_and_still_exact(self):
+        size = alpha_pow.cache_info().maxsize
+        alpha_pow.cache_clear()
+        try:
+            for n in range(-size, size + 1):
+                assert alpha_pow(n) == QuadNum(naive_fib(n - 1), naive_fib(n)), n
+            assert alpha_pow.cache_info().currsize <= size
+            for n in range(-size, size + 1, 7):
+                assert alpha_pow(n) == QuadNum(naive_fib(n - 1), naive_fib(n)), n
+        finally:
+            alpha_pow.cache_clear()
+
     def test_binet_reconstruction(self):
         for n in range(-200, 201):
             an = alpha_pow(n)

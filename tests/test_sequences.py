@@ -1,10 +1,13 @@
+import ast
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fibsums import SequenceKind, binomial, direct_sum, fib, lucas
+from fibsums import SequenceKind, binomial, direct_sum, fib, lucas, sequences
 
 from oracles import naive_binomial, naive_fib, naive_lucas, naive_weighted_sum
 
@@ -30,6 +33,21 @@ class TestFib:
     def test_large_index_digit_count(self):
         # F_1000 is a well-known 209-digit number
         assert len(str(fib(1000))) == 209
+
+    def test_memo_bounded_and_still_exact(self):
+        size = sequences._fib_pair.cache_info().maxsize
+        sequences.clear_caches()
+        try:
+            # fast doubling of every index up to 2*size touches 2*size distinct entries
+            for n in range(2 * size):
+                assert fib(n) == naive_fib(n), n
+            assert sequences._fib_pair.cache_info().currsize <= size
+            for n in range(-2 * size, 2 * size, 37):
+                assert fib(n) == naive_fib(n), n
+                assert lucas(n) == naive_lucas(n), n
+            assert sequences._fib_pair.cache_info().currsize <= size
+        finally:
+            sequences.clear_caches()
 
 
 class TestLucas:
@@ -97,18 +115,26 @@ class TestDirectSum:
             for x, z in [(1, 1), (2, -1), (Fraction(1, 2), Fraction(3, 2)), (-2, 3)]:
                 assert direct_sum(n, x, z, 3, 2, 1, 0, kind) == Fraction(x + z) ** n
 
-    @settings(deadline=None, max_examples=60)
+    @settings(deadline=None, max_examples=80)
     @given(
-        n=st.integers(0, 6),
+        n=st.integers(0, 40),
         x=st.fractions(max_denominator=6, min_value=-4, max_value=4),
         z=st.fractions(max_denominator=6, min_value=-4, max_value=4),
-        j=st.integers(-3, 3),
-        r=st.integers(-3, 3),
-        s=st.integers(-3, 3),
+        j=st.integers(-6, 6),
+        r=st.integers(-6, 6),
+        s=st.integers(-6, 6),
         m=st.integers(0, 3),
         fibonacci=st.booleans(),
     )
+    @example(n=17, x=2, z=-1, j=0, r=5, s=3, m=2, fibonacci=False)  # j*r = 0, j = 0
+    @example(n=23, x=Fraction(1, 3), z=1, j=4, r=0, s=-2, m=3, fibonacci=True)  # r = 0
+    @example(n=31, x=0, z=Fraction(-5, 2), j=-6, r=3, s=1, m=1, fibonacci=False)  # x = 0
+    @example(n=29, x=Fraction(3, 4), z=0, j=5, r=-6, s=-6, m=2, fibonacci=True)  # z = 0
+    @example(n=0, x=0, z=0, j=3, r=2, s=0, m=0, fibonacci=True)  # 0^0 everywhere
+    @example(n=40, x=Fraction(-3, 2), z=Fraction(1, 4), j=-3, r=-2, s=3, m=2, fibonacci=False)
     def test_matches_naive_summation(self, n, x, z, j, r, s, m, fibonacci):
+        # direct_sum steps the index j(rk+s) by jr with the addition formula
+        # and the weight by exact division; the naive sum recomputes both.
         kind = F if fibonacci else L
         assert direct_sum(n, x, z, j, r, s, m, kind) == naive_weighted_sum(
             n, x, z, j, r, s, m, fibonacci
@@ -118,3 +144,36 @@ class TestDirectSum:
         got = direct_sum(2, Fraction(1, 2), Fraction(1, 3), 1, 1, 0, 1, F)
         # C(2,0)(1/2)^2 F_0 + C(2,1)(1/2)(1/3) F_1 + C(2,2)(1/3)^2 F_2
         assert got == Fraction(1, 3) + Fraction(1, 9)
+
+    @pytest.mark.parametrize(
+        "n,x,z,j,r,s,m",
+        [
+            (250, 3, -2, -2, -3, 5, 2),
+            (251, -1, 4, -3, -1, -7, 1),
+            (249, Fraction(-3, 2), Fraction(1, 4), -1, -2, 3, 3),
+        ],
+    )
+    @pytest.mark.parametrize("fibonacci", [True, False])
+    def test_large_n_negative_steps_match_literal_sum(self, n, x, z, j, r, s, m, fibonacci):
+        seq = naive_fib if fibonacci else naive_lucas
+        literal = sum(
+            math.comb(n, k) * Fraction(x) ** (n - k) * Fraction(z) ** k * seq(j * (r * k + s)) ** m
+            for k in range(n + 1)
+        )
+        assert direct_sum(n, x, z, j, r, s, m, F if fibonacci else L) == literal
+
+    def test_memo_does_not_grow_with_n(self):
+        # the sequence is seeded once and then stepped, so lookups do not grow with n
+        sequences.clear_caches()
+        try:
+            direct_sum(5000, 1, 1, 1, 1, 0, 3, F)
+            assert sequences._fib_pair.cache_info().currsize <= 64
+        finally:
+            sequences.clear_caches()
+
+    def test_oracle_imports_only_the_standard_library(self):
+        # the oracle must stay independent of quadfield, transform and identities
+        tree = ast.parse(Path(sequences.__file__).read_text())
+        imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert imported <= {"__future__", "enum", "fractions", "functools", "math", "typing"}
