@@ -24,7 +24,15 @@ from .identities import (
     eval_pair,
 )
 from .sequences import SequenceKind, direct_sum, fib, lucas
-from .verify import decimal_str, default_grid_specs, dump_json, stream_grids, summarize
+from .verify import (
+    VerificationRecord,
+    decimal_str,
+    default_grid_specs,
+    dump_json,
+    record_to_json,
+    stream_grids,
+    summarize,
+)
 
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
@@ -87,14 +95,8 @@ def cmd_closed(args: argparse.Namespace) -> int:
     outcome = eval_pair(args.id, params)
     verdict = "MATCH" if outcome.match else "MISMATCH"
     if args.format == "json":
-        obj = {
-            "id": args.id.value,
-            "params": {slot: getattr(params, slot) for slot in descriptor(args.id).slots},
-            "lhs": decimal_str(outcome.lhs),
-            "rhs": decimal_str(outcome.rhs),
-            "match": outcome.match,
-        }
-        print(dump_json(obj))
+        record = VerificationRecord(args.id, params, outcome.lhs, outcome.rhs, outcome.match)
+        print(dump_json(record_to_json(record)))
     else:
         print(f"lhs={decimal_str(outcome.lhs)} rhs={decimal_str(outcome.rhs)} {verdict}")
     return 0 if outcome.match else 1
@@ -188,11 +190,13 @@ def _add_params(parser: argparse.ArgumentParser, with_xz: bool = False) -> None:
     parser.add_argument("--j", type=int, default=1, help="index multiplier (default 1)")
     parser.add_argument("--r", type=int, default=1, help="index step (default 1)")
     parser.add_argument("--s", type=int, default=0, help="index offset (default 0)")
-    parser.add_argument("--p", type=int, default=1, help="auxiliary index (default 1)")
     parser.add_argument("--m", type=int, default=1, help="power parameter (default 1)")
     if with_xz:
         parser.add_argument("--x", type=_parse_rational, default=Fraction(1), help="weight x (default 1)")
         parser.add_argument("--z", type=_parse_rational, default=Fraction(1), help="weight z (default 1)")
+    else:
+        # closed and bench: p is a slot of E9..E12 and Q13..Q16, and no sum reads it
+        parser.add_argument("--p", type=int, default=1, help="auxiliary index (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,6 +10,12 @@ Closed forms are computed with integer Fibonacci/Lucas values only, apart
 from F1/L1 and the quadratic base forms, which delegate to the Q(alpha)
 engine in `transform`.  A 5^k prefactor is applied once, by `_times_5pow`.
 Integer powers follow the 0^0 = 1 convention.
+
+The even- and odd-power theorems are one closed form, `_power_rhs`, of
+sum_k (+/-1)^k C(n,k) W_{a+dk}^B with B*d even: EVEN has B = 2m, d = jr and
+ODD has B = 2m+1, d = 2jr.  Its parity branch is the pair (Lucas first
+factor, Fibonacci second factor), set by the parities of B*d/2, the sign, B,
+n and the kind.
 """
 
 from __future__ import annotations
@@ -208,6 +214,46 @@ def cubic_rhs(id: IdentityId, n: int, s: int) -> Fraction:
     raise ValueError(f"cubic_rhs only evaluates C18..C23, got {id}")
 
 
+def _power_rhs(
+    n: int,
+    a: int,
+    d: int,
+    big: int,
+    alternating: bool,
+    kind: SequenceKind,
+) -> Fraction:
+    """Closed form of sum_k (+/-1)^k C(n,k) W_{a+dk}^big, for big*d even.
+
+    Expanding W^big by Binet pairs alpha^(tx) with beta^(tx), t = big - 2i,
+    x = a + dk.  Summed over k, pair i < big/2 carries C(big,i) times
+    (1 +/- (-1)^(id) alpha^(td))^n, which is alpha^(hn) times L_h^n or
+    (sqrt5 F_h)^n with h = td/2: Lucas for every i when h_0 = big*d/2 is even
+    under plus signs or odd under alternating ones.  The parities of big, n
+    and the kind then fix whether the second factor is F or L, and the sqrt5
+    powers collect into one 5^e.  An even `big` leaves the unpaired centre
+    C(big, big/2) (1 +/- (-1)^(h_0))^n, 2^n or 0^n, kept exact so that its
+    0^0 = 1 survives at n = 0.
+    """
+    is_fib = kind is SequenceKind.FIB
+    fib_first = (big * d // 2) % 2 != alternating
+    fib_second = (is_fib and big % 2 == 1) != (fib_first and n % 2 == 1)
+    first = fib if fib_first else lucas
+    second = fib if fib_second else lucas
+    sign_e = a + d * n + is_fib
+    total = 0
+    for i in range((big + 1) // 2):
+        t = big - 2 * i
+        h = t * d // 2
+        term = binomial(big, i) * first(h) ** n * second(h * n + t * a)
+        total += -term if (sign_e * i) % 2 else term
+    if big % 2 == 0:
+        center = binomial(big, big // 2) * (0 if fib_first else 2) ** n
+        total += -center if (sign_e * (big // 2)) % 2 else center
+    if alternating and n % 2:
+        total = -total
+    return _times_5pow(total, (n * fib_first + fib_second - big * is_fib) // 2)
+
+
 def even_power_rhs(
     n: int,
     j: int,
@@ -228,35 +274,7 @@ def even_power_rhs(
         raise InapplicableParamsError("n must be non-negative")
     if m < 0:
         raise InapplicableParamsError("m must be non-negative")
-    js, jr = j * s, j * r
-    lucas_first = ((j * m * r) % 2 == 0) != alternating
-    two_m = 2 * m
-    idx2 = jr * n + 2 * js
-    is_fib = kind is SequenceKind.FIB
-    sign_e = js + jr * n + 1 if is_fib else js + jr * n
-
-    def row(first: Callable[[int], int], second: Callable[[int], int]) -> int:
-        total = 0
-        for i in range(m):
-            t = m - i
-            term = binomial(two_m, i) * first(t * jr) ** n * second(t * idx2)
-            total += -term if (sign_e * i) % 2 else term
-        return total
-
-    if lucas_first:
-        # (jmr even, plus signs) or (jmr odd, alternating)
-        acc = row(lucas, lucas)
-        shift = 0
-    else:
-        # Fibonacci first factors and a power of 5 set by the parity of n
-        acc = row(fib, fib) if n % 2 else row(fib, lucas)
-        shift = (n + 1) // 2
-    if alternating and n % 2:
-        acc = -acc
-    csign = _sgn(m * (js + 1)) if is_fib else _sgn(m * js)
-    # 0^0 = 1: the Fibonacci-first branch keeps its centre term at n = 0 only
-    center = csign * binomial(two_m, m) * (2 if lucas_first else 0) ** n
-    return _times_5pow(acc * 5**shift + center, -m if is_fib else 0)
+    return _power_rhs(n, j * s, j * r, 2 * m, alternating, kind)
 
 
 def odd_power_rhs(
@@ -277,35 +295,7 @@ def odd_power_rhs(
         raise InapplicableParamsError("n must be non-negative")
     if m < 0:
         raise InapplicableParamsError("m must be non-negative")
-    js, jr = j * s, j * r
-    big = 2 * m + 1
-    idx2 = jr * n + js
-    is_fib = kind is SequenceKind.FIB
-    sign_e = js + 1 if is_fib else js
-
-    def row(first: Callable[[int], int], second: Callable[[int], int]) -> int:
-        total = 0
-        for i in range(m + 1):
-            t = big - 2 * i
-            term = binomial(big, i) * first(t * jr) ** n * second(t * idx2)
-            total += -term if (sign_e * i) % 2 else term
-        return total
-
-    if (jr % 2 == 0) != alternating:
-        # (jr even, plus signs) or (jr odd, alternating): Lucas first factors.
-        acc = row(lucas, fib) if is_fib else row(lucas, lucas)
-        shift = 0
-    else:
-        # (jr odd, plus signs) or (jr even, alternating): Fibonacci first
-        # factors and a power of 5 set by the parity of n.
-        if n % 2 == 0:
-            acc = row(fib, fib) if is_fib else row(fib, lucas)
-        else:
-            acc = row(fib, lucas) if is_fib else row(fib, fib)
-        shift = n // 2 if is_fib else (n + 1) // 2
-    if alternating and n % 2:
-        acc = -acc
-    return _times_5pow(acc, shift - m if is_fib else shift)
+    return _power_rhs(n, j * s, 2 * j * r, 2 * m + 1, alternating, kind)
 
 
 # ---------------------------------------------------------------------------

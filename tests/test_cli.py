@@ -62,6 +62,14 @@ class TestSum:
         assert code == 2
         assert "n >= 0" in err
 
+    def test_p_is_not_a_sum_flag(self, capsys):
+        # no sum reads p: the flag is a usage error rather than silently ignored
+        code, out, err = run_cli(capsys, "sum", "--n", "2", "--s", "1", "--m", "3", "--p", "1")
+        assert (code, out) == (2, "")
+        assert "--p" in err
+        code, out, _ = run_cli(capsys, "sum", "--n", "2", "--s", "1", "--m", "3")
+        assert (code, out.strip()) == (0, "11")
+
 
 class TestClosed:
     def test_match(self, capsys):
@@ -79,6 +87,25 @@ class TestClosed:
         assert code == 0
         obj = json.loads(out)
         assert obj == {"id": "C18", "params": {"n": 2, "s": 1}, "lhs": "11", "rhs": "11", "match": True}
+
+    @pytest.mark.parametrize(
+        "id,point",
+        [
+            ("C18", {"n": 2, "s": 1}),
+            ("Q13", {"n": 3, "j": 2, "r": -1, "s": 1, "p": 2}),
+            ("EVEN_F", {"n": 3, "j": -1, "r": 2, "s": 1, "m": 2}),
+            ("F1", {"n": 4, "j": 2, "r": 3, "s": -1}),
+        ],
+    )
+    def test_json_is_the_verify_line(self, capsys, id, point):
+        # one record renderer: the same bytes as that point's line in a verify report
+        flags = [arg for slot, value in point.items() for arg in (f"--{slot}", str(value))]
+        code, closed_out, _ = run_cli(capsys, "closed", "--id", id, *flags, "--format", "json")
+        assert code == 0
+        code, verify_out, _ = run_cli(capsys, "verify", "--ids", id, *flags, "--format", "json", "--jobs", "1")
+        assert code == 0
+        point_line, _summary = verify_out.splitlines(keepends=True)
+        assert closed_out == point_line
 
     def test_inapplicable_params(self, capsys):
         code, _, err = run_cli(capsys, "closed", "--id", "Q13", "--n", "1", "--p", "0")

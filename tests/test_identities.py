@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from fibsums import (
     BinomialKernel,
@@ -196,6 +198,31 @@ class TestEvenOddPowers:
             even_power_rhs(1, 1, 1, 0, -1, False, F)
         with pytest.raises(InapplicableParamsError):
             odd_power_rhs(1, 1, 1, 0, -2, False, F)
+
+
+EVEN_ODD_IDS = (
+    IdentityId.EVEN_F, IdentityId.EVEN_L, IdentityId.ALT_EVEN_F, IdentityId.ALT_EVEN_L,
+    IdentityId.ODD_F, IdentityId.ODD_L, IdentityId.ALT_ODD_F, IdentityId.ALT_ODD_L,
+)
+small = st.integers(-12, 12)
+
+
+class TestEvenOddBeyondTheBox:
+    """The even/odd power theorems against the oracle well past the grid's n <= 12, |j,r,s| <= 4."""
+
+    @pytest.mark.parametrize("id", EVEN_ODD_IDS, ids=lambda id: id.value)
+    @seed(20210520)
+    @settings(deadline=None)
+    @given(n=st.integers(0, 40), j=small, r=small, s=small, m=st.integers(0, 5))
+    @example(n=7, j=0, r=3, s=2, m=2)
+    @example(n=7, j=3, r=0, s=-2, m=2)
+    @example(n=0, j=2, r=-3, s=4, m=3)
+    @example(n=9, j=2, r=-1, s=3, m=0)
+    @example(n=11, j=-3, r=5, s=-1, m=4)
+    @example(n=0, j=1, r=1, s=2, m=1)  # jmr odd at n = 0: the centre's 0^0 = 1
+    def test_matches_oracle(self, id, n, j, r, s, m):
+        outcome = eval_pair(id, P(n=n, j=j, r=r, s=s, m=m))
+        assert outcome.match, outcome
 
 
 class TestEvalPair:
