@@ -4,7 +4,7 @@ Every entry pairs a closed form with its embedding into the direct-summation
 oracle; eval_pair computes both sides exactly and compares.
 """
 
-from fibsums import IdentityId, IdentityParams, applicable, catalog, descriptor, eval_pair
+from fibsums import IdentityId, IdentityParams, catalog, descriptor, eval_pair
 
 print("=== The catalog ===")
 for desc in catalog():
@@ -29,9 +29,9 @@ for id, params in samples:
 
 print()
 print("=== Domains are part of the contract ===")
-ok, reason = applicable(IdentityId.Q13, IdentityParams(n=2, p=0))
+ok, reason = descriptor(IdentityId.Q13).applicable(IdentityParams(n=2, p=0))
 print("Q13 at p=0 applicable?", ok, "->", reason)
-ok, _ = applicable(IdentityId.EVEN_F, IdentityParams(n=3, m=0))
+ok, _ = descriptor(IdentityId.EVEN_F).applicable(IdentityParams(n=3, m=0))
 print("EVEN_F at m=0 applicable?", ok, " (degenerate but valid: the sum is 2^n)")
 print("EVEN_F at m=0, n=3:", eval_pair(IdentityId.EVEN_F, IdentityParams(n=3, m=0)))
 

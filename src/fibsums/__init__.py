@@ -12,7 +12,6 @@ from .identities import (
     IdentityParams,
     InapplicableParamsError,
     IntegralityError,
-    applicable,
     catalog,
     cubic_rhs,
     descriptor,
@@ -72,7 +71,6 @@ __all__ = [
     "VerificationRecord",
     "ZERO",
     "alpha_pow",
-    "applicable",
     "beta_pow",
     "binomial",
     "binomial_rhs",

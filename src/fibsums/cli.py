@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from . import quadfield, sequences
 from .identities import (
+    SLOT_ORDER,
     IdentityId,
     IdentityParams,
     catalog,
@@ -75,7 +76,12 @@ def _parse_ids_csv(text: str) -> tuple[IdentityId, ...]:
 
 
 def _params_from_args(args: argparse.Namespace) -> IdentityParams:
-    return IdentityParams(n=args.n, j=args.j, r=args.r, s=args.s, p=args.p, m=args.m)
+    given = {name: getattr(args, name) for name in SLOT_ORDER if hasattr(args, name)}
+    slots = descriptor(args.id).slots
+    unread = ", ".join(f"--{name}" for name in given if name not in slots)
+    if unread:
+        raise ValueError(f"{args.id.value} does not read {unread}; its slots are {', '.join(slots)}")
+    return IdentityParams(**given)
 
 
 def cmd_seq(args: argparse.Namespace) -> int:
@@ -187,16 +193,18 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 def _add_params(parser: argparse.ArgumentParser, with_xz: bool = False) -> None:
     parser.add_argument("--n", type=int, required=True, help="upper summation limit (>= 0)")
-    parser.add_argument("--j", type=int, default=1, help="index multiplier (default 1)")
-    parser.add_argument("--r", type=int, default=1, help="index step (default 1)")
-    parser.add_argument("--s", type=int, default=0, help="index offset (default 0)")
-    parser.add_argument("--m", type=int, default=1, help="power parameter (default 1)")
+    slots = [("j", 1, "index multiplier"), ("r", 1, "index step"), ("s", 0, "index offset"), ("m", 1, "power parameter")]
+    if not with_xz:
+        # closed and bench: p is a slot of E9..E12 and Q13..Q16, and no sum reads it
+        slots.append(("p", 1, "auxiliary index"))
+    for name, default, text in slots:
+        # closed and bench set only the slots passed, so each can be checked against
+        # the identity's slots; the rest take the same defaults from IdentityParams
+        given_only = default if with_xz else argparse.SUPPRESS
+        parser.add_argument(f"--{name}", type=int, default=given_only, help=f"{text} (default {default})")
     if with_xz:
         parser.add_argument("--x", type=_parse_rational, default=Fraction(1), help="weight x (default 1)")
         parser.add_argument("--z", type=_parse_rational, default=Fraction(1), help="weight z (default 1)")
-    else:
-        # closed and bench: p is a slot of E9..E12 and Q13..Q16, and no sum reads it
-        parser.add_argument("--p", type=int, default=1, help="auxiliary index (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

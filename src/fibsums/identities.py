@@ -585,11 +585,6 @@ def catalog_index(id: IdentityId) -> int:
     return _CATALOG_INDEX[id]
 
 
-def applicable(id: IdentityId, params: IdentityParams) -> tuple[bool, str | None]:
-    """Whether params lie in the identity's stated domain, with a reason if not."""
-    return descriptor(id).applicable(params)
-
-
 def eval_pair(id: IdentityId, params: IdentityParams) -> EvalOutcome:
     """Evaluate both sides of an identity and compare exactly.
 

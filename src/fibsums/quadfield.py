@@ -1,15 +1,16 @@
 """Exact arithmetic in Q(alpha), alpha the golden ratio, in the basis (1, alpha).
 
-An element is u + v*alpha with exact rational coordinates; the multiplication
-law is fixed by alpha^2 = alpha + 1.  The conjugate beta = 1 - alpha and
-sqrt5 = 2*alpha - 1 are derived constants, not independent symbols.  Powers
-of alpha have integer coordinates (F_{n-1}, F_n), so integer inputs stay in
-Z[alpha]; coordinates may be ints or Fractions and mix freely.
+u + v*alpha is the pair (u, v) of ints or Fractions, and alpha^2 = alpha + 1.
+The arithmetic is `mul`, `power` and `inverse` on plain pairs: integer pairs
+stay in Z[alpha], and so do the inverses of its units (norm +/-1), such as
+every power of alpha, whose coordinates are (F_{n-1}, F_n).  `QuadNum`, the
+public element type, is a pair with the field operators built on them.
+beta = 1 - alpha and sqrt5 = 2*alpha - 1 are derived constants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -18,70 +19,88 @@ class NonInvertibleError(ZeroDivisionError):
     """Inversion of an element with zero norm."""
 
 
-@dataclass(frozen=True, slots=True)
-class QuadNum:
-    u: int | Fraction
-    v: int | Fraction
+def mul(a: tuple, b: tuple) -> tuple:
+    """(u1 + v1*alpha)(u2 + v2*alpha) as a pair."""
+    u1, v1 = a
+    u2, v2 = b
+    vv = v1 * v2
+    return u1 * u2 + vv, u1 * v2 + u2 * v1 + vv
 
-    def __post_init__(self) -> None:
+
+def inverse(a: tuple) -> tuple:
+    """conj(a) / norm(a); a unit of Z[alpha] keeps integer coordinates."""
+    u, v = a
+    nrm = u * (u + v) - v * v
+    if nrm == 0:
+        raise NonInvertibleError(f"{a!r} has zero norm")
+    if nrm == 1 or nrm == -1:
+        return (u + v) * nrm, -v * nrm
+    return Fraction(u + v) / nrm, Fraction(-v) / nrm
+
+
+def power(a: tuple, n: int) -> tuple:
+    """a^n for any integer n by binary exponentiation, with 0^0 = 1."""
+    if n < 0:
+        a, n = inverse(a), -n
+    out = (1, 0)
+    while n:
+        if n & 1:
+            out = mul(out, a)
+        n >>= 1
+        if n:
+            a = mul(a, a)
+    return out
+
+
+class QuadNum(namedtuple("QuadNum", "u v")):
+    """u + v*alpha: an exact pair with the field operators."""
+
+    __slots__ = ()
+
+    def __new__(cls, u: int | Fraction, v: int | Fraction) -> QuadNum:
         # exactness by construction: no floats or other inexact types
-        if not isinstance(self.u, (int, Fraction)) or not isinstance(self.v, (int, Fraction)):
-            raise TypeError(f"QuadNum coordinates must be int or Fraction, got {self!r}")
+        if not isinstance(u, (int, Fraction)) or not isinstance(v, (int, Fraction)):
+            raise TypeError(f"QuadNum coordinates must be int or Fraction, got QuadNum(u={u!r}, v={v!r})")
+        return cls._make((u, v))
 
-    def __add__(self, other: QuadNum) -> QuadNum:
-        if isinstance(other, QuadNum):
-            return QuadNum(self.u + other.u, self.v + other.v)
+    # Operands may be any pair; a tuple's own + would concatenate.
+    def __add__(self, other: tuple) -> QuadNum:
+        if isinstance(other, tuple):
+            return self._make((self.u + other[0], self.v + other[1]))
         return NotImplemented
 
-    def __sub__(self, other: QuadNum) -> QuadNum:
-        if isinstance(other, QuadNum):
-            return QuadNum(self.u - other.u, self.v - other.v)
+    __radd__ = __add__
+
+    def __sub__(self, other: tuple) -> QuadNum:
+        if isinstance(other, tuple):
+            return self._make((self.u - other[0], self.v - other[1]))
         return NotImplemented
 
     def __neg__(self) -> QuadNum:
-        return QuadNum(-self.u, -self.v)
+        return self._make((-self.u, -self.v))
 
-    def __mul__(self, other: QuadNum | int | Fraction) -> QuadNum:
-        if isinstance(other, QuadNum):
-            u1, v1 = self.u, self.v
-            u2, v2 = other.u, other.v
-            return QuadNum(u1 * u2 + v1 * v2, u1 * v2 + u2 * v1 + v1 * v2)
+    def __mul__(self, other: tuple | int | Fraction) -> QuadNum:
+        if isinstance(other, tuple):
+            return self._make(mul(self, other))
         if isinstance(other, (int, Fraction)):
-            return QuadNum(self.u * other, self.v * other)
+            return self._make((self.u * other, self.v * other))
         return NotImplemented
 
-    def __rmul__(self, other: int | Fraction) -> QuadNum:
-        if isinstance(other, (int, Fraction)):
-            return QuadNum(self.u * other, self.v * other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> QuadNum:
-        if n < 0:
-            return self.inv() ** (-n)
-        out = ONE
-        base = self
-        while n > 0:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return self._make(power(self, n))
 
     def conj(self) -> QuadNum:
         """The field automorphism swapping alpha and beta; fixes rationals."""
-        return QuadNum(self.u + self.v, -self.v)
+        return self._make((self.u + self.v, -self.v))
 
     def norm(self) -> int | Fraction:
         # self * conj(self) is rational: u^2 + uv - v^2.
         return self.u * (self.u + self.v) - self.v * self.v
 
     def inv(self) -> QuadNum:
-        nrm = self.norm()
-        if nrm == 0:
-            raise NonInvertibleError(f"{self!r} has zero norm")
-        c = self.conj()
-        nf = Fraction(nrm)
-        return QuadNum(Fraction(c.u) / nf, Fraction(c.v) / nf)
+        return self._make(inverse(self))
 
     @property
     def is_rational(self) -> bool:
@@ -96,19 +115,12 @@ ONE = QuadNum(1, 0)
 ALPHA = QuadNum(0, 1)
 BETA = QuadNum(1, -1)  # 1 - alpha
 SQRT5 = QuadNum(-1, 2)  # 2*alpha - 1
-_ALPHA_INV = QuadNum(-1, 1)  # alpha - 1 = -beta; alpha is a unit of norm -1
 
 
-@lru_cache(maxsize=256)  # the full default grid needs 25 entries
+@lru_cache(maxsize=256)  # the full default grid needs 13 entries
 def alpha_pow(n: int) -> QuadNum:
-    """alpha^n for any integer n, by binary exponentiation.
-
-    Negative powers go through the inverse unit alpha^-1 = alpha - 1, so the
-    coordinates are the integers (F_{n-1}, F_n) for every n.
-    """
-    if n < 0:
-        return _ALPHA_INV ** (-n)
-    return ALPHA**n
+    """alpha^n for any integer n; alpha^-1 = alpha - 1, so the coordinates are (F_{n-1}, F_n)."""
+    return QuadNum._make(power(ALPHA, n))
 
 
 def beta_pow(n: int) -> QuadNum:

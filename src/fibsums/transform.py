@@ -1,22 +1,25 @@
-"""Power-reduction engines.
+"""Power reduction: one engine, on integer pairs.
 
-`reduce_F`/`reduce_L` rewrite a weighted sum of m-th powers of Fibonacci or
-Lucas values as a signed binomial combination of one kernel function h
-evaluated at points beta^(ij) * alpha^((m-i)j) * z in Q(alpha), then
-rationalize.  `binomial_rhs` is the specialization to the binomial kernel
-h(z) = z^s (x + z^r)^n, which covers every weighted binomial power sum
-C(n,k) x^(n-k) z^k W_{j(rk+s)}^m and is the engine behind the whole
-identity catalog.
+The power-reduction lemma: sum_k g_k z^(f_k) W_{j f_k}^m equals
+sum_{i=0..m} (-1)^i C(m,i) h(p_i) / sqrt5^m for W = F (for L unsigned and
+without sqrt5), with the kernel h(w) = sum_k g_k w^(f_k) and the lemma points
+p_i = beta^(ij) alpha^((m-i)j) z = (-1)^(ij) alpha^((m-2i)j) z.  `_reduce` is
+that one loop and `kernel_eval` its one evaluator: a `Kernel` term by term, a
+`BinomialKernel` in closed form as h(w) = w^s (x + z w^r)^n.  `binomial_rhs`
+runs it at z = 1, where the points are units of Z[alpha]: with x, z scaled
+to integers by their common denominator d, every contribution is an integer
+pair of `quadfield` arithmetic, and the sum is divided by d^n once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .quadfield import SQRT5, ZERO, QuadNum, alpha_pow
-from .sequences import SequenceKind, as_exact, binomial
+from .quadfield import SQRT5, QuadNum, alpha_pow, mul, power
+from .sequences import SequenceKind, binomial
 
 
 class IrrationalResultError(ArithmeticError):
@@ -47,7 +50,7 @@ class Kernel:
 
 @dataclass(frozen=True)
 class BinomialKernel:
-    """h(z) = z^s (x + z^r)^n together with the weight z it is summed at."""
+    """h(w) = w^s (x + z w^r)^n, the kernel of sum_k C(n,k) x^(n-k) z^k W_{j(rk+s)}^m."""
 
     n: int
     x: int | Fraction
@@ -60,51 +63,51 @@ class BinomialKernel:
             raise ValueError(f"BinomialKernel requires n >= 0, got n={self.n}")
 
     def expand(self) -> Kernel:
-        """The explicit term list: coefficients C(n,k) x^(n-k), exponents rk+s."""
-        n, x, r, s = self.n, self.x, self.r, self.s
-        return Kernel(tuple((binomial(n, k) * x ** (n - k), r * k + s) for k in range(n + 1)))
+        """The explicit term list: coefficients C(n,k) x^(n-k) z^k, exponents rk+s."""
+        n, x, z, r, s = self.n, self.x, self.z, self.r, self.s
+        return Kernel(tuple((binomial(n, k) * x ** (n - k) * z**k, r * k + s) for k in range(n + 1)))
 
 
-def rationalize_root5(q: QuadNum, m: int) -> Fraction:
-    """q / sqrt5^m as an exact rational.
+def rationalize_root5(q: tuple, m: int) -> Fraction:
+    """q / sqrt5^m as an exact rational, for a pair q.
 
     For odd m the value is multiplied by sqrt5 first, then the rational part
     is divided by 5^ceil(m/2); the alpha-part must vanish at that point.
     """
-    if m % 2:
-        q = q * SQRT5
-    if q.v != 0:
-        raise IrrationalResultError(f"non-rational after sqrt5 rationalization: {q}")
-    return Fraction(q.u, 5 ** ((m + 1) // 2))
+    u, v = mul(q, SQRT5) if m % 2 else q
+    if v != 0:
+        raise IrrationalResultError(f"non-rational after sqrt5 rationalization: {u} + {v}*alpha")
+    return Fraction(u, 5 ** ((m + 1) // 2))
 
 
-def kernel_eval(h: Kernel, point: QuadNum) -> QuadNum:
-    """sum of g * point^f over the kernel terms, exactly.
+def kernel_eval(h: Kernel | BinomialKernel, point: tuple) -> QuadNum:
+    """h(point) exactly, for a point given as a pair (a QuadNum or (u, v)).
 
     A zero point contributes 1 to f = 0 terms (0^0 = 1) and 0 to f > 0
     terms; a negative exponent at a zero point is an error.
     """
-    acc = ZERO
-    if point == ZERO:
-        for g, f in h.terms:
-            if f < 0:
-                raise NonInvertiblePointError(
-                    "kernel has a negative exponent but the evaluation point is zero"
-                )
-            if f == 0:
-                acc = acc + QuadNum(g, 0)
-        return acc
+    if not any(point):
+        terms = h.terms if isinstance(h, Kernel) else h.expand().terms
+        if any(f < 0 for _, f in terms):
+            raise NonInvertiblePointError("kernel has a negative exponent but the evaluation point is zero")
+        return QuadNum(sum(g for g, f in terms if f == 0), 0)
+    if isinstance(h, BinomialKernel):
+        wu, wv = power(point, h.r)
+        return QuadNum._make(mul(power(point, h.s), power((h.x + h.z * wu, h.z * wv), h.n)))
+    u = v = 0
     for g, f in h.terms:
-        acc = acc + point**f * g
-    return acc
+        pu, pv = power(point, f)
+        u += g * pu
+        v += g * pv
+    return QuadNum._make((u, v))
 
 
-def _lemma_points(j: int, m: int, z: int | Fraction) -> list[QuadNum]:
-    # Evaluation points beta^(ij) alpha^((m-i)j) z for i = 0..m.
-    return [alpha_pow(i * j).conj() * alpha_pow((m - i) * j) * z for i in range(m + 1)]
+def _lemma_points(j: int, m: int, z: int | Fraction) -> list[tuple]:
+    # The points (-1)^(ij) alpha^((m-2i)j) z for i = 0..m, as pairs.
+    return [mul(alpha_pow((m - 2 * i) * j), (-z if i * j % 2 else z, 0)) for i in range(m + 1)]
 
 
-def _reduce(h: Kernel, j: int, m: int, z: int | Fraction, kind: SequenceKind) -> Fraction:
+def _reduce(h: Kernel | BinomialKernel, j: int, m: int, z: int | Fraction, kind: SequenceKind) -> Fraction:
     if m < 0:
         raise ValueError(f"power reduction requires m >= 0, got m={m}")
     if z == 0:
@@ -112,13 +115,14 @@ def _reduce(h: Kernel, j: int, m: int, z: int | Fraction, kind: SequenceKind) ->
         h0 = sum((Fraction(g) for g, f in h.terms if f == 0), Fraction(0))
         w0 = 0 if kind is SequenceKind.FIB else 2
         return h0 * w0**m
-    acc = ZERO
-    for i, pt in enumerate(_lemma_points(j, m, z)):
-        term = kernel_eval(h, pt) * binomial(m, i)
-        if kind is SequenceKind.FIB and i % 2:
-            term = -term
-        acc = acc + term
-    return rationalize_root5(acc, m if kind is SequenceKind.FIB else 0)
+    is_fib = kind is SequenceKind.FIB
+    u = v = 0
+    for i, point in enumerate(_lemma_points(j, m, z)):
+        c = -binomial(m, i) if is_fib and i % 2 else binomial(m, i)
+        hu, hv = kernel_eval(h, point)
+        u += c * hu
+        v += c * hv
+    return rationalize_root5((u, v), m if is_fib else 0)
 
 
 def reduce_F(h: Kernel, j: int, m: int, z: int | Fraction) -> Fraction:
@@ -136,30 +140,12 @@ def reduce_L(h: Kernel, j: int, m: int, z: int | Fraction) -> Fraction:
 
 
 def binomial_rhs(bk: BinomialKernel, j: int, m: int, kind: SequenceKind) -> Fraction:
-    """Closed form of sum_k C(n,k) x^(n-k) z^k W_{j(rk+s)}^m, evaluated in Q(alpha).
+    """Closed form of sum_k C(n,k) x^(n-k) z^k W_{j(rk+s)}^m: `_reduce` at z = 1 over bk.
 
-    Accumulates sum_{i=0..m} (+/-1) C(m,i) alpha^((m-2i)js) (x + (-1)^(ijr)
-    alpha^((m-2i)jr) z)^n with the sign exponent i(js+1) for F and ijs for L,
-    then rationalizes (dividing by sqrt5^m in the F case).  The contract,
-    enforced by the test suite, is exact equality with direct_sum.
+    The contract, enforced by the test suite, is exact equality with direct_sum.
     """
-    if m < 0:
-        raise ValueError(f"binomial_rhs requires m >= 0, got m={m}")
-    n, r, s = bk.n, bk.r, bk.s
-    x = as_exact(bk.x)
-    z = as_exact(bk.z)
-    xq = QuadNum(x, 0)
-    is_fib = kind is SequenceKind.FIB
-    acc = ZERO
-    for i in range(m + 1):
-        t = m - 2 * i
-        inner = alpha_pow(t * j * r) * z
-        if (i * j * r) % 2:
-            inner = -inner
-        base = xq + inner
-        term = alpha_pow(t * j * s) * base**n * binomial(m, i)
-        sign_exp = i * (j * s + 1) if is_fib else i * j * s
-        if sign_exp % 2:
-            term = -term
-        acc = acc + term
-    return rationalize_root5(acc, m if is_fib else 0)
+    d = math.lcm(bk.x.denominator, bk.z.denominator)  # a float weight raises AttributeError
+    if d == 1:
+        return _reduce(bk, j, m, 1, kind)
+    scaled = BinomialKernel(bk.n, int(bk.x * d), int(bk.z * d), bk.r, bk.s)
+    return _reduce(scaled, j, m, 1, kind) / d**bk.n

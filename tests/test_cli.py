@@ -116,6 +116,16 @@ class TestClosed:
         code, _, _ = run_cli(capsys, "closed", "--id", "NOPE", "--n", "1")
         assert code == 2
 
+    def test_unread_slot_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "closed", "--id", "C18", "--n", "2", "--s", "1", "--j", "99", "--m", "7", "--p", "5")
+        assert (code, out) == (2, "")
+        assert err == "error: C18 does not read --j, --p, --m; its slots are n, s\n"
+
+    def test_read_slots_accepted_at_their_default_values(self, capsys):
+        code, out, _ = run_cli(capsys, "closed", "--id", "F1", "--n", "3", "--j", "1", "--r", "1", "--s", "0")
+        assert code == 0
+        assert out.strip() == "lhs=8 rhs=8 MATCH"
+
     def test_mismatch_exits_one(self, capsys, monkeypatch):
         # force a wrong closed form to exercise the failure exit code
         real = _BY_ID[IdentityId.C18]
@@ -289,6 +299,11 @@ class TestBench:
     def test_inapplicable(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--id", "Q13", "--n", "5", "--p", "0")
         assert code == 2
+
+    def test_unread_slot_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--id", "F1", "--n", "3", "--m", "9")
+        assert (code, out) == (2, "")
+        assert err == "error: F1 does not read --m; its slots are n, j, r, s\n"
 
 
 class TestFib:

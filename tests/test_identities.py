@@ -12,7 +12,6 @@ from fibsums import (
     InapplicableParamsError,
     IntegralityError,
     SequenceKind,
-    applicable,
     binomial_rhs,
     catalog,
     cubic_rhs,
@@ -58,25 +57,25 @@ class TestCatalog:
 
 class TestApplicable:
     def test_p_zero_excluded_for_q13_q14(self):
-        ok, reason = applicable(IdentityId.Q13, P(n=1, p=0))
+        ok, reason = descriptor(IdentityId.Q13).applicable(P(n=1, p=0))
         assert not ok and reason == "p must be nonzero"
-        ok, reason = applicable(IdentityId.Q14, P(n=1, p=0))
+        ok, reason = descriptor(IdentityId.Q14).applicable(P(n=1, p=0))
         assert not ok
 
     def test_p_zero_fine_elsewhere(self):
-        assert applicable(IdentityId.Q15, P(n=1, p=0)) == (True, None)
-        assert applicable(IdentityId.E9, P(n=1, p=0)) == (True, None)
+        assert descriptor(IdentityId.Q15).applicable(P(n=1, p=0)) == (True, None)
+        assert descriptor(IdentityId.E9).applicable(P(n=1, p=0)) == (True, None)
 
     def test_f1_any_integers(self):
-        assert applicable(IdentityId.F1, P(n=5, j=-3, r=0, s=7)) == (True, None)
+        assert descriptor(IdentityId.F1).applicable(P(n=5, j=-3, r=0, s=7)) == (True, None)
 
     def test_even_family_m_zero_valid(self):
-        assert applicable(IdentityId.EVEN_F, P(n=3, m=0)) == (True, None)
+        assert descriptor(IdentityId.EVEN_F).applicable(P(n=3, m=0)) == (True, None)
 
     def test_negative_n_or_m_rejected(self):
-        ok, reason = applicable(IdentityId.F1, P(n=-1))
+        ok, reason = descriptor(IdentityId.F1).applicable(P(n=-1))
         assert not ok and "n" in reason
-        ok, reason = applicable(IdentityId.ODD_L, P(n=2, m=-1))
+        ok, reason = descriptor(IdentityId.ODD_L).applicable(P(n=2, m=-1))
         assert not ok and "m" in reason
 
 

@@ -8,7 +8,7 @@ rename of a wrapped boundary fails here instead of breaking
 import importlib.util
 from pathlib import Path
 
-from fibsums import cli, sequences, verify
+from fibsums import cli, sequences, transform, verify
 from fibsums.identities import IdentityId, IdentityParams, descriptor
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -57,3 +57,22 @@ def test_trace_mode_times_the_oracle():
     assert tracer.total["direct_sum"] > 0
     assert tracer.calls["oracle:cubic"] == 1
     assert sequences.direct_sum is direct_sum
+
+
+def test_trace_mode_times_binomial_rhs():
+    # `transform.binomial_rhs.total_s` reads the "binomial_rhs" span; if the
+    # engine stopped going through the wrapped name it would read 0 silently.
+    tracing, run = _load("tracing"), _load("run")
+    binomial_rhs = transform.binomial_rhs
+    params = IdentityParams(n=12, j=2, r=-3, s=1)
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer, run.FAMILIES, True)
+    try:
+        values = [descriptor(id).rhs(params) for id in (IdentityId.T1_F2RHS, IdentityId.F1)]
+    finally:
+        tracer.restore()
+    assert values == [descriptor(id).lhs(params) for id in (IdentityId.T1_F2RHS, IdentityId.F1)]
+    assert tracer.calls["binomial_rhs"] == 2
+    assert tracer.total["binomial_rhs"] > 0
+    assert tracer.calls["closed:quadratic_base"] == tracer.calls["closed:linear"] == 1
+    assert transform.binomial_rhs is binomial_rhs

@@ -3,10 +3,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from fibsums import (
     ALPHA,
     ONE,
+    ZERO,
     BinomialKernel,
     IrrationalResultError,
     Kernel,
@@ -23,11 +26,15 @@ from fibsums import (
     reduce_F,
     reduce_L,
 )
+from fibsums import transform
+from fibsums.cli import main
 from fibsums.transform import _lemma_points, rationalize_root5
 
 from oracles import frac_pow, naive_fib
 
 F, L = SequenceKind.FIB, SequenceKind.LUCAS
+wide = st.integers(-50, 50)
+weights = st.integers(-9, 9) | st.fractions(min_value=-4, max_value=4, max_denominator=9)
 
 
 def _primed_points(j, m, z):
@@ -64,6 +71,22 @@ class TestKernelEval:
     def test_rational_coefficients(self):
         h = Kernel.from_pairs([(Fraction(1, 2), 1)])
         assert kernel_eval(h, ALPHA) == QuadNum(0, Fraction(1, 2))
+
+    def test_binomial_kernel_closed_form_is_its_expansion(self):
+        # one evaluator for both kernel types: w^s (x + z w^r)^n equals its term list
+        kernels = [
+            BinomialKernel(4, 3, -2, 2, -1),
+            BinomialKernel(3, Fraction(1, 2), 5, -3, 2),
+            BinomialKernel(0, 7, 1, 1, -2),
+        ]
+        points = [ALPHA, QuadNum(-1, 1), QuadNum(2, -3), QuadNum(Fraction(1, 3), 2), (-1, 0)]
+        for bk in kernels:
+            for point in points:
+                assert kernel_eval(bk, point) == kernel_eval(bk.expand(), point), (bk, point)
+        bk = BinomialKernel(2, 1, 1, 1, 3)
+        assert kernel_eval(bk, ZERO) == kernel_eval(bk.expand(), ZERO) == ZERO
+        with pytest.raises(NonInvertiblePointError):
+            kernel_eval(BinomialKernel(2, 1, 1, -1, 0), ZERO)
 
 
 class TestRationalize:
@@ -158,6 +181,12 @@ class TestReduce:
         with pytest.raises(ValueError):
             reduce_F(Kernel.from_pairs([(1, 0)]), 1, -1, 1)
 
+    def test_binomial_rhs_is_the_reduction_of_its_kernel(self):
+        for bk in (BinomialKernel(5, 2, -3, 2, -1), BinomialKernel(4, Fraction(-1, 2), Fraction(2, 3), -1, 3)):
+            for j, m in product((-2, 1, 3), range(4)):
+                assert reduce_F(bk.expand(), j, m, 1) == binomial_rhs(bk, j, m, F)
+                assert reduce_L(bk.expand(), j, m, 1) == binomial_rhs(bk, j, m, L)
+
 
 class TestBinomialRhs:
     def test_spot_values(self):
@@ -170,8 +199,9 @@ class TestBinomialRhs:
             BinomialKernel(-1, 1, 1, 1, 0)
 
     def test_expand(self):
+        # coefficients C(n,k) x^(n-k) z^k at exponents rk+s: 3^2, 2*3*9, 9^2
         bk = BinomialKernel(2, 3, 9, 2, -1)
-        assert bk.expand().terms == ((9, -1), (6, 1), (1, 3))
+        assert bk.expand().terms == ((9, -1), (54, 1), (81, 3))
 
     def test_zero_base_power(self):
         # x + z = 0 makes one evaluation base the zero element; 0^0 = 1 at n=0
@@ -189,3 +219,53 @@ class TestBinomialRhs:
                     assert binomial_rhs(bk, j, m, kind) == direct_sum(
                         n, x, z, j, r, s, m, kind
                     ), (n, x, z, j, r, s, m, kind)
+
+    @seed(20105097)
+    @settings(deadline=None, max_examples=30)
+    @given(
+        n=st.integers(0, 200),
+        x=weights,
+        z=weights,
+        j=wide,
+        r=wide,
+        s=wide,
+        m=st.integers(0, 6),
+        kind=st.sampled_from((F, L)),
+    )
+    @example(n=5, x=0, z=3, j=2, r=-3, s=1, m=3, kind=F)
+    @example(n=6, x=2, z=0, j=3, r=4, s=-2, m=2, kind=L)
+    @example(n=0, x=Fraction(1, 3), z=5, j=7, r=1, s=-9, m=4, kind=F)
+    @example(n=37, x=-2, z=Fraction(3, 4), j=5, r=2, s=3, m=0, kind=L)
+    @example(n=20, x=3, z=-1, j=0, r=11, s=6, m=5, kind=F)
+    @example(n=15, x=1, z=1, j=9, r=0, s=-4, m=6, kind=L)
+    @example(n=120, x=1, z=-2, j=-17, r=-23, s=-41, m=3, kind=F)
+    @example(n=150, x=Fraction(5, 6), z=Fraction(-7, 4), j=13, r=-8, s=29, m=2, kind=L)  # d^n = 12^150
+    def test_matches_oracle_beyond_the_box(self, n, x, z, j, r, s, m, kind):
+        assert binomial_rhs(BinomialKernel(n, x, z, r, s), j, m, kind) == direct_sum(n, x, z, j, r, s, m, kind)
+
+
+class TestIrrationalResultStaysLive:
+    """A wrong lemma contribution leaves an alpha-part, which must raise, never pass as a value."""
+
+    @pytest.fixture(autouse=True)
+    def perturbed(self, monkeypatch):
+        # at j = 1, m = 1 the point alpha is lemma point i = 0 alone; alpha added to its value
+        real = transform.kernel_eval
+        monkeypatch.setattr(
+            transform, "kernel_eval", lambda h, point: real(h, point) + ALPHA if point == ALPHA else real(h, point)
+        )
+
+    def test_binomial_rhs_raises(self):
+        for kind in (F, L):
+            with pytest.raises(IrrationalResultError):
+                binomial_rhs(BinomialKernel(3, 1, 1, 1, 0), 1, 1, kind)
+
+    def test_verify_reports_a_failed_check(self, capsys):
+        code = main(["verify", "--ids", "F1", "--n", "0..1", "--j", "1", "--r", "1", "--s", "0", "--jobs", "1"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert lines[1] == (
+            "FAIL F1 params={'n': 0, 'j': 1, 'r': 1, 's': 0} "
+            "error=IrrationalResultError: non-rational after sqrt5 rationalization: 2 + 1*alpha"
+        )
+        assert lines[-1] == "FAIL (2 mismatches of 2 checks)"
