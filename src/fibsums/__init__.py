@@ -17,7 +17,6 @@ from .identities import (
     descriptor,
     eval_pair,
     even_power_rhs,
-    linear_rhs,
     odd_power_rhs,
     quadratic_rhs,
     special_linear_rhs,
@@ -83,7 +82,6 @@ __all__ = [
     "even_power_rhs",
     "fib",
     "kernel_eval",
-    "linear_rhs",
     "lucas",
     "odd_power_rhs",
     "quadratic_rhs",

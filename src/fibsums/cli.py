@@ -72,7 +72,10 @@ def _parse_id(text: str) -> IdentityId:
 
 
 def _parse_ids_csv(text: str) -> tuple[IdentityId, ...]:
-    return tuple(_parse_id(part.strip()) for part in text.split(",") if part.strip())
+    ids = tuple(_parse_id(part.strip()) for part in text.split(",") if part.strip())
+    if not ids:
+        raise argparse.ArgumentTypeError(f"expected at least one identity id, got {text!r}")
+    return ids
 
 
 def _params_from_args(args: argparse.Namespace) -> IdentityParams:
@@ -109,12 +112,15 @@ def cmd_closed(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    wanted = set(args.ids) if args.ids is not None else {d.id for d in catalog()}
-    overrides = {
-        f"{name}_range": getattr(args, name)
-        for name in ("n", "j", "r", "s", "p", "m")
-        if getattr(args, name) is not None
-    }
+    selected = [d for d in catalog() if args.ids is None or d.id in args.ids]
+    given = [name for name in SLOT_ORDER if getattr(args, name) is not None]
+    read = [name for name in SLOT_ORDER if any(name in d.slots for d in selected)]
+    unread = ", ".join(f"--{name}" for name in given if name not in read)
+    if unread:
+        ids = ", ".join(d.id.value for d in selected)
+        raise ValueError(f"no selected identity reads {unread}; the slots of {ids} are {', '.join(read)}")
+    wanted = {d.id for d in selected}
+    overrides = {f"{name}_range": getattr(args, name) for name in given}
     specs = []
     for spec in default_grid_specs():
         sel = tuple(i for i in spec.ids if i in wanted)
@@ -237,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     # let range values like -4..4 pass for tokens that look like options
     p_verify._negative_number_matcher = re.compile(r"^-\d+(\.\.-?\d+)?$")
     p_verify.add_argument("--ids", type=_parse_ids_csv, default=None, help="comma-separated identity ids (default all)")
-    for name in ("n", "j", "r", "s", "p", "m"):
+    for name in SLOT_ORDER:
         p_verify.add_argument(f"--{name}", type=_parse_range, default=None, metavar="A..B")
     p_verify.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")

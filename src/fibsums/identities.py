@@ -7,9 +7,11 @@ evaluator of its right side.  `eval_pair` runs both and reports exact
 equality, which is what the grid verifier drives.
 
 Closed forms are computed with integer Fibonacci/Lucas values only, apart
-from F1/L1 and the quadratic base forms, which delegate to the Q(alpha)
-engine in `transform`.  A 5^k prefactor is applied once, by `_times_5pow`.
-Integer powers follow the 0^0 = 1 convention.
+from F1/L1 and the quadratic base forms T1, which bind the Q(alpha) engine
+`transform.binomial_rhs` directly.  `_times_5pow` is the one division by a
+power of 5 and the one integrality check; a 5^k with k known to be
+non-negative (E7/E8, E11/E12, Q15/Q16's tail) is a plain product.  Integer
+powers follow the 0^0 = 1 convention.
 
 The even- and odd-power theorems are one closed form, `_power_rhs`, of
 sum_k (+/-1)^k C(n,k) W_{a+dk}^B with B*d even: EVEN has B = 2m, d = jr and
@@ -105,25 +107,6 @@ def _times_5pow(value: int, e: int) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # Closed-form evaluators
-
-
-def linear_rhs(
-    id: IdentityId,
-    n: int,
-    x: int | Fraction,
-    z: int | Fraction,
-    j: int,
-    r: int,
-    s: int,
-) -> Fraction:
-    """The two-term alpha/beta closed form of the weighted linear sums.
-
-    Equals direct_sum(n, x, z, j, r, s, 1, kind) for arbitrary exact x, z.
-    """
-    if id not in (IdentityId.F1, IdentityId.L1):
-        raise ValueError(f"linear_rhs only evaluates F1/L1, got {id}")
-    kind = SequenceKind.FIB if id is IdentityId.F1 else SequenceKind.LUCAS
-    return transform.binomial_rhs(transform.BinomialKernel(n, x, z, r, s), j, 1, kind)
 
 
 def special_linear_rhs(id: IdentityId, params: IdentityParams) -> Fraction:
@@ -359,13 +342,17 @@ def _build_catalog() -> tuple[IdentityDescriptor, ...]:
             IdentityId.F1, F, nj,
             "sum_k C(n,k) F[j(rk+s)] = (a^(js)(1+a^(jr))^n - b^(js)(1+b^(jr))^n)/sqrt5",
             lambda q: (q.n, 1, 1, q.j, q.r, q.s, 1),
-            lambda q: linear_rhs(IdentityId.F1, q.n, 1, 1, q.j, q.r, q.s),
+            lambda q: transform.binomial_rhs(
+                transform.BinomialKernel(q.n, 1, 1, q.r, q.s), q.j, 1, SequenceKind.FIB
+            ),
         ),
         IdentityDescriptor(
             IdentityId.L1, L, nj,
             "sum_k C(n,k) L[j(rk+s)] = a^(js)(1+a^(jr))^n + b^(js)(1+b^(jr))^n",
             lambda q: (q.n, 1, 1, q.j, q.r, q.s, 1),
-            lambda q: linear_rhs(IdentityId.L1, q.n, 1, 1, q.j, q.r, q.s),
+            lambda q: transform.binomial_rhs(
+                transform.BinomialKernel(q.n, 1, 1, q.r, q.s), q.j, 1, SequenceKind.LUCAS
+            ),
         ),
         IdentityDescriptor(
             IdentityId.E5, F, nj,

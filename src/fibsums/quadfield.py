@@ -63,17 +63,18 @@ class QuadNum(namedtuple("QuadNum", "u v")):
             raise TypeError(f"QuadNum coordinates must be int or Fraction, got QuadNum(u={u!r}, v={v!r})")
         return cls._make((u, v))
 
-    # Operands may be any pair; a tuple's own + would concatenate.
+    # Operands may be any pair; a tuple's own + would concatenate.  A pair's
+    # coordinates are unchecked, so its results go through the checked constructor.
     def __add__(self, other: tuple) -> QuadNum:
         if isinstance(other, tuple):
-            return self._make((self.u + other[0], self.v + other[1]))
+            return QuadNum(self.u + other[0], self.v + other[1])
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other: tuple) -> QuadNum:
         if isinstance(other, tuple):
-            return self._make((self.u - other[0], self.v - other[1]))
+            return QuadNum(self.u - other[0], self.v - other[1])
         return NotImplemented
 
     def __neg__(self) -> QuadNum:
@@ -81,7 +82,7 @@ class QuadNum(namedtuple("QuadNum", "u v")):
 
     def __mul__(self, other: tuple | int | Fraction) -> QuadNum:
         if isinstance(other, tuple):
-            return self._make(mul(self, other))
+            return QuadNum(*mul(self, other))
         if isinstance(other, (int, Fraction)):
             return self._make((self.u * other, self.v * other))
         return NotImplemented

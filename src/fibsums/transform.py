@@ -4,11 +4,12 @@ The power-reduction lemma: sum_k g_k z^(f_k) W_{j f_k}^m equals
 sum_{i=0..m} (-1)^i C(m,i) h(p_i) / sqrt5^m for W = F (for L unsigned and
 without sqrt5), with the kernel h(w) = sum_k g_k w^(f_k) and the lemma points
 p_i = beta^(ij) alpha^((m-i)j) z = (-1)^(ij) alpha^((m-2i)j) z.  `_reduce` is
-that one loop and `kernel_eval` its one evaluator: a `Kernel` term by term, a
-`BinomialKernel` in closed form as h(w) = w^s (x + z w^r)^n.  `binomial_rhs`
-runs it at z = 1, where the points are units of Z[alpha]: with x, z scaled
-to integers by their common denominator d, every contribution is an integer
-pair of `quadfield` arithmetic, and the sum is divided by d^n once.
+that one loop and `kernel_eval` its one evaluator, for either kernel: both
+answer `terms`, and a `BinomialKernel` at a nonzero point is evaluated in
+closed form as h(w) = w^s (x + z w^r)^n.  `binomial_rhs` runs it at z = 1,
+where the points are units of Z[alpha]: with x, z scaled to integers by
+their common denominator d, every contribution is an integer pair of
+`quadfield` arithmetic, and the sum is divided by d^n once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .quadfield import SQRT5, QuadNum, alpha_pow, mul, power
+from .quadfield import SQRT5, NonInvertibleError, QuadNum, alpha_pow, mul, power
 from .sequences import SequenceKind, binomial
 
 
@@ -30,8 +31,8 @@ class IrrationalResultError(ArithmeticError):
     """
 
 
-class NonInvertiblePointError(ZeroDivisionError):
-    """A kernel with negative exponents was evaluated at a non-invertible point."""
+# A kernel with a negative exponent at the zero point fails in `quadfield.inverse`.
+NonInvertiblePointError = NonInvertibleError
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,15 @@ class BinomialKernel:
         if self.n < 0:
             raise ValueError(f"BinomialKernel requires n >= 0, got n={self.n}")
 
-    def expand(self) -> Kernel:
-        """The explicit term list: coefficients C(n,k) x^(n-k) z^k, exponents rk+s."""
+    @property
+    def terms(self) -> tuple[tuple[int | Fraction, int], ...]:
+        """The expansion: coefficients C(n,k) x^(n-k) z^k at exponents rk+s."""
         n, x, z, r, s = self.n, self.x, self.z, self.r, self.s
-        return Kernel(tuple((binomial(n, k) * x ** (n - k) * z**k, r * k + s) for k in range(n + 1)))
+        return tuple((binomial(n, k) * x ** (n - k) * z**k, r * k + s) for k in range(n + 1))
+
+    def expand(self) -> Kernel:
+        """The explicit term list as a `Kernel`."""
+        return Kernel(self.terms)
 
 
 def rationalize_root5(q: tuple, m: int) -> Fraction:
@@ -83,15 +89,11 @@ def rationalize_root5(q: tuple, m: int) -> Fraction:
 def kernel_eval(h: Kernel | BinomialKernel, point: tuple) -> QuadNum:
     """h(point) exactly, for a point given as a pair (a QuadNum or (u, v)).
 
-    A zero point contributes 1 to f = 0 terms (0^0 = 1) and 0 to f > 0
-    terms; a negative exponent at a zero point is an error.
+    Powers follow 0^0 = 1, so at the zero point only f = 0 terms survive, and
+    a negative exponent there raises NonInvertibleError.
     """
-    if not any(point):
-        terms = h.terms if isinstance(h, Kernel) else h.expand().terms
-        if any(f < 0 for _, f in terms):
-            raise NonInvertiblePointError("kernel has a negative exponent but the evaluation point is zero")
-        return QuadNum(sum(g for g, f in terms if f == 0), 0)
-    if isinstance(h, BinomialKernel):
+    # the closed form would invert a zero point for r < 0 even when every rk+s >= 0
+    if isinstance(h, BinomialKernel) and any(point):
         wu, wv = power(point, h.r)
         return QuadNum._make(mul(power(point, h.s), power((h.x + h.z * wu, h.z * wv), h.n)))
     u = v = 0
@@ -125,7 +127,7 @@ def _reduce(h: Kernel | BinomialKernel, j: int, m: int, z: int | Fraction, kind:
     return rationalize_root5((u, v), m if is_fib else 0)
 
 
-def reduce_F(h: Kernel, j: int, m: int, z: int | Fraction) -> Fraction:
+def reduce_F(h: Kernel | BinomialKernel, j: int, m: int, z: int | Fraction) -> Fraction:
     """sum of g_k z^(f_k) F_{j f_k}^m via the alternating kernel combination.
 
     Equals (1/sqrt5^m) * sum_{i=0..m} (-1)^i C(m,i) h(beta^(ij) alpha^((m-i)j) z),
@@ -134,7 +136,7 @@ def reduce_F(h: Kernel, j: int, m: int, z: int | Fraction) -> Fraction:
     return _reduce(h, j, m, z, SequenceKind.FIB)
 
 
-def reduce_L(h: Kernel, j: int, m: int, z: int | Fraction) -> Fraction:
+def reduce_L(h: Kernel | BinomialKernel, j: int, m: int, z: int | Fraction) -> Fraction:
     """sum of g_k z^(f_k) L_{j f_k}^m; as reduce_F but unsigned and without 1/sqrt5^m."""
     return _reduce(h, j, m, z, SequenceKind.LUCAS)
 

@@ -224,6 +224,23 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--ids", "C18", "--n", "2..1")
         assert code == 2
 
+    @pytest.mark.parametrize("ids", [",", ""])
+    def test_empty_id_list_is_usage_error(self, capsys, ids):
+        code, out, err = run_cli(capsys, "verify", "--ids", ids, "--jobs", "1")
+        assert (code, out) == (2, "")
+        assert f"error: argument --ids: expected at least one identity id, got {ids!r}" in err
+
+    def test_range_no_selected_identity_reads_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--ids", "C18", "--j", "0..0", "--n", "0..1", "--s", "0..0")
+        assert (code, out) == (2, "")
+        assert err == "error: no selected identity reads --j; the slots of C18 are n, s\n"
+        # one selected identity that reads the range is enough
+        code, out, _ = run_cli(
+            capsys, "verify", "--ids", "C18,F1", "--j", "0..0", "--n", "0..1", "--s", "0..0", "--r", "1..1", "--jobs", "1"
+        )
+        assert code == 0
+        assert "PASS (4 checks, 0 skipped)" in out
+
 
 class TestStreamedVerify:
     """`python -m fibsums verify --format json` in a fresh interpreter, serial and with workers."""

@@ -20,7 +20,6 @@ from fibsums import (
     eval_pair,
     even_power_rhs,
     fib,
-    linear_rhs,
     odd_power_rhs,
     quadratic_rhs,
     special_linear_rhs,
@@ -81,22 +80,18 @@ class TestApplicable:
 
 class TestLinear:
     def test_spot_values(self):
-        assert linear_rhs(IdentityId.F1, 3, 1, 1, 1, 1, 0) == 8
-        assert linear_rhs(IdentityId.L1, 3, 1, 1, 1, 1, 0) == 18
+        assert binomial_rhs(BinomialKernel(3, 1, 1, 1, 0), 1, 1, F) == 8
+        assert binomial_rhs(BinomialKernel(3, 1, 1, 1, 0), 1, 1, L) == 18
 
     def test_n_zero_single_term(self):
         for j, s in product((-2, 1, 3), (-1, 0, 2)):
-            assert linear_rhs(IdentityId.F1, 0, 5, -7, j, 2, s) == fib(j * s)
+            assert binomial_rhs(BinomialKernel(0, 5, -7, 2, s), j, 1, F) == fib(j * s)
 
     def test_rational_weights(self):
         x, z = Fraction(1, 2), Fraction(-2, 3)
         for n, j, r, s in product(range(4), (-1, 2), (1, -2), (0, 1)):
-            assert linear_rhs(IdentityId.F1, n, x, z, j, r, s) == direct_sum(n, x, z, j, r, s, 1, F)
-            assert linear_rhs(IdentityId.L1, n, x, z, j, r, s) == direct_sum(n, x, z, j, r, s, 1, L)
-
-    def test_rejects_other_ids(self):
-        with pytest.raises(ValueError):
-            linear_rhs(IdentityId.C18, 1, 1, 1, 1, 1, 0)
+            assert binomial_rhs(BinomialKernel(n, x, z, r, s), j, 1, F) == direct_sum(n, x, z, j, r, s, 1, F)
+            assert binomial_rhs(BinomialKernel(n, x, z, r, s), j, 1, L) == direct_sum(n, x, z, j, r, s, 1, L)
 
 
 class TestSpecialLinear:
@@ -222,6 +217,33 @@ class TestEvenOddBeyondTheBox:
     def test_matches_oracle(self, id, n, j, r, s, m):
         outcome = eval_pair(id, P(n=n, j=j, r=r, s=s, m=m))
         assert outcome.match, outcome
+
+
+OTHER_IDS = tuple(id for id in IdentityId if id not in EVEN_ODD_IDS)
+wide = st.integers(-50, 50)
+
+
+class TestCatalogBeyondTheBox:
+    """The other 22 identities against the oracle well past the grid's n <= 12, |j,r,s,p| <= 4."""
+
+    @pytest.mark.parametrize("id", OTHER_IDS, ids=lambda id: id.value)
+    @seed(20210521)
+    @settings(deadline=None)
+    @given(n=st.integers(0, 60), j=wide, r=wide, s=wide, p=wide)
+    @example(n=0, j=3, r=-2, s=5, p=4)
+    @example(n=9, j=0, r=7, s=-3, p=-2)
+    @example(n=8, j=5, r=0, s=2, p=6)
+    @example(n=13, j=-4, r=3, s=-7, p=-5)  # jr < 0
+    @example(n=60, j=47, r=-50, s=33, p=-41)  # jr < 0 at the corner of the ranges
+    @example(n=6, j=2, r=1, s=-1, p=0)  # outside Q13/Q14's domain
+    def test_matches_oracle(self, id, n, j, r, s, p):
+        params = P(n=n, j=j, r=r, s=s, p=p)
+        if p == 0 and id in (IdentityId.Q13, IdentityId.Q14):
+            with pytest.raises(InapplicableParamsError):
+                eval_pair(id, params)
+        else:
+            outcome = eval_pair(id, params)
+            assert outcome.match, outcome
 
 
 class TestEvalPair:

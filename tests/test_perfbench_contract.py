@@ -64,15 +64,17 @@ def test_trace_mode_times_binomial_rhs():
     # engine stopped going through the wrapped name it would read 0 silently.
     tracing, run = _load("tracing"), _load("run")
     binomial_rhs = transform.binomial_rhs
+    # every catalog entry that the engine evaluates, so a route around the wrapped name fails here
+    ids = (IdentityId.F1, IdentityId.L1, IdentityId.T1_F2RHS, IdentityId.T1_L2RHS)
     params = IdentityParams(n=12, j=2, r=-3, s=1)
     tracer = tracing.Tracer()
     tracing.instrument(tracer, run.FAMILIES, True)
     try:
-        values = [descriptor(id).rhs(params) for id in (IdentityId.T1_F2RHS, IdentityId.F1)]
+        values = [descriptor(id).rhs(params) for id in ids]
     finally:
         tracer.restore()
-    assert values == [descriptor(id).lhs(params) for id in (IdentityId.T1_F2RHS, IdentityId.F1)]
-    assert tracer.calls["binomial_rhs"] == 2
+    assert values == [descriptor(id).lhs(params) for id in ids]
+    assert tracer.calls["binomial_rhs"] == 4
     assert tracer.total["binomial_rhs"] > 0
-    assert tracer.calls["closed:quadratic_base"] == tracer.calls["closed:linear"] == 1
+    assert tracer.calls["closed:quadratic_base"] == tracer.calls["closed:linear"] == 2
     assert transform.binomial_rhs is binomial_rhs

@@ -70,6 +70,14 @@ class TestRingStructure:
         with pytest.raises(NonInvertibleError):
             ZERO.inv()
 
+    def test_inexact_operands_rejected(self):
+        # an operand pair with a float coordinate raises the constructor's TypeError
+        a, half = QuadNum(1, 1), (0.5, 0)
+        for op in (lambda: QuadNum(*half), lambda: a + half, lambda: half + a, lambda: a - half, lambda: a * half):
+            with pytest.raises(TypeError):
+                op()
+        assert a + (Fraction(1, 2), 0) == QuadNum(Fraction(3, 2), 1)
+
     def test_pow_zero_is_one_even_for_zero(self):
         assert ZERO**0 == ONE
         assert ALPHA**0 == ONE

@@ -13,6 +13,7 @@ from fibsums import (
     BinomialKernel,
     IrrationalResultError,
     Kernel,
+    NonInvertibleError,
     NonInvertiblePointError,
     QuadNum,
     SequenceKind,
@@ -67,6 +68,7 @@ class TestKernelEval:
         assert kernel_eval(h, QuadNum(0, 0)) == QuadNum(3, 0)  # 0^0 = 1, 0^2 = 0
         with pytest.raises(NonInvertiblePointError):
             kernel_eval(Kernel.from_pairs([(1, -2)]), QuadNum(0, 0))
+        assert NonInvertiblePointError is NonInvertibleError
 
     def test_rational_coefficients(self):
         h = Kernel.from_pairs([(Fraction(1, 2), 1)])
@@ -138,6 +140,18 @@ class TestReduce:
         assert reduce_F(h, 2, 0, 0) == 7
         assert reduce_F(h, 2, 3, 0) == 0
         assert reduce_L(h, 2, 2, 0) == 7 * 4
+
+    def test_zero_weight_takes_either_kernel(self):
+        # the z = 0 rule reads `terms`, which a BinomialKernel answers with its expansion
+        kernels = [
+            BinomialKernel(2, 1, 1, 1, 0),
+            BinomialKernel(3, Fraction(2, 3), -5, -1, 1),
+            BinomialKernel(4, -2, 3, 2, -4),
+        ]
+        for bk, j, m in product(kernels, (-2, 1, 3), range(4)):
+            assert reduce_F(bk, j, m, 0) == reduce_F(bk.expand(), j, m, 0)
+            assert reduce_L(bk, j, m, 0) == reduce_L(bk.expand(), j, m, 0)
+        assert reduce_L(kernels[2], 1, 3, 0) == 6 * 4 * 9 * 2**3  # C(4,2) x^2 z^2 L_0^3
 
     def test_random_kernels_match_term_sums(self):
         rng = random.Random(20260810)
