@@ -13,13 +13,8 @@ from .identities import (
     InapplicableParamsError,
     IntegralityError,
     catalog,
-    cubic_rhs,
     descriptor,
     eval_pair,
-    even_power_rhs,
-    odd_power_rhs,
-    quadratic_rhs,
-    special_linear_rhs,
 )
 from .quadfield import ALPHA, BETA, ONE, SQRT5, ZERO, NonInvertibleError, QuadNum, alpha_pow, beta_pow, root5_parts
 from .sequences import SequenceKind, binomial, direct_sum, fib, lucas
@@ -74,24 +69,19 @@ __all__ = [
     "binomial",
     "binomial_rhs",
     "catalog",
-    "cubic_rhs",
     "default_grid_specs",
     "descriptor",
     "direct_sum",
     "eval_pair",
-    "even_power_rhs",
     "fib",
     "kernel_eval",
     "lucas",
-    "odd_power_rhs",
-    "quadratic_rhs",
     "reduce_F",
     "reduce_L",
     "root5_parts",
     "run_default_grid",
     "run_grid",
     "run_grids",
-    "special_linear_rhs",
     "stream_grids",
     "summarize",
 ]

@@ -37,6 +37,14 @@ from .verify import (
 
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
+# Ceilings on the exact evaluations of `sum`, `closed` and `bench`, set from the
+# oracle's measured cost (2-vCPU VM, Python 3.11, j = r = 1): C18 takes 7-9 s at
+# n = 20,000 and 1.8 s at n = 10,000; at n = 10,000, m = 10 a 10th-power `sum`
+# takes 7 s and ODD_F (21st powers) 43 s.
+MAX_N = 10_000
+MAX_M = 10
+MAX_REPS = 100
+
 
 def _parse_range(text: str) -> tuple[int, int]:
     m = _RANGE_RE.match(text)
@@ -87,6 +95,13 @@ def _params_from_args(args: argparse.Namespace) -> IdentityParams:
     return IdentityParams(**given)
 
 
+def _check_sizes(args: argparse.Namespace) -> None:
+    for name, ceiling in (("n", MAX_N), ("m", MAX_M), ("reps", MAX_REPS)):
+        value = getattr(args, name, None)
+        if value is not None and value > ceiling:
+            raise ValueError(f"--{name} {value} is above the limit of {ceiling}")
+
+
 def cmd_seq(args: argparse.Namespace) -> int:
     value = fib(args.n) if args.kind is SequenceKind.FIB else lucas(args.n)
     print(decimal_str(value))
@@ -94,12 +109,14 @@ def cmd_seq(args: argparse.Namespace) -> int:
 
 
 def cmd_sum(args: argparse.Namespace) -> int:
+    _check_sizes(args)
     value = direct_sum(args.n, args.x, args.z, args.j, args.r, args.s, args.m, args.seq)
     print(decimal_str(value))
     return 0
 
 
 def cmd_closed(args: argparse.Namespace) -> int:
+    _check_sizes(args)
     params = _params_from_args(args)
     outcome = eval_pair(args.id, params)
     verdict = "MATCH" if outcome.match else "MISMATCH"
@@ -137,6 +154,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    _check_sizes(args)
     result = bench_identity(args.id, _params_from_args(args), args.reps)
     if args.format == "json":
         print(dump_json(result))

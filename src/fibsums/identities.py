@@ -1,10 +1,14 @@
-"""The identity catalog: one exact evaluator per closed form, paired with its
-embedding into the direct-summation oracle.
+"""The identity catalog: one entry per closed form, paired with its embedding
+into the direct-summation oracle.
 
 Every entry binds an identity tag to (a) the parameter slots it reads, (b) the
-direct_sum call computing its left side term by term, and (c) an exact
-evaluator of its right side.  `eval_pair` runs both and reports exact
-equality, which is what the grid verifier drives.
+direct_sum call computing its left side term by term, and (c) its closed
+form: a lambda next to its anchor, or a small private function where the
+form branches on the parity of n.  The catalog is the one table; no closed
+form takes an identity id.  An identity's domain is stated once, in
+`IdentityDescriptor.applicable`: `rhs` checks it and then calls the bound
+closed form, which checks nothing itself.  `eval_pair` runs both sides and
+reports exact equality, which is what the grid verifier drives.
 
 Closed forms are computed with integer Fibonacci/Lucas values only, apart
 from F1/L1 and the quadratic base forms T1, which bind the Q(alpha) engine
@@ -106,95 +110,8 @@ def _times_5pow(value: int, e: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form evaluators
-
-
-def special_linear_rhs(id: IdentityId, params: IdentityParams) -> Fraction:
-    """Closed forms of the specialized linear identities E5..E12."""
-    n, j, r, s, p = params.n, params.j, params.r, params.s, params.p
-    if n < 0:
-        raise InapplicableParamsError("n must be non-negative")
-    jr, js = j * r, j * s
-    if id is IdentityId.E5:
-        out = _sgn(jr * n) * lucas(jr) ** n * fib(j * (r * n + s))
-    elif id is IdentityId.E6:
-        out = _sgn(jr * n) * lucas(jr) ** n * lucas(j * (r * n + s))
-    elif id is IdentityId.E7:
-        if n % 2 == 0:
-            out = 5 ** (n // 2) * fib(jr) ** n * fib(j * (r * n + s))
-        else:
-            out = _sgn(jr + 1) * 5 ** ((n - 1) // 2) * fib(jr) ** n * lucas(j * (r * n + s))
-    elif id is IdentityId.E8:
-        if n % 2 == 0:
-            out = 5 ** (n // 2) * fib(jr) ** n * lucas(j * (r * n + s))
-        else:
-            out = _sgn(jr + 1) * 5 ** ((n + 1) // 2) * fib(jr) ** n * fib(j * (r * n + s))
-    elif id is IdentityId.E9:
-        out = _sgn(js + 1) * fib(jr) ** n * fib(p * n - js)
-    elif id is IdentityId.E10:
-        # Sign is (-1)^(js): the Lucas pairing alpha^(js) beta^(pn) +
-        # beta^(js) alpha^(pn) = (-1)^(js) L_{pn-js} carries no extra flip.
-        out = _sgn(js) * fib(jr) ** n * lucas(p * n - js)
-    elif id is IdentityId.E11:
-        if n % 2 == 0:
-            out = _sgn(js + 1) * 5 ** (n // 2) * fib(jr) ** n * fib(p * n - js)
-        else:
-            out = _sgn(js + 1) * 5 ** ((n - 1) // 2) * fib(jr) ** n * lucas(p * n - js)
-    elif id is IdentityId.E12:
-        if n % 2 == 0:
-            out = _sgn(js) * 5 ** (n // 2) * fib(jr) ** n * lucas(p * n - js)
-        else:
-            out = _sgn(js) * 5 ** ((n + 1) // 2) * fib(jr) ** n * fib(p * n - js)
-    else:
-        raise ValueError(f"special_linear_rhs only evaluates E5..E12, got {id}")
-    return Fraction(out)
-
-
-def quadratic_rhs(id: IdentityId, n: int, j: int, r: int, s: int, p: int) -> Fraction:
-    """Closed forms of the squared-value identities Q13..Q16 (Q13/Q14 need p != 0)."""
-    if id in (IdentityId.Q13, IdentityId.Q14) and p == 0:
-        raise InapplicableParamsError("p must be nonzero")
-    if n < 0:
-        raise InapplicableParamsError("n must be non-negative")
-    js = j * s
-    f2 = fib(2 * j * r) ** n
-    f1 = fib(j * r) ** n
-    if id is IdentityId.Q13:
-        return _times_5pow(f2 * lucas(p * n - 2 * js) - _sgn(js) * 2 * f1 * lucas(j * r + p) ** n, -1)
-    if id is IdentityId.Q14:
-        return Fraction(f2 * lucas(p * n - 2 * js) + _sgn(js) * 2 * f1 * lucas(j * r + p) ** n)
-    if id in (IdentityId.Q15, IdentityId.Q16):
-        # Both parities of n share one prefactor 5^e, e = ceil(n/2) (Q16) or
-        # ceil(n/2) - 1 (Q15); the tail's 5^(n-1) or 5^n leaves 5^(n//2) inside.
-        head = f2 * (fib(p * n - 2 * js) if n % 2 else lucas(p * n - 2 * js))
-        tail = _sgn(js) * 5 ** (n // 2) * 2 * f1 * fib(j * r + p) ** n
-        if id is IdentityId.Q15:
-            return _times_5pow(head - tail, (n + 1) // 2 - 1)
-        return _times_5pow(head + tail, (n + 1) // 2)
-    raise ValueError(f"quadratic_rhs only evaluates Q13..Q16, got {id}")
-
-
-def cubic_rhs(id: IdentityId, n: int, s: int) -> Fraction:
-    """Closed forms of the cubed-value identities C18..C23."""
-    if n < 0:
-        raise InapplicableParamsError("n must be non-negative")
-    if id is IdentityId.C18:
-        return _times_5pow(2**n * fib(2 * n + 3 * s) + 3 * fib(n - s), -1)
-    if id is IdentityId.C19:
-        return Fraction(2**n * lucas(2 * n + 3 * s) + 3 * lucas(n - s))
-    if id is IdentityId.C20:
-        return _times_5pow(_sgn(n) * 2**n * fib(n + 3 * s) - _sgn(s) * 3 * fib(2 * n + s), -1)
-    if id is IdentityId.C21:
-        return Fraction(_sgn(n) * 2**n * lucas(n + 3 * s) + _sgn(s) * 3 * lucas(2 * n + s))
-    if id is IdentityId.C22:
-        if n % 2 == 0:
-            return _times_5pow(fib(3 * n + 3 * s) - _sgn(s) * 3 * fib(s), n // 2 - 1)
-        return _times_5pow(lucas(3 * n + 3 * s) + _sgn(s) * 3 * lucas(s), n // 2 - 1)
-    if id is IdentityId.C23:
-        if n % 2 == 0:
-            return _times_5pow(lucas(3 * n + 3 * s) + _sgn(s) * 3 * lucas(s), n // 2)
-        return _times_5pow(fib(3 * n + 3 * s) - _sgn(s) * 3 * fib(s), (n + 1) // 2)
-    raise ValueError(f"cubic_rhs only evaluates C18..C23, got {id}")
+# Closed forms bound by name (the rest are lambdas in their catalog entries).
+# None checks the domain: IdentityDescriptor.rhs does.
 
 
 def _power_rhs(
@@ -237,48 +154,58 @@ def _power_rhs(
     return _times_5pow(total, (n * fib_first + fib_second - big * is_fib) // 2)
 
 
-def even_power_rhs(
-    n: int,
-    j: int,
-    r: int,
-    s: int,
-    m: int,
-    alternating: bool,
-    kind: SequenceKind,
-) -> Fraction:
-    """Closed form of sum_k (+/-1)^k C(n,k) W_{j(rk+s)}^(2m).
+def _e7(q: IdentityParams) -> Fraction:
+    n, jr = q.n, q.j * q.r
+    if n % 2 == 0:
+        return Fraction(5 ** (n // 2) * fib(jr) ** n * fib(q.j * (q.r * n + q.s)))
+    return Fraction(_sgn(jr + 1) * 5 ** ((n - 1) // 2) * fib(jr) ** n * lucas(q.j * (q.r * n + q.s)))
 
-    The branch is selected by the parity of j*m*r and, inside a branch, of n.
-    The central binomial term is kept in its exact (1 +/- (-1)^(jmr))^n form,
-    so the degenerate-branch contribution that only survives at n = 0 (where
-    0^0 = 1) is included and the identity holds on all of n >= 0.
+
+def _e8(q: IdentityParams) -> Fraction:
+    n, jr = q.n, q.j * q.r
+    if n % 2 == 0:
+        return Fraction(5 ** (n // 2) * fib(jr) ** n * lucas(q.j * (q.r * n + q.s)))
+    return Fraction(_sgn(jr + 1) * 5 ** ((n + 1) // 2) * fib(jr) ** n * fib(q.j * (q.r * n + q.s)))
+
+
+def _e11(q: IdentityParams) -> Fraction:
+    n, js = q.n, q.j * q.s
+    if n % 2 == 0:
+        return Fraction(_sgn(js + 1) * 5 ** (n // 2) * fib(q.j * q.r) ** n * fib(q.p * n - js))
+    return Fraction(_sgn(js + 1) * 5 ** ((n - 1) // 2) * fib(q.j * q.r) ** n * lucas(q.p * n - js))
+
+
+def _e12(q: IdentityParams) -> Fraction:
+    n, js = q.n, q.j * q.s
+    if n % 2 == 0:
+        return Fraction(_sgn(js) * 5 ** (n // 2) * fib(q.j * q.r) ** n * lucas(q.p * n - js))
+    return Fraction(_sgn(js) * 5 ** ((n + 1) // 2) * fib(q.j * q.r) ** n * fib(q.p * n - js))
+
+
+def _q15_q16(q: IdentityParams, sign: int) -> Fraction:
+    """Q15 (sign -1) and Q16 (sign +1): head + sign * tail.
+
+    Both parities of n share one prefactor 5^e, e = ceil(n/2) (Q16) or
+    ceil(n/2) - 1 (Q15); the tail's 5^(n-1) or 5^n leaves 5^(n//2) inside.
     """
-    if n < 0:
-        raise InapplicableParamsError("n must be non-negative")
-    if m < 0:
-        raise InapplicableParamsError("m must be non-negative")
-    return _power_rhs(n, j * s, j * r, 2 * m, alternating, kind)
+    n, js, jr = q.n, q.j * q.s, q.j * q.r
+    head = fib(2 * jr) ** n * (fib(q.p * n - 2 * js) if n % 2 else lucas(q.p * n - 2 * js))
+    tail = _sgn(js) * 5 ** (n // 2) * 2 * fib(jr) ** n * fib(jr + q.p) ** n
+    return _times_5pow(head + sign * tail, (n + 1) // 2 - (sign < 0))
 
 
-def odd_power_rhs(
-    n: int,
-    j: int,
-    r: int,
-    s: int,
-    m: int,
-    alternating: bool,
-    kind: SequenceKind,
-) -> Fraction:
-    """Closed form of sum_k (+/-1)^k C(n,k) W_{j(2rk+s)}^(2m+1).
+def _c22(q: IdentityParams) -> Fraction:
+    n, s = q.n, q.s
+    if n % 2 == 0:
+        return _times_5pow(fib(3 * n + 3 * s) - _sgn(s) * 3 * fib(s), n // 2 - 1)
+    return _times_5pow(lucas(3 * n + 3 * s) + _sgn(s) * 3 * lucas(s), n // 2 - 1)
 
-    Note the index step of the sum is 2r.  The branch is selected by the
-    parity of j*r and, inside a branch, of n.
-    """
-    if n < 0:
-        raise InapplicableParamsError("n must be non-negative")
-    if m < 0:
-        raise InapplicableParamsError("m must be non-negative")
-    return _power_rhs(n, j * s, 2 * j * r, 2 * m + 1, alternating, kind)
+
+def _c23(q: IdentityParams) -> Fraction:
+    n, s = q.n, q.s
+    if n % 2 == 0:
+        return _times_5pow(lucas(3 * n + 3 * s) + _sgn(s) * 3 * lucas(s), n // 2)
+    return _times_5pow(fib(3 * n + 3 * s) - _sgn(s) * 3 * fib(s), (n + 1) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +228,8 @@ class IdentityDescriptor:
     `slots` lists the parameter names the identity reads; the grid verifier
     collapses the rest.  `anchor` is the stable, human-readable statement of
     the identity (part of the public naming contract used by reports).
+    `closed` evaluates the right side and assumes `applicable`; `rhs` checks
+    the domain first.
     """
 
     id: IdentityId
@@ -308,7 +237,7 @@ class IdentityDescriptor:
     slots: tuple[str, ...]
     anchor: str
     lhs_args: Callable[[IdentityParams], DirectSumArgs]
-    rhs: Callable[[IdentityParams], Fraction]
+    closed: Callable[[IdentityParams], Fraction]
     domain_error: Callable[[IdentityParams], str | None] = lambda params: None
 
     def applicable(self, params: IdentityParams) -> tuple[bool, str | None]:
@@ -324,6 +253,13 @@ class IdentityDescriptor:
     def lhs(self, params: IdentityParams) -> Fraction:
         n, x, z, j, r, s, m = self.lhs_args(params)
         return direct_sum(n, x, z, j, r, s, m, self.kind)
+
+    def rhs(self, params: IdentityParams) -> Fraction:
+        """The closed form; InapplicableParamsError outside the identity's domain."""
+        ok, reason = self.applicable(params)
+        if not ok:
+            raise InapplicableParamsError(f"{self.id.value}: {reason}")
+        return self.closed(params)
 
 
 def _nonzero_p(params: IdentityParams) -> str | None:
@@ -342,57 +278,55 @@ def _build_catalog() -> tuple[IdentityDescriptor, ...]:
             IdentityId.F1, F, nj,
             "sum_k C(n,k) F[j(rk+s)] = (a^(js)(1+a^(jr))^n - b^(js)(1+b^(jr))^n)/sqrt5",
             lambda q: (q.n, 1, 1, q.j, q.r, q.s, 1),
-            lambda q: transform.binomial_rhs(
-                transform.BinomialKernel(q.n, 1, 1, q.r, q.s), q.j, 1, SequenceKind.FIB
-            ),
+            lambda q: transform.binomial_rhs(transform.BinomialKernel(q.n, 1, 1, q.r, q.s), q.j, 1, F),
         ),
         IdentityDescriptor(
             IdentityId.L1, L, nj,
             "sum_k C(n,k) L[j(rk+s)] = a^(js)(1+a^(jr))^n + b^(js)(1+b^(jr))^n",
             lambda q: (q.n, 1, 1, q.j, q.r, q.s, 1),
-            lambda q: transform.binomial_rhs(
-                transform.BinomialKernel(q.n, 1, 1, q.r, q.s), q.j, 1, SequenceKind.LUCAS
-            ),
+            lambda q: transform.binomial_rhs(transform.BinomialKernel(q.n, 1, 1, q.r, q.s), q.j, 1, L),
         ),
         IdentityDescriptor(
             IdentityId.E5, F, nj,
             "sum_k (-1)^(jrk) C(n,k) F[j(2rk+s)] = (-1)^(jrn) L[jr]^n F[j(rn+s)]",
             lambda q: (q.n, 1, _sgn(q.j * q.r), q.j, 2 * q.r, q.s, 1),
-            lambda q: special_linear_rhs(IdentityId.E5, q),
+            lambda q: Fraction(_sgn(q.j * q.r * q.n) * lucas(q.j * q.r) ** q.n * fib(q.j * (q.r * q.n + q.s))),
         ),
         IdentityDescriptor(
             IdentityId.E6, L, nj,
             "sum_k (-1)^(jrk) C(n,k) L[j(2rk+s)] = (-1)^(jrn) L[jr]^n L[j(rn+s)]",
             lambda q: (q.n, 1, _sgn(q.j * q.r), q.j, 2 * q.r, q.s, 1),
-            lambda q: special_linear_rhs(IdentityId.E6, q),
+            lambda q: Fraction(_sgn(q.j * q.r * q.n) * lucas(q.j * q.r) ** q.n * lucas(q.j * (q.r * q.n + q.s))),
         ),
         IdentityDescriptor(
             IdentityId.E7, F, nj,
             "sum_k (-1)^((jr+1)k) C(n,k) F[j(2rk+s)] = 5^(n/2) F[jr]^n F[j(rn+s)]"
             " (n even) | (-1)^(jr+1) 5^((n-1)/2) F[jr]^n L[j(rn+s)] (n odd)",
             lambda q: (q.n, 1, _sgn(q.j * q.r + 1), q.j, 2 * q.r, q.s, 1),
-            lambda q: special_linear_rhs(IdentityId.E7, q),
+            _e7,
         ),
         IdentityDescriptor(
             IdentityId.E8, L, nj,
             "sum_k (-1)^((jr+1)k) C(n,k) L[j(2rk+s)] = 5^(n/2) F[jr]^n L[j(rn+s)]"
             " (n even) | (-1)^(jr+1) 5^((n+1)/2) F[jr]^n F[j(rn+s)] (n odd)",
             lambda q: (q.n, 1, _sgn(q.j * q.r + 1), q.j, 2 * q.r, q.s, 1),
-            lambda q: special_linear_rhs(IdentityId.E8, q),
+            _e8,
         ),
         IdentityDescriptor(
             IdentityId.E9, F, njp,
             "sum_k (-1)^k C(n,k) F[p+jr]^(n-k) F[p]^k F[j(rk+s)]"
             " = (-1)^(js+1) F[jr]^n F[pn-js]",
             lambda q: (q.n, fib(q.p + q.j * q.r), -fib(q.p), q.j, q.r, q.s, 1),
-            lambda q: special_linear_rhs(IdentityId.E9, q),
+            lambda q: Fraction(_sgn(q.j * q.s + 1) * fib(q.j * q.r) ** q.n * fib(q.p * q.n - q.j * q.s)),
         ),
         IdentityDescriptor(
             IdentityId.E10, L, njp,
             "sum_k (-1)^k C(n,k) F[p+jr]^(n-k) F[p]^k L[j(rk+s)]"
             " = (-1)^(js) F[jr]^n L[pn-js]",
             lambda q: (q.n, fib(q.p + q.j * q.r), -fib(q.p), q.j, q.r, q.s, 1),
-            lambda q: special_linear_rhs(IdentityId.E10, q),
+            # the Lucas pairing alpha^(js) beta^(pn) + beta^(js) alpha^(pn) = (-1)^(js) L[pn-js]
+            # carries no extra sign flip
+            lambda q: Fraction(_sgn(q.j * q.s) * fib(q.j * q.r) ** q.n * lucas(q.p * q.n - q.j * q.s)),
         ),
         IdentityDescriptor(
             IdentityId.E11, F, njp,
@@ -400,7 +334,7 @@ def _build_catalog() -> tuple[IdentityDescriptor, ...]:
             " = (-1)^(js+1) 5^(n/2) F[jr]^n F[pn-js] (n even)"
             " | (-1)^(js+1) 5^((n-1)/2) F[jr]^n L[pn-js] (n odd)",
             lambda q: (q.n, lucas(q.p + q.j * q.r), -lucas(q.p), q.j, q.r, q.s, 1),
-            lambda q: special_linear_rhs(IdentityId.E11, q),
+            _e11,
         ),
         IdentityDescriptor(
             IdentityId.E12, L, njp,
@@ -408,32 +342,32 @@ def _build_catalog() -> tuple[IdentityDescriptor, ...]:
             " = (-1)^(js) 5^(n/2) F[jr]^n L[pn-js] (n even)"
             " | (-1)^(js) 5^((n+1)/2) F[jr]^n F[pn-js] (n odd)",
             lambda q: (q.n, lucas(q.p + q.j * q.r), -lucas(q.p), q.j, q.r, q.s, 1),
-            lambda q: special_linear_rhs(IdentityId.E12, q),
+            _e12,
         ),
         IdentityDescriptor(
             IdentityId.T1_F2RHS, F, nj,
             "5 sum_k C(n,k) F[j(rk+s)]^2 = a^(2js)(1+a^(2jr))^n"
             " + b^(2js)(1+b^(2jr))^n - 2(-1)^(js)(1+(-1)^(jr))^n",
             lambda q: (q.n, 1, 1, q.j, q.r, q.s, 2),
-            lambda q: transform.binomial_rhs(
-                transform.BinomialKernel(q.n, 1, 1, q.r, q.s), q.j, 2, SequenceKind.FIB
-            ),
+            lambda q: transform.binomial_rhs(transform.BinomialKernel(q.n, 1, 1, q.r, q.s), q.j, 2, F),
         ),
         IdentityDescriptor(
             IdentityId.T1_L2RHS, L, nj,
             "sum_k C(n,k) L[j(rk+s)]^2 = a^(2js)(1+a^(2jr))^n"
             " + b^(2js)(1+b^(2jr))^n + 2(-1)^(js)(1+(-1)^(jr))^n",
             lambda q: (q.n, 1, 1, q.j, q.r, q.s, 2),
-            lambda q: transform.binomial_rhs(
-                transform.BinomialKernel(q.n, 1, 1, q.r, q.s), q.j, 2, SequenceKind.LUCAS
-            ),
+            lambda q: transform.binomial_rhs(transform.BinomialKernel(q.n, 1, 1, q.r, q.s), q.j, 2, L),
         ),
         IdentityDescriptor(
             IdentityId.Q13, F, njp,
             "sum_k (-1)^k C(n,k) F[2jr+p]^(n-k) F[p]^k F[j(rk+s)]^2"
             " = (F[2jr]^n L[pn-2js] - (-1)^(js) 2 F[jr]^n L[jr+p]^n)/5, p != 0",
             lambda q: (q.n, fib(2 * q.j * q.r + q.p), -fib(q.p), q.j, q.r, q.s, 2),
-            lambda q: quadratic_rhs(IdentityId.Q13, q.n, q.j, q.r, q.s, q.p),
+            lambda q: _times_5pow(
+                fib(2 * q.j * q.r) ** q.n * lucas(q.p * q.n - 2 * q.j * q.s)
+                - _sgn(q.j * q.s) * 2 * fib(q.j * q.r) ** q.n * lucas(q.j * q.r + q.p) ** q.n,
+                -1,
+            ),
             _nonzero_p,
         ),
         IdentityDescriptor(
@@ -441,7 +375,10 @@ def _build_catalog() -> tuple[IdentityDescriptor, ...]:
             "sum_k (-1)^k C(n,k) F[2jr+p]^(n-k) F[p]^k L[j(rk+s)]^2"
             " = F[2jr]^n L[pn-2js] + (-1)^(js) 2 F[jr]^n L[jr+p]^n, p != 0",
             lambda q: (q.n, fib(2 * q.j * q.r + q.p), -fib(q.p), q.j, q.r, q.s, 2),
-            lambda q: quadratic_rhs(IdentityId.Q14, q.n, q.j, q.r, q.s, q.p),
+            lambda q: Fraction(
+                fib(2 * q.j * q.r) ** q.n * lucas(q.p * q.n - 2 * q.j * q.s)
+                + _sgn(q.j * q.s) * 2 * fib(q.j * q.r) ** q.n * lucas(q.j * q.r + q.p) ** q.n
+            ),
             _nonzero_p,
         ),
         IdentityDescriptor(
@@ -450,7 +387,7 @@ def _build_catalog() -> tuple[IdentityDescriptor, ...]:
             " = 5^(n/2-1) F[2jr]^n L[pn-2js] - (-1)^(js) 5^(n-1) 2 F[jr]^n F[jr+p]^n (n even)"
             " | 5^((n-1)/2) F[2jr]^n F[pn-2js] - same tail (n odd)",
             lambda q: (q.n, lucas(2 * q.j * q.r + q.p), -lucas(q.p), q.j, q.r, q.s, 2),
-            lambda q: quadratic_rhs(IdentityId.Q15, q.n, q.j, q.r, q.s, q.p),
+            lambda q: _q15_q16(q, -1),
         ),
         IdentityDescriptor(
             IdentityId.Q16, L, njp,
@@ -458,93 +395,95 @@ def _build_catalog() -> tuple[IdentityDescriptor, ...]:
             " = 5^(n/2) F[2jr]^n L[pn-2js] + (-1)^(js) 5^n 2 F[jr]^n F[jr+p]^n (n even)"
             " | 5^((n+1)/2) F[2jr]^n F[pn-2js] + same tail (n odd)",
             lambda q: (q.n, lucas(2 * q.j * q.r + q.p), -lucas(q.p), q.j, q.r, q.s, 2),
-            lambda q: quadratic_rhs(IdentityId.Q16, q.n, q.j, q.r, q.s, q.p),
+            lambda q: _q15_q16(q, 1),
         ),
         IdentityDescriptor(
             IdentityId.C18, F, ("n", "s"),
             "sum_k C(n,k) F[k+s]^3 = (2^n F[2n+3s] + 3 F[n-s])/5",
             lambda q: (q.n, 1, 1, 1, 1, q.s, 3),
-            lambda q: cubic_rhs(IdentityId.C18, q.n, q.s),
+            lambda q: _times_5pow(2**q.n * fib(2 * q.n + 3 * q.s) + 3 * fib(q.n - q.s), -1),
         ),
         IdentityDescriptor(
             IdentityId.C19, L, ("n", "s"),
             "sum_k C(n,k) L[k+s]^3 = 2^n L[2n+3s] + 3 L[n-s]",
             lambda q: (q.n, 1, 1, 1, 1, q.s, 3),
-            lambda q: cubic_rhs(IdentityId.C19, q.n, q.s),
+            lambda q: Fraction(2**q.n * lucas(2 * q.n + 3 * q.s) + 3 * lucas(q.n - q.s)),
         ),
         IdentityDescriptor(
             IdentityId.C20, F, ("n", "s"),
             "sum_k (-1)^k C(n,k) F[k+s]^3 = ((-1)^n 2^n F[n+3s] - (-1)^s 3 F[2n+s])/5",
             lambda q: (q.n, 1, -1, 1, 1, q.s, 3),
-            lambda q: cubic_rhs(IdentityId.C20, q.n, q.s),
+            lambda q: _times_5pow(
+                _sgn(q.n) * 2**q.n * fib(q.n + 3 * q.s) - _sgn(q.s) * 3 * fib(2 * q.n + q.s), -1
+            ),
         ),
         IdentityDescriptor(
             IdentityId.C21, L, ("n", "s"),
             "sum_k (-1)^k C(n,k) L[k+s]^3 = (-1)^n 2^n L[n+3s] + (-1)^s 3 L[2n+s]",
             lambda q: (q.n, 1, -1, 1, 1, q.s, 3),
-            lambda q: cubic_rhs(IdentityId.C21, q.n, q.s),
+            lambda q: Fraction(_sgn(q.n) * 2**q.n * lucas(q.n + 3 * q.s) + _sgn(q.s) * 3 * lucas(2 * q.n + q.s)),
         ),
         IdentityDescriptor(
             IdentityId.C22, F, ("n", "s"),
             "sum_k C(n,k) 2^k F[k+s]^3 = 5^(n/2-1)(F[3n+3s] - (-1)^s 3 F[s]) (n even)"
             " | 5^((n-3)/2)(L[3n+3s] + (-1)^s 3 L[s]) (n odd)",
             lambda q: (q.n, 1, 2, 1, 1, q.s, 3),
-            lambda q: cubic_rhs(IdentityId.C22, q.n, q.s),
+            _c22,
         ),
         IdentityDescriptor(
             IdentityId.C23, L, ("n", "s"),
             "sum_k C(n,k) 2^k L[k+s]^3 = 5^(n/2)(L[3n+3s] + (-1)^s 3 L[s]) (n even)"
             " | 5^((n+1)/2)(F[3n+3s] - (-1)^s 3 F[s]) (n odd)",
             lambda q: (q.n, 1, 2, 1, 1, q.s, 3),
-            lambda q: cubic_rhs(IdentityId.C23, q.n, q.s),
+            _c23,
         ),
         IdentityDescriptor(
             IdentityId.EVEN_F, F, njm,
             "sum_k C(n,k) F[j(rk+s)]^(2m): closed form branched on parity of jmr and n",
             lambda q: (q.n, 1, 1, q.j, q.r, q.s, 2 * q.m),
-            lambda q: even_power_rhs(q.n, q.j, q.r, q.s, q.m, False, SequenceKind.FIB),
+            lambda q: _power_rhs(q.n, q.j * q.s, q.j * q.r, 2 * q.m, False, F),
         ),
         IdentityDescriptor(
             IdentityId.EVEN_L, L, njm,
             "sum_k C(n,k) L[j(rk+s)]^(2m): closed form branched on parity of jmr and n",
             lambda q: (q.n, 1, 1, q.j, q.r, q.s, 2 * q.m),
-            lambda q: even_power_rhs(q.n, q.j, q.r, q.s, q.m, False, SequenceKind.LUCAS),
+            lambda q: _power_rhs(q.n, q.j * q.s, q.j * q.r, 2 * q.m, False, L),
         ),
         IdentityDescriptor(
             IdentityId.ALT_EVEN_F, F, njm,
             "sum_k (-1)^k C(n,k) F[j(rk+s)]^(2m): closed form branched on parity of jmr and n",
             lambda q: (q.n, 1, -1, q.j, q.r, q.s, 2 * q.m),
-            lambda q: even_power_rhs(q.n, q.j, q.r, q.s, q.m, True, SequenceKind.FIB),
+            lambda q: _power_rhs(q.n, q.j * q.s, q.j * q.r, 2 * q.m, True, F),
         ),
         IdentityDescriptor(
             IdentityId.ALT_EVEN_L, L, njm,
             "sum_k (-1)^k C(n,k) L[j(rk+s)]^(2m): closed form branched on parity of jmr and n",
             lambda q: (q.n, 1, -1, q.j, q.r, q.s, 2 * q.m),
-            lambda q: even_power_rhs(q.n, q.j, q.r, q.s, q.m, True, SequenceKind.LUCAS),
+            lambda q: _power_rhs(q.n, q.j * q.s, q.j * q.r, 2 * q.m, True, L),
         ),
         IdentityDescriptor(
             IdentityId.ODD_F, F, njm,
             "sum_k C(n,k) F[j(2rk+s)]^(2m+1): closed form branched on parity of jr and n",
             lambda q: (q.n, 1, 1, q.j, 2 * q.r, q.s, 2 * q.m + 1),
-            lambda q: odd_power_rhs(q.n, q.j, q.r, q.s, q.m, False, SequenceKind.FIB),
+            lambda q: _power_rhs(q.n, q.j * q.s, 2 * q.j * q.r, 2 * q.m + 1, False, F),
         ),
         IdentityDescriptor(
             IdentityId.ODD_L, L, njm,
             "sum_k C(n,k) L[j(2rk+s)]^(2m+1): closed form branched on parity of jr and n",
             lambda q: (q.n, 1, 1, q.j, 2 * q.r, q.s, 2 * q.m + 1),
-            lambda q: odd_power_rhs(q.n, q.j, q.r, q.s, q.m, False, SequenceKind.LUCAS),
+            lambda q: _power_rhs(q.n, q.j * q.s, 2 * q.j * q.r, 2 * q.m + 1, False, L),
         ),
         IdentityDescriptor(
             IdentityId.ALT_ODD_F, F, njm,
             "sum_k (-1)^k C(n,k) F[j(2rk+s)]^(2m+1): closed form branched on parity of jr and n",
             lambda q: (q.n, 1, -1, q.j, 2 * q.r, q.s, 2 * q.m + 1),
-            lambda q: odd_power_rhs(q.n, q.j, q.r, q.s, q.m, True, SequenceKind.FIB),
+            lambda q: _power_rhs(q.n, q.j * q.s, 2 * q.j * q.r, 2 * q.m + 1, True, F),
         ),
         IdentityDescriptor(
             IdentityId.ALT_ODD_L, L, njm,
             "sum_k (-1)^k C(n,k) L[j(2rk+s)]^(2m+1): closed form branched on parity of jr and n",
             lambda q: (q.n, 1, -1, q.j, 2 * q.r, q.s, 2 * q.m + 1),
-            lambda q: odd_power_rhs(q.n, q.j, q.r, q.s, q.m, True, SequenceKind.LUCAS),
+            lambda q: _power_rhs(q.n, q.j * q.s, 2 * q.j * q.r, 2 * q.m + 1, True, L),
         ),
     ]
     return tuple(entries)
@@ -578,10 +517,7 @@ def eval_pair(id: IdentityId, params: IdentityParams) -> EvalOutcome:
     Raises InapplicableParamsError outside the identity's stated domain.
     """
     desc = descriptor(id)
-    ok, reason = desc.applicable(params)
-    if not ok:
-        raise InapplicableParamsError(f"{id.value}: {reason}")
-    lhs = desc.lhs(params)
     rhs = desc.rhs(params)
+    lhs = desc.lhs(params)
     return EvalOutcome(lhs, rhs, lhs == rhs)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from fibsums import IdentityId, IntegralityError
-from fibsums.cli import bench_identity, main
+from fibsums.cli import MAX_M, MAX_N, MAX_REPS, bench_identity, main
 from fibsums.identities import IdentityParams, _BY_ID, IdentityDescriptor
 from fibsums.verify import default_grid_specs, run_grids
 
@@ -24,6 +24,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    """`python -m fibsums ...` in a fresh interpreter, against the package in src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "fibsums", *argv], capture_output=True, env=env, cwd=ROOT)
 
 
 class TestSeq:
@@ -249,12 +256,7 @@ class TestStreamedVerify:
     POINTS = 13 * 4 + 13 * 2 * 3 * 4 * 3 + 13 * 2 * 3 * 4 * 4 + 13 * 2 * 3 * 4 * 3
 
     def run(self, jobs: str) -> bytes:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "fibsums", "verify", *self.ARGV, "--format", "json", "--jobs", jobs],
-            capture_output=True, env=env, cwd=ROOT,
-        )
+        proc = run_module("verify", *self.ARGV, "--format", "json", "--jobs", jobs)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
@@ -323,6 +325,30 @@ class TestBench:
         assert err == "error: F1 does not read --m; its slots are n, j, r, s\n"
 
 
+class TestSizeLimits:
+    @pytest.mark.parametrize(
+        "argv,flag,value,ceiling",
+        [
+            (("sum",), "n", MAX_N + 1, MAX_N),
+            (("sum", "--n", "2"), "m", MAX_M + 1, MAX_M),
+            (("closed", "--id", "C18"), "n", MAX_N + 1, MAX_N),
+            (("closed", "--id", "EVEN_F", "--n", "2"), "m", MAX_M + 1, MAX_M),
+            (("bench", "--id", "C18"), "n", MAX_N + 1, MAX_N),
+            (("bench", "--id", "ODD_L", "--n", "2"), "m", MAX_M + 1, MAX_M),
+            (("bench", "--id", "C18", "--n", "5"), "reps", 10**20, MAX_REPS),
+        ],
+    )
+    def test_above_ceiling_is_usage_error(self, capsys, argv, flag, value, ceiling):
+        code, out, err = run_cli(capsys, *argv, f"--{flag}", str(value))
+        assert (code, out) == (2, "")
+        assert err == f"error: --{flag} {value} is above the limit of {ceiling}\n"
+
+    def test_ceilings_themselves_accepted(self, capsys):
+        assert run_cli(capsys, "sum", "--n", "2", "--m", str(MAX_M))[0] == 0
+        assert run_cli(capsys, "closed", "--id", "ALT_ODD_F", "--n", "2", "--m", str(MAX_M))[0] == 0
+        assert run_cli(capsys, "bench", "--id", "C18", "--n", "2", "--reps", str(MAX_REPS))[0] == 0
+
+
 class TestFib:
     def test_huge_value_prints_and_leaves_digit_limit(self, capsys):
         limit = sys.get_int_max_str_digits()
@@ -350,14 +376,10 @@ class TestList:
 
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "fibsums", "fib", "12"], capture_output=True, text=True
-        )
+        proc = run_module("fib", "12")
         assert proc.returncode == 0
-        assert proc.stdout.strip() == "144"
+        assert proc.stdout.strip() == b"144"
 
     def test_usage_error_exit_code(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "fibsums", "frob"], capture_output=True, text=True
-        )
+        proc = run_module("frob")
         assert proc.returncode == 2

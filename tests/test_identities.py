@@ -14,15 +14,10 @@ from fibsums import (
     SequenceKind,
     binomial_rhs,
     catalog,
-    cubic_rhs,
     descriptor,
     direct_sum,
     eval_pair,
-    even_power_rhs,
     fib,
-    odd_power_rhs,
-    quadratic_rhs,
-    special_linear_rhs,
 )
 from fibsums.identities import SLOT_ORDER, _times_5pow
 
@@ -77,6 +72,19 @@ class TestApplicable:
         ok, reason = descriptor(IdentityId.ODD_L).applicable(P(n=2, m=-1))
         assert not ok and "m" in reason
 
+    @pytest.mark.parametrize("id", list(IdentityId), ids=lambda id: id.value)
+    def test_rhs_raises_one_domain_error(self, id):
+        # every closed side reports the domain the same way, engine-bound F1/L1/T1 included
+        desc = descriptor(id)
+        with pytest.raises(InapplicableParamsError, match=f"^{id.value}: n must be non-negative$"):
+            desc.rhs(P(n=-1))
+        if "m" in desc.slots:
+            with pytest.raises(InapplicableParamsError, match=f"^{id.value}: m must be non-negative$"):
+                desc.rhs(P(n=2, m=-1))
+        if id in (IdentityId.Q13, IdentityId.Q14):
+            with pytest.raises(InapplicableParamsError, match=f"^{id.value}: p must be nonzero$"):
+                desc.rhs(P(n=2, p=0))
+
 
 class TestLinear:
     def test_spot_values(self):
@@ -96,24 +104,20 @@ class TestLinear:
 
 class TestSpecialLinear:
     def test_spot_values(self):
-        assert special_linear_rhs(IdentityId.E5, P(n=2, j=1, r=1, s=0)) == 1
-        assert special_linear_rhs(IdentityId.E6, P(n=2, j=1, r=1, s=0)) == 3
-        assert special_linear_rhs(IdentityId.E9, P(n=2, j=1, r=1, s=0, p=2)) == -3
-
-    def test_rejects_other_ids(self):
-        with pytest.raises(ValueError):
-            special_linear_rhs(IdentityId.F1, P(n=1))
+        assert descriptor(IdentityId.E5).rhs(P(n=2, j=1, r=1, s=0)) == 1
+        assert descriptor(IdentityId.E6).rhs(P(n=2, j=1, r=1, s=0)) == 3
+        assert descriptor(IdentityId.E9).rhs(P(n=2, j=1, r=1, s=0, p=2)) == -3
 
 
 class TestQuadratic:
     def test_spot_values(self):
-        assert quadratic_rhs(IdentityId.Q13, 1, 1, 1, 0, 1) == -1
-        assert quadratic_rhs(IdentityId.Q14, 1, 1, 1, 0, 1) == 7
-        assert quadratic_rhs(IdentityId.Q15, 1, 1, 1, 0, 1) == -1
+        assert descriptor(IdentityId.Q13).rhs(P(n=1, j=1, r=1, s=0, p=1)) == -1
+        assert descriptor(IdentityId.Q14).rhs(P(n=1, j=1, r=1, s=0, p=1)) == 7
+        assert descriptor(IdentityId.Q15).rhs(P(n=1, j=1, r=1, s=0, p=1)) == -1
 
     def test_p_zero_raises(self):
         with pytest.raises(InapplicableParamsError):
-            quadratic_rhs(IdentityId.Q13, 1, 1, 1, 0, 0)
+            descriptor(IdentityId.Q13).rhs(P(n=1, j=1, r=1, s=0, p=0))
 
 
 class TestCubic:
@@ -127,14 +131,32 @@ class TestCubic:
         ],
     )
     def test_spot_values(self, id, n, s, expected):
-        assert cubic_rhs(id, n, s) == expected
+        assert descriptor(id).rhs(P(n=n, s=s)) == expected
 
     def test_fractional_five_powers_still_integral(self):
         # n = 0/1 push the 5-exponents negative; the result stays an integer
         for id in (IdentityId.C22, IdentityId.C23):
             for n in range(4):
                 for s in range(-3, 4):
-                    assert cubic_rhs(id, n, s).denominator == 1
+                    assert descriptor(id).rhs(P(n=n, s=s)).denominator == 1
+
+
+POWER_IDS = {
+    (False, False, F): IdentityId.EVEN_F, (False, False, L): IdentityId.EVEN_L,
+    (False, True, F): IdentityId.ALT_EVEN_F, (False, True, L): IdentityId.ALT_EVEN_L,
+    (True, False, F): IdentityId.ODD_F, (True, False, L): IdentityId.ODD_L,
+    (True, True, F): IdentityId.ALT_ODD_F, (True, True, L): IdentityId.ALT_ODD_L,
+}
+
+
+def even_rhs(n, j, r, s, m, alt, kind):
+    """sum_k (+/-1)^k C(n,k) W_{j(rk+s)}^(2m) through its catalog entry."""
+    return descriptor(POWER_IDS[False, alt, kind]).rhs(P(n=n, j=j, r=r, s=s, m=m))
+
+
+def odd_rhs(n, j, r, s, m, alt, kind):
+    """sum_k (+/-1)^k C(n,k) W_{j(2rk+s)}^(2m+1) through its catalog entry."""
+    return descriptor(POWER_IDS[True, alt, kind]).rhs(P(n=n, j=j, r=r, s=s, m=m))
 
 
 class TestEvenOddPowers:
@@ -148,7 +170,7 @@ class TestEvenOddPowers:
         ],
     )
     def test_even_spot_values(self, args, expected):
-        assert even_power_rhs(*args) == expected
+        assert even_rhs(*args) == expected
 
     @pytest.mark.parametrize(
         "args,expected",
@@ -158,19 +180,19 @@ class TestEvenOddPowers:
         ],
     )
     def test_odd_spot_values(self, args, expected):
-        assert odd_power_rhs(*args) == expected
+        assert odd_rhs(*args) == expected
 
     def test_odd_n_zero_collapses_to_power(self):
         for j, r, s, m in product((-2, 1, 3), (-1, 1, 2), (-2, 0, 1), range(3)):
-            assert odd_power_rhs(0, j, r, s, m, False, F) == fib(j * s) ** (2 * m + 1)
+            assert odd_rhs(0, j, r, s, m, False, F) == fib(j * s) ** (2 * m + 1)
 
     def test_branch_totality(self):
         # every (j, m, r) lands in exactly one branch and evaluates
         for j, m, r in product(range(-3, 4), range(0, 3), range(-3, 4)):
             for alt in (False, True):
                 for kind in (F, L):
-                    even_power_rhs(2, j, r, 1, m, alt, kind)
-                    odd_power_rhs(2, j, r, 1, m, alt, kind)
+                    even_rhs(2, j, r, 1, m, alt, kind)
+                    odd_rhs(2, j, r, 1, m, alt, kind)
 
     def test_three_way_against_engine_and_oracle(self):
         # theorem branches == Q(alpha) engine == direct summation
@@ -180,18 +202,18 @@ class TestEvenOddPowers:
                 for kind in (F, L):
                     via_engine = binomial_rhs(BinomialKernel(n, 1, z, r, s), j, 2 * m, kind)
                     via_oracle = direct_sum(n, 1, z, j, r, s, 2 * m, kind)
-                    via_branch = even_power_rhs(n, j, r, s, m, alt, kind)
+                    via_branch = even_rhs(n, j, r, s, m, alt, kind)
                     assert via_engine == via_oracle == via_branch, (n, j, r, s, m, alt, kind)
                     via_engine = binomial_rhs(BinomialKernel(n, 1, z, 2 * r, s), j, 2 * m + 1, kind)
                     via_oracle = direct_sum(n, 1, z, j, 2 * r, s, 2 * m + 1, kind)
-                    via_branch = odd_power_rhs(n, j, r, s, m, alt, kind)
+                    via_branch = odd_rhs(n, j, r, s, m, alt, kind)
                     assert via_engine == via_oracle == via_branch, (n, j, r, s, m, alt, kind)
 
     def test_rejects_negative_m(self):
         with pytest.raises(InapplicableParamsError):
-            even_power_rhs(1, 1, 1, 0, -1, False, F)
+            even_rhs(1, 1, 1, 0, -1, False, F)
         with pytest.raises(InapplicableParamsError):
-            odd_power_rhs(1, 1, 1, 0, -2, False, F)
+            odd_rhs(1, 1, 1, 0, -2, False, F)
 
 
 EVEN_ODD_IDS = (
@@ -303,7 +325,7 @@ class TestIntegrality:
     def test_closed_forms_integral_on_sample(self):
         for n, s in product(range(5), range(-2, 3)):
             for id in (IdentityId.C18, IdentityId.C20, IdentityId.C22):
-                assert cubic_rhs(id, n, s).denominator == 1
+                assert descriptor(id).rhs(P(n=n, s=s)).denominator == 1
         for n, j, r, s, m in product(range(4), (-1, 2), (1, 2), (-1, 1), range(3)):
-            assert even_power_rhs(n, j, r, s, m, False, F).denominator == 1
-            assert odd_power_rhs(n, j, r, s, m, True, L).denominator == 1
+            assert even_rhs(n, j, r, s, m, False, F).denominator == 1
+            assert odd_rhs(n, j, r, s, m, True, L).denominator == 1

@@ -9,7 +9,7 @@ import importlib.util
 from pathlib import Path
 
 from fibsums import cli, sequences, transform, verify
-from fibsums.identities import IdentityId, IdentityParams, descriptor
+from fibsums.identities import IdentityId, IdentityParams, catalog, descriptor
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -39,6 +39,9 @@ def test_trace_mode_wraps_and_restores(capsys):
     assert vars(verify.Report)["from_records"] is from_records
     assert verify.Report.to_jsonl is to_jsonl
     assert cli.main is main
+    # the wrappers were instance attributes over the class's methods; none may outlive restore()
+    for desc in catalog():
+        assert "lhs" not in vars(desc) and "rhs" not in vars(desc), desc.id
 
 
 def test_trace_mode_times_the_oracle():
