@@ -42,7 +42,7 @@ print("engine:", got, "  term-by-term:", expected, " equal:", got == expected)
 print()
 print("=== The binomial kernel z^s (x + z^r)^n ===")
 bk = BinomialKernel(n=4, x=1, z=1, r=1, s=0)
-print("expanded terms (coefficient, exponent):", bk.expand().terms)
+print("expanded terms (coefficient, exponent):", bk.terms)
 print()
 print("its reduction evaluates sum_k C(n,k) x^(n-k) z^k W_{j(rk+s)}^m exactly:")
 for m in range(4):

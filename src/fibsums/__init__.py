@@ -22,7 +22,6 @@ from .transform import (
     BinomialKernel,
     IrrationalResultError,
     Kernel,
-    NonInvertiblePointError,
     binomial_rhs,
     kernel_eval,
     reduce_F,
@@ -33,7 +32,6 @@ from .verify import (
     Report,
     VerificationRecord,
     default_grid_specs,
-    run_default_grid,
     run_grid,
     run_grids,
     stream_grids,
@@ -56,7 +54,6 @@ __all__ = [
     "IrrationalResultError",
     "Kernel",
     "NonInvertibleError",
-    "NonInvertiblePointError",
     "ONE",
     "QuadNum",
     "Report",
@@ -79,7 +76,6 @@ __all__ = [
     "reduce_F",
     "reduce_L",
     "root5_parts",
-    "run_default_grid",
     "run_grid",
     "run_grids",
     "stream_grids",

@@ -44,6 +44,13 @@ _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 MAX_N = 10_000
 MAX_M = 10
 MAX_REPS = 100
+# The index size |j|(|r|(n+2)+|s|) + |p|(n+1) bounds every catalog and oracle
+# index up to a factor of 2m, and an index costs as much as n: at a size near
+# 10^5, `closed` takes 0.5 s for C18 (n = 5), 11 s for EVEN_F and 42 s for ODD_F
+# (n = 100, j = r = 31, m = 10); C18 takes 1.0 s near 2*10^5 and 15 s near 10^6.
+# `fib N` takes 1.2 s at N = 10^6 and 3.9 s at 2*10^6.
+MAX_INDEX = 100_000
+MAX_SEQ_INDEX = 1_000_000
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -100,9 +107,16 @@ def _check_sizes(args: argparse.Namespace) -> None:
         value = getattr(args, name, None)
         if value is not None and value > ceiling:
             raise ValueError(f"--{name} {value} is above the limit of {ceiling}")
+    # slots not passed take their IdentityParams defaults (sum has no p)
+    q = IdentityParams(**{name: getattr(args, name) for name in SLOT_ORDER if hasattr(args, name)})
+    size = abs(q.j) * (abs(q.r) * (q.n + 2) + abs(q.s)) + abs(q.p) * (q.n + 1)
+    if size > MAX_INDEX:
+        raise ValueError(f"index size |j|(|r|(n+2)+|s|)+|p|(n+1) = {size} is above the limit of {MAX_INDEX}")
 
 
 def cmd_seq(args: argparse.Namespace) -> int:
+    if abs(args.n) > MAX_SEQ_INDEX:
+        raise ValueError(f"|N| = {abs(args.n)} is above the limit of {MAX_SEQ_INDEX}")
     value = fib(args.n) if args.kind is SequenceKind.FIB else lucas(args.n)
     print(decimal_str(value))
     return 0

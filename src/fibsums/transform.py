@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .quadfield import SQRT5, NonInvertibleError, QuadNum, alpha_pow, mul, power
+from .quadfield import SQRT5, QuadNum, alpha_pow, mul, power
 from .sequences import SequenceKind, binomial
 
 
@@ -29,10 +29,6 @@ class IrrationalResultError(ArithmeticError):
     This signals an internal inconsistency (an implementation bug), never
     invalid input: the algebra guarantees the alpha-part cancels.
     """
-
-
-# A kernel with a negative exponent at the zero point fails in `quadfield.inverse`.
-NonInvertiblePointError = NonInvertibleError
 
 
 @dataclass(frozen=True)
@@ -68,10 +64,6 @@ class BinomialKernel:
         """The expansion: coefficients C(n,k) x^(n-k) z^k at exponents rk+s."""
         n, x, z, r, s = self.n, self.x, self.z, self.r, self.s
         return tuple((binomial(n, k) * x ** (n - k) * z**k, r * k + s) for k in range(n + 1))
-
-    def expand(self) -> Kernel:
-        """The explicit term list as a `Kernel`."""
-        return Kernel(self.terms)
 
 
 def rationalize_root5(q: tuple, m: int) -> Fraction:

@@ -40,6 +40,7 @@ from .identities import (
     IdentityDescriptor,
     IdentityId,
     IdentityParams,
+    InapplicableParamsError,
     catalog,
     catalog_index,
     descriptor,
@@ -146,11 +147,6 @@ class Report:
         skipped = sum(t.skipped for t in self.totals.values())
         return checked, matched, skipped
 
-    def to_json_objects(self) -> Iterable[dict]:
-        for rec in self.records:
-            yield record_to_json(rec)
-        yield self.summary_json()
-
     def summary_json(self) -> dict:
         checked, matched, skipped = self.counts()
         return {
@@ -166,7 +162,9 @@ class Report:
         }
 
     def to_jsonl(self) -> str:
-        return "\n".join(dump_json(obj) for obj in self.to_json_objects()) + "\n"
+        lines = [dump_json(record_to_json(rec)) for rec in self.records]
+        lines.append(dump_json(self.summary_json()))
+        return "\n".join(lines) + "\n"
 
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
@@ -249,19 +247,18 @@ def _chunks(specs: Sequence[GridSpec], size: int) -> Iterator[_Chunk]:
     concatenated records would.
     """
     for desc in catalog():
-        grids = [product(*_axes(desc, spec)) for spec in specs if desc.id in spec.ids]
-        combos = grids[0] if len(grids) == 1 else heapq.merge(*grids)
+        combos = heapq.merge(*(product(*_axes(desc, spec)) for spec in specs if desc.id in spec.ids))
         while batch := list(islice(combos, size)):
             yield desc.id, batch
 
 
 def _check(desc: IdentityDescriptor, params: IdentityParams) -> VerificationRecord:
-    ok, reason = desc.applicable(params)
-    if not ok:
-        return VerificationRecord(desc.id, params, None, None, None, reason)
+    """One point, in `eval_pair`'s order; `rhs` decides the domain, once."""
     try:
-        lhs = desc.lhs(params)
         rhs = desc.rhs(params)
+        lhs = desc.lhs(params)
+    except InapplicableParamsError:
+        return VerificationRecord(desc.id, params, None, None, None, desc.applicable(params)[1])
     except ArithmeticError as exc:  # IntegralityError, IrrationalResultError, ...
         return VerificationRecord(
             desc.id, params, None, None, False, error=f"{type(exc).__name__}: {exc}"
@@ -376,12 +373,6 @@ def default_grid_specs() -> tuple[GridSpec, GridSpec]:
         GridSpec(ids=other, m_range=(0, 3)),
         GridSpec(ids=_ODD_IDS, m_range=(0, 2)),
     )
-
-
-def run_default_grid(parallelism: int | None = None) -> Report:
-    if parallelism is None:
-        parallelism = os.cpu_count() or 1
-    return run_grids(default_grid_specs(), parallelism)
 
 
 def summarize(report: Report) -> str:

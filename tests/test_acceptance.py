@@ -34,7 +34,7 @@ from fibsums import (
     root5_parts,
 )
 from fibsums.cli import bench_identity
-from fibsums.verify import GridSpec, run_default_grid, run_grids
+from fibsums.verify import GridSpec, default_grid_specs, dump_json, run_grids, stream_grids
 
 from oracles import frac_pow, naive_binomial, naive_fib, naive_lucas
 
@@ -48,10 +48,26 @@ def _report(line: str) -> None:
 # --- criterion 1: the full identity grid ------------------------------------
 
 
+class _HashingSink:
+    """A text sink that keeps only the SHA-256 and the line count of what it is given."""
+
+    def __init__(self) -> None:
+        self.sha = hashlib.sha256()
+        self.lines = 0
+
+    def write(self, text: str) -> None:
+        self.sha.update(text.encode())
+        self.lines += text.count("\n")
+
+
 def test_criterion_1_full_identity_grid():
-    report = run_default_grid(parallelism=4)
+    # the bytes of `fibsums verify --format json`: the streamed points, then the summary line
+    sink = _HashingSink()
+    report = stream_grids(default_grid_specs(), 4, out=sink)
+    sink.write(dump_json(report.summary_json()) + "\n")
     checked, matched, skipped = report.counts()
-    assert len(report.records) == 1_024_218  # completeness: no silent drops
+    assert sink.lines == 1_024_219  # completeness: every point and the summary, no silent drops
+    assert sink.sha.hexdigest() == "2c67dc688e7e9c0f2fc219c1f508eddd72e7bb8ca7005e4ee38ba9443c4f01c6"
     assert skipped == 18_954  # exactly the Q13/Q14 p=0 points
     assert checked == matched == 1_005_264
     ok = not report.failures

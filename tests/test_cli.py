@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from fibsums import IdentityId, IntegralityError
-from fibsums.cli import MAX_M, MAX_N, MAX_REPS, bench_identity, main
+from fibsums.cli import MAX_INDEX, MAX_M, MAX_N, MAX_REPS, MAX_SEQ_INDEX, bench_identity, main
 from fibsums.identities import IdentityParams, _BY_ID, IdentityDescriptor
 from fibsums.verify import default_grid_specs, run_grids
 
@@ -347,6 +348,38 @@ class TestSizeLimits:
         assert run_cli(capsys, "sum", "--n", "2", "--m", str(MAX_M))[0] == 0
         assert run_cli(capsys, "closed", "--id", "ALT_ODD_F", "--n", "2", "--m", str(MAX_M))[0] == 0
         assert run_cli(capsys, "bench", "--id", "C18", "--n", "2", "--reps", str(MAX_REPS))[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv,size",
+        [
+            (("closed", "--id", "EVEN_F", "--n", "100", "--j", "100", "--r", "100", "--m", "10"), 1_020_101),
+            (("closed", "--id", "C18", "--n", "5", "--s", "100000000"), 100_000_013),
+            (("sum", "--n", "10", "--j", "100000", "--r", "100000"), 120_000_000_011),
+            (("bench", "--id", "Q13", "--n", "3", "--p", "-100000"), 400_005),
+        ],
+    )
+    def test_index_above_ceiling_exits_at_once(self, capsys, argv, size):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: index size |j|(|r|(n+2)+|s|)+|p|(n+1) = {size} is above the limit of {MAX_INDEX}\n"
+
+    @pytest.mark.parametrize("n", [MAX_SEQ_INDEX + 1, 100_000_000, -100_000_000])
+    def test_sequence_index_above_ceiling_exits_at_once(self, capsys, n):
+        for command in ("fib", "lucas"):
+            t0 = time.perf_counter()
+            code, out, err = run_cli(capsys, command, str(n))
+            assert time.perf_counter() - t0 < 1
+            assert (code, out) == (2, "")
+            assert err == f"error: |N| = {abs(n)} is above the limit of {MAX_SEQ_INDEX}\n"
+
+    def test_index_ceiling_itself_evaluates(self, capsys):
+        # C18 reads n and s: 1*(1*(5+2)+s) + 1*(5+1) = s + 13
+        code, out, _ = run_cli(capsys, "closed", "--id", "C18", "--n", "5", "--s", str(MAX_INDEX - 13))
+        assert (code, out[-6:]) == (0, "MATCH\n")
+        code, out, _ = run_cli(capsys, "lucas", str(-MAX_SEQ_INDEX))
+        assert code == 0 and len(out.strip()) == 208_988
 
 
 class TestFib:

@@ -14,7 +14,6 @@ from fibsums import (
     IrrationalResultError,
     Kernel,
     NonInvertibleError,
-    NonInvertiblePointError,
     QuadNum,
     SequenceKind,
     alpha_pow,
@@ -66,9 +65,8 @@ class TestKernelEval:
     def test_zero_point_conventions(self):
         h = Kernel.from_pairs([(3, 0), (5, 2)])
         assert kernel_eval(h, QuadNum(0, 0)) == QuadNum(3, 0)  # 0^0 = 1, 0^2 = 0
-        with pytest.raises(NonInvertiblePointError):
+        with pytest.raises(NonInvertibleError):
             kernel_eval(Kernel.from_pairs([(1, -2)]), QuadNum(0, 0))
-        assert NonInvertiblePointError is NonInvertibleError
 
     def test_rational_coefficients(self):
         h = Kernel.from_pairs([(Fraction(1, 2), 1)])
@@ -84,10 +82,10 @@ class TestKernelEval:
         points = [ALPHA, QuadNum(-1, 1), QuadNum(2, -3), QuadNum(Fraction(1, 3), 2), (-1, 0)]
         for bk in kernels:
             for point in points:
-                assert kernel_eval(bk, point) == kernel_eval(bk.expand(), point), (bk, point)
+                assert kernel_eval(bk, point) == kernel_eval(Kernel(bk.terms), point), (bk, point)
         bk = BinomialKernel(2, 1, 1, 1, 3)
-        assert kernel_eval(bk, ZERO) == kernel_eval(bk.expand(), ZERO) == ZERO
-        with pytest.raises(NonInvertiblePointError):
+        assert kernel_eval(bk, ZERO) == kernel_eval(Kernel(bk.terms), ZERO) == ZERO
+        with pytest.raises(NonInvertibleError):
             kernel_eval(BinomialKernel(2, 1, 1, -1, 0), ZERO)
 
 
@@ -116,7 +114,7 @@ def _term_sum(h: Kernel, j: int, m: int, z, fibonacci: bool) -> Fraction:
 
 class TestReduce:
     def test_binomial_kernel_linear(self):
-        h = BinomialKernel(3, 1, 1, 1, 0).expand()
+        h = Kernel(BinomialKernel(3, 1, 1, 1, 0).terms)
         assert reduce_F(h, 1, 1, 1) == 8  # sum C(3,k) F_k
         assert reduce_L(h, 1, 1, 1) == 18  # sum C(3,k) L_k
 
@@ -149,8 +147,8 @@ class TestReduce:
             BinomialKernel(4, -2, 3, 2, -4),
         ]
         for bk, j, m in product(kernels, (-2, 1, 3), range(4)):
-            assert reduce_F(bk, j, m, 0) == reduce_F(bk.expand(), j, m, 0)
-            assert reduce_L(bk, j, m, 0) == reduce_L(bk.expand(), j, m, 0)
+            assert reduce_F(bk, j, m, 0) == reduce_F(Kernel(bk.terms), j, m, 0)
+            assert reduce_L(bk, j, m, 0) == reduce_L(Kernel(bk.terms), j, m, 0)
         assert reduce_L(kernels[2], 1, 3, 0) == 6 * 4 * 9 * 2**3  # C(4,2) x^2 z^2 L_0^3
 
     def test_random_kernels_match_term_sums(self):
@@ -198,8 +196,8 @@ class TestReduce:
     def test_binomial_rhs_is_the_reduction_of_its_kernel(self):
         for bk in (BinomialKernel(5, 2, -3, 2, -1), BinomialKernel(4, Fraction(-1, 2), Fraction(2, 3), -1, 3)):
             for j, m in product((-2, 1, 3), range(4)):
-                assert reduce_F(bk.expand(), j, m, 1) == binomial_rhs(bk, j, m, F)
-                assert reduce_L(bk.expand(), j, m, 1) == binomial_rhs(bk, j, m, L)
+                assert reduce_F(Kernel(bk.terms), j, m, 1) == binomial_rhs(bk, j, m, F)
+                assert reduce_L(Kernel(bk.terms), j, m, 1) == binomial_rhs(bk, j, m, L)
 
 
 class TestBinomialRhs:
@@ -215,7 +213,7 @@ class TestBinomialRhs:
     def test_expand(self):
         # coefficients C(n,k) x^(n-k) z^k at exponents rk+s: 3^2, 2*3*9, 9^2
         bk = BinomialKernel(2, 3, 9, 2, -1)
-        assert bk.expand().terms == ((9, -1), (54, 1), (81, 3))
+        assert bk.terms == ((9, -1), (54, 1), (81, 3))
 
     def test_zero_base_power(self):
         # x + z = 0 makes one evaluation base the zero element; 0^0 = 1 at n=0

@@ -7,14 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from fibsums import GridSpec, IdentityId, IdentityParams, Report, VerificationRecord, summarize
+import fibsums
+from fibsums import GridSpec, IdentityDescriptor, IdentityId, IdentityParams, Report, VerificationRecord, summarize
 from fibsums import verify
 from fibsums.verify import (
     decimal_str,
     default_grid_specs,
     dump_json,
     record_to_json,
-    run_default_grid,
     run_grid,
     run_grids,
     stream_grids,
@@ -66,6 +66,26 @@ class TestRunGrid:
         checked, matched, skipped = report.counts()
         assert checked == 0 and skipped == len(report.records)
         assert report.passed  # skips are not failures
+
+    def test_domain_decided_once(self, monkeypatch):
+        # `rhs` decides a point's domain; only a skipped point asks `applicable` again, for its reason
+        calls = []
+        applicable = IdentityDescriptor.applicable
+        monkeypatch.setattr(
+            IdentityDescriptor, "applicable", lambda desc, params: calls.append(desc.id) or applicable(desc, params)
+        )
+        spec = small_spec(ids=(IdentityId.Q13, IdentityId.C18), n_range=(0, 3), j_range=(-1, 1), p_range=(-1, 1))
+        report = run_grid(spec)
+        checked, _, skipped = report.counts()
+        assert skipped == 4 * 3 * 2  # Q13 at p = 0
+        assert len(calls) == checked + 2 * skipped
+        assert {rec.skipped_reason for rec in report.records if rec.match is None} == {"p must be nonzero"}
+        calls.clear()
+        out = io.StringIO()
+        assert stream_grids([spec], out=out).counts() == report.counts()
+        assert len(calls) == checked + 2 * skipped
+        lines = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert [obj["skipped"] for obj in lines if "skipped" in obj] == ["p must be nonzero"] * skipped
 
     def test_empty_ids(self):
         report = run_grid(small_spec(ids=()))
@@ -301,3 +321,11 @@ class TestDefaultGrid:
         assert spec_other.m_range == (0, 3)
         assert spec_other.n_range == (0, 12)
         assert spec_other.j_range == spec_other.r_range == spec_other.s_range == (-4, 4)
+
+
+class TestPackageExports:
+    def test_no_two_public_names_for_one_object(self):
+        owners = {}
+        for name in fibsums.__all__:
+            owners.setdefault(id(getattr(fibsums, name)), []).append(name)
+        assert [names for names in owners.values() if len(names) > 1] == []
