@@ -7,6 +7,7 @@ Exit codes: 0 success/verified, 1 verification failure or internal error, 2 usag
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import statistics
@@ -16,14 +17,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import quadfield, sequences
-from .identities import (
-    SLOT_ORDER,
-    IdentityId,
-    IdentityParams,
-    catalog,
-    descriptor,
-    eval_pair,
-)
+from .identities import SLOT_ORDER, IdentityId, IdentityParams, catalog, descriptor, eval_pair
 from .sequences import SequenceKind, direct_sum, fib, lucas
 from .verify import (
     VerificationRecord,
@@ -37,20 +31,19 @@ from .verify import (
 
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
-# Ceilings on the exact evaluations of `sum`, `closed` and `bench`, set from the
-# oracle's measured cost (2-vCPU VM, Python 3.11, j = r = 1): C18 takes 7-9 s at
-# n = 20,000 and 1.8 s at n = 10,000; at n = 10,000, m = 10 a 10th-power `sum`
-# takes 7 s and ODD_F (21st powers) 43 s.
-MAX_N = 10_000
-MAX_M = 10
-MAX_REPS = 100
-# The index size |j|(|r|(n+2)+|s|) + |p|(n+1) bounds every catalog and oracle
-# index up to a factor of 2m, and an index costs as much as n: at a size near
-# 10^5, `closed` takes 0.5 s for C18 (n = 5), 11 s for EVEN_F and 42 s for ODD_F
-# (n = 100, j = r = 31, m = 10); C18 takes 1.0 s near 2*10^5 and 15 s near 10^6.
-# `fib N` takes 1.2 s at N = 10^6 and 3.9 s at 2*10^6.
-MAX_INDEX = 100_000
-MAX_SEQ_INDEX = 1_000_000
+# One admission estimate for every exact evaluation: at index size I = |j|(|r|(n+2)+|s|) + |p|(n+1),
+# which bounds every index up to the power, an evaluation builds about K = n + 1 + P integers of at most
+# B = log2(phi) max(P,1) I + n w bits.  P is the oracle's power (2m+1 for an identity, whose closed forms
+# loop over m terms; m for `sum`; 1 for fib/lucas) and w the bit size of `sum`'s x and z.  A B-bit product
+# costs about B^1.585.  MAX_BITS bounds B, so memory, and MAX_WORK bounds reps K B^1.585.  Seconds without
+# the bounds (2-vCPU VM, Python 3.11) and log2 B/log2 work:
+#   admitted: fib 10^6                  0.95 19.4/31.8   closed C18 n=10^4                1.61 15.3/37.6
+#             sum n=100 x=1e-2000       2.26 19.3/37.3   bench C18 n=5000 s=1 reps=5      1.49 14.3/37.4
+#   rejected: sum n=10^4 m=10           5.43 17.2/40.5   closed EVEN_F n=100 j=r=31 m=10  9.70 20.4/-
+#             that bench at reps=100    19.8 14.3/41.7   closed ODD_F n=100 j=r=31 m=10   38.1 20.4/-
+#             sum n=300 x=1e-6000       >60  22.5/-      verify C18 n=30000..30000        >60  16.9/41.7
+MAX_BITS = 2**20
+MAX_WORK = 2**39
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -93,45 +86,48 @@ def _parse_ids_csv(text: str) -> tuple[IdentityId, ...]:
     return ids
 
 
-def _params_from_args(args: argparse.Namespace) -> IdentityParams:
+def _admit(label: str, q: IdentityParams, power: int, weight_bits: int = 0, reps: int = 1) -> None:
+    """Raise ValueError (exit 2) above either bound; in ints, so an argument of any size is safe."""
+    index = abs(q.j) * (abs(q.r) * (q.n + 2) + abs(q.s)) + abs(q.p) * (q.n + 1)
+    bits = max(power, 1) * index * 25 // 36 + q.n * weight_bits  # 25/36 is log2(phi) = 0.69424 to 0.03%
+    work = reps * (q.n + 1 + power) * round(max(bits, 1) ** 1.585) if bits <= MAX_BITS else 0
+    for name, value, bound in (("integer size", bits, MAX_BITS), ("work", work, MAX_WORK)):
+        if value > bound:
+            log2 = math.ceil(10 * math.log2(value)) / 10  # rounded up: a value above its bound never shows as equal
+            raise ValueError(f"{label}: estimated {name} 2^{log2} is above the limit of 2^{math.log2(bound):g}")
+
+
+def _identity_params(args: argparse.Namespace) -> IdentityParams:
+    """`closed`/`bench`: the slots passed, each read by the identity, admitted at the identity's power."""
     given = {name: getattr(args, name) for name in SLOT_ORDER if hasattr(args, name)}
     slots = descriptor(args.id).slots
     unread = ", ".join(f"--{name}" for name in given if name not in slots)
     if unread:
         raise ValueError(f"{args.id.value} does not read {unread}; its slots are {', '.join(slots)}")
-    return IdentityParams(**given)
-
-
-def _check_sizes(args: argparse.Namespace) -> None:
-    for name, ceiling in (("n", MAX_N), ("m", MAX_M), ("reps", MAX_REPS)):
-        value = getattr(args, name, None)
-        if value is not None and value > ceiling:
-            raise ValueError(f"--{name} {value} is above the limit of {ceiling}")
-    # slots not passed take their IdentityParams defaults (sum has no p)
-    q = IdentityParams(**{name: getattr(args, name) for name in SLOT_ORDER if hasattr(args, name)})
-    size = abs(q.j) * (abs(q.r) * (q.n + 2) + abs(q.s)) + abs(q.p) * (q.n + 1)
-    if size > MAX_INDEX:
-        raise ValueError(f"index size |j|(|r|(n+2)+|s|)+|p|(n+1) = {size} is above the limit of {MAX_INDEX}")
+    q = IdentityParams(**given)
+    _admit(args.id.value, q, 2 * q.m + 1, reps=getattr(args, "reps", 1))
+    return q
 
 
 def cmd_seq(args: argparse.Namespace) -> int:
-    if abs(args.n) > MAX_SEQ_INDEX:
-        raise ValueError(f"|N| = {abs(args.n)} is above the limit of {MAX_SEQ_INDEX}")
+    # W_N is the sum at n = 0, s = N
+    _admit(args.kind.name.lower(), IdentityParams(r=0, s=args.n, p=0), 1)
     value = fib(args.n) if args.kind is SequenceKind.FIB else lucas(args.n)
     print(decimal_str(value))
     return 0
 
 
 def cmd_sum(args: argparse.Namespace) -> int:
-    _check_sizes(args)
-    value = direct_sum(args.n, args.x, args.z, args.j, args.r, args.s, args.m, args.seq)
+    q = IdentityParams(**{name: getattr(args, name) for name in SLOT_ORDER if hasattr(args, name)})
+    weight_bits = max(v.bit_length() for w in (args.x, args.z) for v in (w.numerator, w.denominator))
+    _admit("sum", q, q.m, weight_bits)
+    value = direct_sum(q.n, args.x, args.z, q.j, q.r, q.s, q.m, args.seq)
     print(decimal_str(value))
     return 0
 
 
 def cmd_closed(args: argparse.Namespace) -> int:
-    _check_sizes(args)
-    params = _params_from_args(args)
+    params = _identity_params(args)
     outcome = eval_pair(args.id, params)
     verdict = "MATCH" if outcome.match else "MISMATCH"
     if args.format == "json":
@@ -150,13 +146,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if unread:
         ids = ", ".join(d.id.value for d in selected)
         raise ValueError(f"no selected identity reads {unread}; the slots of {ids} are {', '.join(read)}")
-    wanted = {d.id for d in selected}
     overrides = {f"{name}_range": getattr(args, name) for name in given}
     specs = []
     for spec in default_grid_specs():
-        sel = tuple(i for i in spec.ids if i in wanted)
+        sel = [d for d in selected if d.id in spec.ids]
         if sel:
-            specs.append(replace(spec, ids=sel, **overrides))
+            spec = replace(spec, ids=tuple(d.id for d in sel), **overrides)
+            specs.append(spec)
+        # an identity at the spec's largest point bounds each of its points in the spec
+        for d in sel:
+            q = IdentityParams(**{name: max(map(abs, spec.range_for(name))) for name in d.slots})
+            _admit(f"{d.id.value} at " + ", ".join(f"{name}={getattr(q, name)}" for name in d.slots), q, 2 * q.m + 1)
     # json: the points' lines stream out as their chunks complete, the summary line closes them
     out = sys.stdout if args.format == "json" else None
     report = stream_grids(specs, args.jobs, out)
@@ -168,8 +168,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    _check_sizes(args)
-    result = bench_identity(args.id, _params_from_args(args), args.reps)
+    result = bench_identity(args.id, _identity_params(args), args.reps)
     if args.format == "json":
         print(dump_json(result))
     else:
@@ -229,20 +228,17 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_params(parser: argparse.ArgumentParser, with_xz: bool = False) -> None:
-    parser.add_argument("--n", type=int, required=True, help="upper summation limit (>= 0)")
-    slots = [("j", 1, "index multiplier"), ("r", 1, "index step"), ("s", 0, "index offset"), ("m", 1, "power parameter")]
-    if not with_xz:
-        # closed and bench: p is a slot of E9..E12 and Q13..Q16, and no sum reads it
-        slots.append(("p", 1, "auxiliary index"))
-    for name, default, text in slots:
-        # closed and bench set only the slots passed, so each can be checked against
-        # the identity's slots; the rest take the same defaults from IdentityParams
-        given_only = default if with_xz else argparse.SUPPRESS
-        parser.add_argument(f"--{name}", type=int, default=given_only, help=f"{text} (default {default})")
-    if with_xz:
-        parser.add_argument("--x", type=_parse_rational, default=Fraction(1), help="weight x (default 1)")
-        parser.add_argument("--z", type=_parse_rational, default=Fraction(1), help="weight z (default 1)")
+_SLOT_HELP = dict(n="upper summation limit (>= 0)", j="index multiplier", r="index step", s="index offset",
+                  p="auxiliary index", m="power parameter")
+
+
+def _add_params(parser: argparse.ArgumentParser, slots: tuple[str, ...] = ("n", "j", "r", "s", "m", "p")) -> None:
+    # only the slots passed are set, so closed and bench can check each against the
+    # identity's slots; IdentityParams gives the rest their defaults
+    defaults = IdentityParams()
+    for name in slots:
+        text = _SLOT_HELP[name] if name == "n" else f"{_SLOT_HELP[name]} (default {getattr(defaults, name)})"
+        parser.add_argument(f"--{name}", type=int, required=name == "n", default=argparse.SUPPRESS, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,23 +248,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fib = sub.add_parser("fib", help="print F_n")
-    p_fib.add_argument("n", type=int)
-    p_fib.set_defaults(func=cmd_seq, kind=SequenceKind.FIB)
-
-    p_lucas = sub.add_parser("lucas", help="print L_n")
-    p_lucas.add_argument("n", type=int)
-    p_lucas.set_defaults(func=cmd_seq, kind=SequenceKind.LUCAS)
+    for kind in SequenceKind:
+        p_seq = sub.add_parser(kind.name.lower(), help=f"print {kind.value}_n")
+        p_seq.add_argument("n", type=int)
+        p_seq.set_defaults(func=cmd_seq, kind=kind)
 
     p_sum = sub.add_parser("sum", help="direct summation of C(n,k) x^(n-k) z^k W_{j(rk+s)}^m")
     p_sum.add_argument("--seq", type=_parse_kind, default=SequenceKind.FIB, help="F or L (default F)")
-    _add_params(p_sum, with_xz=True)
+    # p is a slot of E9..E12 and Q13..Q16 only, and no sum reads it
+    _add_params(p_sum, ("n", "j", "r", "s", "m"))
+    p_sum.add_argument("--x", type=_parse_rational, default=Fraction(1), help="weight x (default 1)")
+    p_sum.add_argument("--z", type=_parse_rational, default=Fraction(1), help="weight z (default 1)")
     p_sum.set_defaults(func=cmd_sum)
 
     p_closed = sub.add_parser("closed", help="check one identity at one parameter point")
     p_closed.add_argument("--id", type=_parse_id, required=True)
     _add_params(p_closed)
-    p_closed.add_argument("--format", choices=("text", "json"), default="text")
     p_closed.set_defaults(func=cmd_closed)
 
     p_verify = sub.add_parser("verify", help="grid verification against the oracle")
@@ -278,19 +273,18 @@ def build_parser() -> argparse.ArgumentParser:
     for name in SLOT_ORDER:
         p_verify.add_argument(f"--{name}", type=_parse_range, default=None, metavar="A..B")
     p_verify.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="time the oracle against the closed form")
     p_bench.add_argument("--id", type=_parse_id, required=True)
     _add_params(p_bench)
     p_bench.add_argument("--reps", type=int, default=5)
-    p_bench.add_argument("--format", choices=("text", "json"), default="text")
     p_bench.set_defaults(func=cmd_bench)
 
     p_list = sub.add_parser("list", help="print the identity catalog")
-    p_list.add_argument("--format", choices=("text", "json"), default="text")
     p_list.set_defaults(func=cmd_list)
+    for p_out in (p_closed, p_verify, p_bench, p_list):
+        p_out.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
 

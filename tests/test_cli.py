@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from fibsums import IdentityId, IntegralityError
-from fibsums.cli import MAX_INDEX, MAX_M, MAX_N, MAX_REPS, MAX_SEQ_INDEX, bench_identity, main
+from fibsums import cli
+from fibsums.cli import MAX_BITS, bench_identity, main
 from fibsums.identities import IdentityParams, _BY_ID, IdentityDescriptor
 from fibsums.verify import default_grid_specs, run_grids
 
@@ -326,28 +328,115 @@ class TestBench:
         assert err == "error: F1 does not read --m; its slots are n, j, r, s\n"
 
 
+class _Admitted(Exception):
+    """Raised by the stand-ins for the evaluations: the command passed admission."""
+
+
+def _admitted(*args, **kwargs):
+    raise _Admitted
+
+
+HUGE = "9" * 400
+
+
 class TestSizeLimits:
+    """One estimate admits every evaluation: MAX_BITS bounds its integers' size and MAX_WORK its work."""
+
     @pytest.mark.parametrize(
-        "argv,flag,value,ceiling",
+        "argv,err",
         [
-            (("sum",), "n", MAX_N + 1, MAX_N),
-            (("sum", "--n", "2"), "m", MAX_M + 1, MAX_M),
-            (("closed", "--id", "C18"), "n", MAX_N + 1, MAX_N),
-            (("closed", "--id", "EVEN_F", "--n", "2"), "m", MAX_M + 1, MAX_M),
-            (("bench", "--id", "C18"), "n", MAX_N + 1, MAX_N),
-            (("bench", "--id", "ODD_L", "--n", "2"), "m", MAX_M + 1, MAX_M),
-            (("bench", "--id", "C18", "--n", "5"), "reps", 10**20, MAX_REPS),
+            ("closed --id ODD_F --n 100 --j 31 --r 31 --m 10", "ODD_F: estimated integer size 2^20.5"),
+            ("closed --id ODD_F --n 10000 --m 10", "ODD_F: estimated work 2^42.1"),
+            ("closed --id EVEN_F --n 100 --j 31 --r 31 --m 10", "EVEN_F: estimated integer size 2^20.5"),
+            ("closed --id EVEN_F --n 1000 --j 7 --r 7 --m 10", "EVEN_F: estimated work 2^40.9"),
+            ("sum --n 1000 --j 9 --r 10 --m 10", "sum: estimated work 2^40.6"),
+            ("bench --id C18 --n 5000 --s 1 --reps 100", "C18: estimated work 2^41.7"),
+            # the weights' bit size counts once per step of n
+            ("sum --n 300 --x 1e-6000", "sum: estimated integer size 2^22.6"),
+            ("sum --n 1000 --z 1e20000", "sum: estimated integer size 2^26.0"),
+            # verify admits each spec and identity at the spec's largest point
+            ("verify --ids C18 --n 30000..30000 --jobs 1", "C18 at n=30000, s=4: estimated work 2^41.8"),
         ],
     )
-    def test_above_ceiling_is_usage_error(self, capsys, argv, flag, value, ceiling):
-        code, out, err = run_cli(capsys, *argv, f"--{flag}", str(value))
+    def test_costly_evaluation_exits_at_once(self, capsys, argv, err):
+        t0 = time.perf_counter()
+        code, out, stderr = run_cli(capsys, *argv.split())
+        assert time.perf_counter() - t0 < 1
         assert (code, out) == (2, "")
-        assert err == f"error: --{flag} {value} is above the limit of {ceiling}\n"
+        bound = "2^20" if "size" in err else "2^39"
+        assert stderr == f"error: {err} is above the limit of {bound}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            f"sum --n {HUGE}",
+            f"closed --id C18 --n 1 --s {HUGE}",
+            f"fib {HUGE}",
+            f"lucas -{HUGE}",
+            f"bench --id C18 --n 5 --reps {HUGE}",
+            f"verify --ids C18 --n 0..{HUGE}",
+        ],
+        ids=["sum-n", "closed-s", "fib", "lucas", "bench-reps", "verify-n"],
+    )
+    def test_huge_argument_exits_at_once(self, capsys, argv):
+        # no float sees an unbounded int, so nothing overflows into an exit 1
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv.split())
+        assert time.perf_counter() - t0 < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and " is above the limit of 2^" in err
+
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            ("sum --n -1", "direct_sum requires n >= 0, got n=-1"),
+            ("closed --id C18 --n -1", "C18: n must be non-negative"),
+            ("closed --id EVEN_F --n 2 --m -1", "EVEN_F: m must be non-negative"),
+            ("sum --n 2 --m -1", "direct_sum requires m >= 0, got m=-1"),
+            ("bench --id C18 --n 2 --reps 0", "reps must be positive, got 0"),
+            (f"closed --id C18 --n -{HUGE}", "C18: n must be non-negative"),
+            (f"bench --id C18 --n 5000 --reps -{HUGE}", f"reps must be positive, got -{HUGE}"),
+        ],
+        ids=["sum-n", "closed-n", "closed-m", "sum-m", "bench-reps", "closed-huge-n", "bench-huge-reps"],
+    )
+    def test_negative_argument_keeps_its_message(self, capsys, argv, err):
+        code, out, stderr = run_cli(capsys, *argv.split())
+        assert (code, out, stderr) == (2, "", f"error: {err}\n")
+
+    def test_unread_slot_is_rejected_before_the_size(self, capsys):
+        code, out, err = run_cli(capsys, "closed", "--id", "C18", "--n", "5", "--j", "100000000")
+        assert (code, out, err) == (2, "", "error: C18 does not read --j; its slots are n, s\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "fib 1000000",
+            "lucas -1509950",
+            "sum --n 10000",
+            "closed --id C18 --n 10000",
+            "closed --id F1 --n 10000",
+            "closed --id T1_F2RHS --n 10000",
+            "closed --id Q15 --n 10000",
+            "closed --id EVEN_F --n 2 --m 3000",
+            "bench --id C18 --n 5000 --s 1 --reps 5",
+            "verify",
+            "verify --format json --jobs 2",
+            "verify --j=-4..-1 --r=1..4 --s=-3..0",
+        ],
+    )
+    def test_admitted_without_evaluating(self, monkeypatch, argv):
+        # each evaluation is a stand-in here: this checks admission only
+        for name in ("fib", "lucas", "direct_sum", "eval_pair", "bench_identity", "stream_grids"):
+            monkeypatch.setattr(cli, name, _admitted)
+        with pytest.raises(_Admitted):
+            main(argv.split())
 
     def test_ceilings_themselves_accepted(self, capsys):
-        assert run_cli(capsys, "sum", "--n", "2", "--m", str(MAX_M))[0] == 0
-        assert run_cli(capsys, "closed", "--id", "ALT_ODD_F", "--n", "2", "--m", str(MAX_M))[0] == 0
-        assert run_cli(capsys, "bench", "--id", "C18", "--n", "2", "--reps", str(MAX_REPS))[0] == 0
+        # a 21st power and 100 reps are admitted at small n
+        assert run_cli(capsys, "sum", "--n", "2", "--m", "10")[0] == 0
+        code, out, _ = run_cli(capsys, "closed", "--id", "ALT_ODD_F", "--n", "2", "--m", "10")
+        assert code == 0 and out.endswith(" MATCH\n")
+        assert run_cli(capsys, "bench", "--id", "C18", "--n", "2", "--reps", "100")[0] == 0
 
     @pytest.mark.parametrize(
         "argv,size",
@@ -355,31 +444,42 @@ class TestSizeLimits:
             (("closed", "--id", "EVEN_F", "--n", "100", "--j", "100", "--r", "100", "--m", "10"), 1_020_101),
             (("closed", "--id", "C18", "--n", "5", "--s", "100000000"), 100_000_013),
             (("sum", "--n", "10", "--j", "100000", "--r", "100000"), 120_000_000_011),
-            (("bench", "--id", "Q13", "--n", "3", "--p", "-100000"), 400_005),
         ],
     )
     def test_index_above_ceiling_exits_at_once(self, capsys, argv, size):
+        # the integer size is at least log2(phi) bits per step of the index size
         t0 = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - t0 < 1
         assert (code, out) == (2, "")
-        assert err == f"error: index size |j|(|r|(n+2)+|s|)+|p|(n+1) = {size} is above the limit of {MAX_INDEX}\n"
+        assert ": estimated integer size 2^" in err
+        assert float(err.split("2^")[1].split()[0]) >= math.log2(size * 25 // 36)
 
-    @pytest.mark.parametrize("n", [MAX_SEQ_INDEX + 1, 100_000_000, -100_000_000])
+    @pytest.mark.parametrize("n", [1_509_951, 100_000_000, -100_000_000])
     def test_sequence_index_above_ceiling_exits_at_once(self, capsys, n):
+        # F_N has about 0.694 |N| bits; 1,509,951 is the first |N| above MAX_BITS
+        assert 1_509_951 * 25 // 36 > MAX_BITS >= 1_509_950 * 25 // 36
         for command in ("fib", "lucas"):
             t0 = time.perf_counter()
             code, out, err = run_cli(capsys, command, str(n))
             assert time.perf_counter() - t0 < 1
             assert (code, out) == (2, "")
-            assert err == f"error: |N| = {abs(n)} is above the limit of {MAX_SEQ_INDEX}\n"
+            log2 = math.ceil(10 * math.log2(abs(n) * 25 // 36)) / 10
+            assert err == f"error: {command}: estimated integer size 2^{log2} is above the limit of 2^20\n"
 
     def test_index_ceiling_itself_evaluates(self, capsys):
-        # C18 reads n and s: 1*(1*(5+2)+s) + 1*(5+1) = s + 13
-        code, out, _ = run_cli(capsys, "closed", "--id", "C18", "--n", "5", "--s", str(MAX_INDEX - 13))
+        # C18 at index size 10^5 and lucas at |N| = 10^6 evaluate
+        code, out, _ = run_cli(capsys, "closed", "--id", "C18", "--n", "5", "--s", "99987")
         assert (code, out[-6:]) == (0, "MATCH\n")
-        code, out, _ = run_cli(capsys, "lucas", str(-MAX_SEQ_INDEX))
+        code, out, _ = run_cli(capsys, "lucas", "-1000000")
         assert code == 0 and len(out.strip()) == 208_988
+
+    def test_weights_within_bounds_evaluate(self, capsys):
+        # w = 6,644 bits per step of n: an estimated integer size of 2^19.4 and work of 2^37.4
+        code, out, _ = run_cli(capsys, "sum", "--n", "100", "--x", "1e-2000")
+        assert code == 0
+        num, den = out.strip().split("/")
+        assert len(num) == 198_019 and den == "1" + "0" * 197_998
 
 
 class TestFib:
