@@ -17,7 +17,15 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import quadfield, sequences
-from .identities import SLOT_ORDER, IdentityId, IdentityParams, catalog, descriptor, eval_pair
+from .identities import (
+    SLOT_ORDER,
+    IdentityDescriptor,
+    IdentityId,
+    IdentityParams,
+    catalog,
+    descriptor,
+    eval_pair,
+)
 from .sequences import SequenceKind, direct_sum, fib, lucas
 from .verify import (
     VerificationRecord,
@@ -31,17 +39,19 @@ from .verify import (
 
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
-# One admission estimate for every exact evaluation: at index size I = |j|(|r|(n+2)+|s|) + |p|(n+1),
-# which bounds every index up to the power, an evaluation builds about K = n + 1 + P integers of at most
-# B = log2(phi) max(P,1) I + n w bits.  P is the oracle's power (2m+1 for an identity, whose closed forms
-# loop over m terms; m for `sum`; 1 for fib/lucas) and w the bit size of `sum`'s x and z.  A B-bit product
-# costs about B^1.585.  MAX_BITS bounds B, so memory, and MAX_WORK bounds reps K B^1.585.  Seconds without
-# the bounds (2-vCPU VM, Python 3.11) and log2 B/log2 work:
-#   admitted: fib 10^6                  0.95 19.4/31.8   closed C18 n=10^4                1.61 15.3/37.6
-#             sum n=100 x=1e-2000       2.26 19.3/37.3   bench C18 n=5000 s=1 reps=5      1.49 14.3/37.4
-#   rejected: sum n=10^4 m=10           5.43 17.2/40.5   closed EVEN_F n=100 j=r=31 m=10  9.70 20.4/-
-#             that bench at reps=100    19.8 14.3/41.7   closed ODD_F n=100 j=r=31 m=10   38.1 20.4/-
-#             sum n=300 x=1e-6000       >60  22.5/-      verify C18 n=30000..30000        >60  16.9/41.7
+# One admission estimate for every exact evaluation.  At index size I = |j|(t|r|(n+2)+|s|) + |p|(n+1), which
+# bounds every index up to the power (t = 2 for E5..E8 and the ODD family, whose oracles step by 2r, else 1), an
+# evaluation builds about K = n + 1 + P integers of at most B = log2(phi) max(P,1) I + n (w + 2) bits.  P is the
+# oracle's power (2m+1 for an identity, whose closed forms loop over m terms; m for `sum`; 1 for fib/lucas), w the
+# bit size of `sum`'s x and z, and 2 more bits per step cover C(n,k) and an identity's weights at index 0 (L_0 = 2).
+# A B-bit product costs about B^1.585: MAX_BITS bounds B, so memory, and MAX_WORK bounds reps K B^1.585.  Seconds
+# without the bounds (2-vCPU VM, Python 3.11) and log2 B/log2 work:
+#   admitted: fib 10^6                  0.95 19.4/31.8   closed C18 n=10^4                1.61 15.9/38.5
+#             sum n=100 x=1e-2000       2.26 19.3/37.3   bench C18 n=5000 s=1 reps=5      1.49 14.9/38.2
+#   rejected: sum n=10^4 m=10           5.43 17.4/40.8   closed EVEN_F n=100 j=r=31 m=10  9.70 20.4/-
+#             that bench at reps=100    19.8 14.9/42.6   closed ODD_F n=100 j=r=31 m=10   38.1 21.4/-
+#             sum n=300 x=1e-6000       >60  22.5/-      verify C18 n=30000..30000        >60  17.5/42.6
+#             closed ALT_ODD_F n=418 j=-43 r=-5 s=-52 m=3  14.8 19.8/40.1
 MAX_BITS = 2**20
 MAX_WORK = 2**39
 
@@ -86,10 +96,10 @@ def _parse_ids_csv(text: str) -> tuple[IdentityId, ...]:
     return ids
 
 
-def _admit(label: str, q: IdentityParams, power: int, weight_bits: int = 0, reps: int = 1) -> None:
+def _admit(label: str, q: IdentityParams, power: int, weight_bits: int = 0, reps: int = 1, step: int = 1) -> None:
     """Raise ValueError (exit 2) above either bound; in ints, so an argument of any size is safe."""
-    index = abs(q.j) * (abs(q.r) * (q.n + 2) + abs(q.s)) + abs(q.p) * (q.n + 1)
-    bits = max(power, 1) * index * 25 // 36 + q.n * weight_bits  # 25/36 is log2(phi) = 0.69424 to 0.03%
+    index = abs(q.j) * (step * abs(q.r) * (q.n + 2) + abs(q.s)) + abs(q.p) * (q.n + 1)
+    bits = max(power, 1) * index * 25 // 36 + q.n * (weight_bits + 2)  # 25/36 is log2(phi) = 0.69424 to 0.03%
     work = reps * (q.n + 1 + power) * round(max(bits, 1) ** 1.585) if bits <= MAX_BITS else 0
     for name, value, bound in (("integer size", bits, MAX_BITS), ("work", work, MAX_WORK)):
         if value > bound:
@@ -97,15 +107,20 @@ def _admit(label: str, q: IdentityParams, power: int, weight_bits: int = 0, reps
             raise ValueError(f"{label}: estimated {name} 2^{log2} is above the limit of 2^{math.log2(bound):g}")
 
 
+def _admit_identity(label: str, d: IdentityDescriptor, q: IdentityParams, reps: int = 1) -> None:
+    # t is the oracle's index step at j = r = 1
+    _admit(label, q, 2 * q.m + 1, reps=reps, step=d.lhs_args(IdentityParams())[4])
+
+
 def _identity_params(args: argparse.Namespace) -> IdentityParams:
     """`closed`/`bench`: the slots passed, each read by the identity, admitted at the identity's power."""
     given = {name: getattr(args, name) for name in SLOT_ORDER if hasattr(args, name)}
-    slots = descriptor(args.id).slots
-    unread = ", ".join(f"--{name}" for name in given if name not in slots)
+    d = descriptor(args.id)
+    unread = ", ".join(f"--{name}" for name in given if name not in d.slots)
     if unread:
-        raise ValueError(f"{args.id.value} does not read {unread}; its slots are {', '.join(slots)}")
+        raise ValueError(f"{args.id.value} does not read {unread}; its slots are {', '.join(d.slots)}")
     q = IdentityParams(**given)
-    _admit(args.id.value, q, 2 * q.m + 1, reps=getattr(args, "reps", 1))
+    _admit_identity(args.id.value, d, q, getattr(args, "reps", 1))
     return q
 
 
@@ -156,7 +171,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # an identity at the spec's largest point bounds each of its points in the spec
         for d in sel:
             q = IdentityParams(**{name: max(map(abs, spec.range_for(name))) for name in d.slots})
-            _admit(f"{d.id.value} at " + ", ".join(f"{name}={getattr(q, name)}" for name in d.slots), q, 2 * q.m + 1)
+            _admit_identity(f"{d.id.value} at " + ", ".join(f"{name}={getattr(q, name)}" for name in d.slots), d, q)
     # json: the points' lines stream out as their chunks complete, the summary line closes them
     out = sys.stdout if args.format == "json" else None
     report = stream_grids(specs, args.jobs, out)

@@ -345,17 +345,27 @@ class TestSizeLimits:
     @pytest.mark.parametrize(
         "argv,err",
         [
-            ("closed --id ODD_F --n 100 --j 31 --r 31 --m 10", "ODD_F: estimated integer size 2^20.5"),
-            ("closed --id ODD_F --n 10000 --m 10", "ODD_F: estimated work 2^42.1"),
+            ("closed --id ODD_F --n 100 --j 31 --r 31 --m 10", "ODD_F: estimated integer size 2^21.5"),
+            ("closed --id ODD_F --n 10000 --m 10", "ODD_F: estimated work 2^43.1"),
             ("closed --id EVEN_F --n 100 --j 31 --r 31 --m 10", "EVEN_F: estimated integer size 2^20.5"),
             ("closed --id EVEN_F --n 1000 --j 7 --r 7 --m 10", "EVEN_F: estimated work 2^40.9"),
             ("sum --n 1000 --j 9 --r 10 --m 10", "sum: estimated work 2^40.6"),
-            ("bench --id C18 --n 5000 --s 1 --reps 100", "C18: estimated work 2^41.7"),
+            ("bench --id C18 --n 5000 --s 1 --reps 100", "C18: estimated work 2^42.6"),
             # the weights' bit size counts once per step of n
             ("sum --n 300 --x 1e-6000", "sum: estimated integer size 2^22.6"),
             ("sum --n 1000 --z 1e20000", "sum: estimated integer size 2^26.0"),
             # verify admits each spec and identity at the spec's largest point
-            ("verify --ids C18 --n 30000..30000 --jobs 1", "C18 at n=30000, s=4: estimated work 2^41.8"),
+            ("verify --ids C18 --n 30000..30000 --jobs 1", "C18 at n=30000, s=4: estimated work 2^42.7"),
+            # at index size 0 each step of n still counts 2 bits: C(n,k) and the weights L_0 = 2
+            ("closed --id E11 --n 100000000 --j 0 --p 0", "E11: estimated integer size 2^27.6"),
+            ("closed --id Q15 --n 100000000 --j 0 --p 0", "Q15: estimated integer size 2^27.6"),
+            ("closed --id E12 --n 100000000 --j 1 --r 0 --s 0 --p 0", "E12: estimated integer size 2^27.6"),
+            (
+                "verify --ids E11 --n 0..100000000 --j 0..0 --p 0..0",
+                "E11 at n=100000000, j=0, r=4, s=4, p=0: estimated integer size 2^27.6",
+            ),
+            # the ODD family's oracle steps its index by 2r
+            ("closed --id ALT_ODD_F --n 418 --j -43 --r -5 --s -52 --m 3", "ALT_ODD_F: estimated work 2^40.1"),
         ],
     )
     def test_costly_evaluation_exits_at_once(self, capsys, argv, err):
