@@ -263,10 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for kind in SequenceKind:
-        p_seq = sub.add_parser(kind.name.lower(), help=f"print {kind.value}_n")
-        p_seq.add_argument("n", type=int)
-        p_seq.set_defaults(func=cmd_seq, kind=kind)
+    p_fib = sub.add_parser("fib", help="print F_n")
+    p_fib.add_argument("n", type=int)
+    p_fib.set_defaults(func=cmd_seq, kind=SequenceKind.FIB)
+
+    p_lucas = sub.add_parser("lucas", help="print L_n")
+    p_lucas.add_argument("n", type=int)
+    p_lucas.set_defaults(func=cmd_seq, kind=SequenceKind.LUCAS)
 
     p_sum = sub.add_parser("sum", help="direct summation of C(n,k) x^(n-k) z^k W_{j(rk+s)}^m")
     p_sum.add_argument("--seq", type=_parse_kind, default=SequenceKind.FIB, help="F or L (default F)")
@@ -279,6 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_closed = sub.add_parser("closed", help="check one identity at one parameter point")
     p_closed.add_argument("--id", type=_parse_id, required=True)
     _add_params(p_closed)
+    p_closed.add_argument("--format", choices=("text", "json"), default="text")
     p_closed.set_defaults(func=cmd_closed)
 
     p_verify = sub.add_parser("verify", help="grid verification against the oracle")
@@ -288,18 +292,19 @@ def build_parser() -> argparse.ArgumentParser:
     for name in SLOT_ORDER:
         p_verify.add_argument(f"--{name}", type=_parse_range, default=None, metavar="A..B")
     p_verify.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="time the oracle against the closed form")
     p_bench.add_argument("--id", type=_parse_id, required=True)
     _add_params(p_bench)
     p_bench.add_argument("--reps", type=int, default=5)
+    p_bench.add_argument("--format", choices=("text", "json"), default="text")
     p_bench.set_defaults(func=cmd_bench)
 
     p_list = sub.add_parser("list", help="print the identity catalog")
+    p_list.add_argument("--format", choices=("text", "json"), default="text")
     p_list.set_defaults(func=cmd_list)
-    for p_out in (p_closed, p_verify, p_bench, p_list):
-        p_out.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
 
