@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import statistics
 import sys
@@ -29,10 +28,11 @@ from .identities import (
 from .sequences import SequenceKind, direct_sum, fib, lucas
 from .verify import (
     VerificationRecord,
+    available_cpus,
     decimal_str,
     default_grid_specs,
     dump_json,
-    record_to_json,
+    record_line,
     stream_grids,
     summarize,
 )
@@ -146,8 +146,7 @@ def cmd_closed(args: argparse.Namespace) -> int:
     outcome = eval_pair(args.id, params)
     verdict = "MATCH" if outcome.match else "MISMATCH"
     if args.format == "json":
-        record = VerificationRecord(args.id, params, outcome.lhs, outcome.rhs, outcome.match)
-        print(dump_json(record_to_json(record)))
+        sys.stdout.write(record_line(VerificationRecord(args.id, params, outcome.lhs, outcome.rhs, outcome.match)))
     else:
         print(f"lhs={decimal_str(outcome.lhs)} rhs={decimal_str(outcome.rhs)} {verdict}")
     return 0 if outcome.match else 1
@@ -291,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--ids", type=_parse_ids_csv, default=None, help="comma-separated identity ids (default all)")
     for name in SLOT_ORDER:
         p_verify.add_argument(f"--{name}", type=_parse_range, default=None, metavar="A..B")
-    p_verify.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_verify.add_argument("--jobs", type=int, default=available_cpus())
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -8,15 +8,16 @@ across worker processes.  Points are enumerated lazily in the canonical order
 one identity each; results come back in that order, so a report is
 byte-for-byte reproducible regardless of parallelism.
 
-`run_grid`/`run_grids` return a `Report` holding every record.
-`stream_grids` keeps only the totals and the failures and can write each
-chunk's JSONL lines as the chunk completes, so its memory does not grow with
-the grid.
+A chunk tallies its points and writes each point's JSONL line straight from
+its parameter values and the two sides; it builds a `VerificationRecord` only
+for a failed point, or for every point when `run_grid`/`run_grids` keep them.
+`stream_grids` keeps only the totals and the failures, writing each chunk's
+lines as the chunk completes, so its memory does not grow with the grid.
 
-Report serialization is JSON lines: one object per record with keys
-id, params (object of ints), lhs, rhs (decimal strings), match (bool),
-skipped (string) or error (string, with match false), followed by one
-trailing summary object with totals.
+Reports are JSON lines, all from one line writer (`record_line` for a record):
+one object per point with keys id, params (object of ints), lhs, rhs (decimal
+strings), match (bool), skipped (string) or error (string, with match false),
+then one trailing summary object with totals.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import islice, product
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .identities import (
@@ -109,15 +111,9 @@ class Report:
 
     @classmethod
     def from_records(cls, records: Iterable[VerificationRecord]) -> Report:
-        ordered = sorted(records, key=_record_key)
-        report = cls(ordered)
-        report.count(ordered)
-        return report
-
-    def count(self, records: Iterable[VerificationRecord]) -> None:
-        """Add records to the totals and failures (not to `records`)."""
-        for rec in records:
-            t = self.totals.setdefault(rec.id, IdTotals())
+        report = cls(sorted(records, key=_record_key))
+        for rec in report.records:
+            t = report.totals.setdefault(rec.id, IdTotals())
             if rec.skipped_reason is not None:
                 t.skipped += 1
                 continue
@@ -125,7 +121,8 @@ class Report:
             if rec.match:
                 t.matched += 1
             else:
-                self.failures.append(rec)
+                report.failures.append(rec)
+        return report
 
     def merge(self, part: Report) -> None:
         """Append a report whose points all follow this one's in canonical order."""
@@ -162,16 +159,14 @@ class Report:
         }
 
     def to_jsonl(self) -> str:
-        lines = [dump_json(record_to_json(rec)) for rec in self.records]
-        lines.append(dump_json(self.summary_json()))
-        return "\n".join(lines) + "\n"
+        return "".join(map(record_line, self.records)) + dump_json(self.summary_json()) + "\n"
 
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
-def dump_json(obj: dict) -> str:
-    """The one JSON writer used for reports; compact and key-order preserving."""
+def dump_json(obj: object) -> str:
+    """The report's JSON encoder (summary, strings in lines); compact and key-order preserving."""
     return _ENCODER.encode(obj)
 
 
@@ -192,25 +187,28 @@ def decimal_str(value: Fraction | int) -> str:
             sys.set_int_max_str_digits(limit)
 
 
-def record_to_json(rec: VerificationRecord) -> dict:
-    return _json_object(rec, descriptor(rec.id).slots)
+def _head_format(desc: IdentityDescriptor) -> str:
+    """The start of `desc`'s report lines, '{"id":...,"params":{"n":%d,...},', to fill with slot values."""
+    params = ",".join(f"{dump_json(slot)}:%d" for slot in desc.slots)
+    return f'{{"id":{dump_json(desc.id.value)},"params":{{{params}}},'
 
 
-def _json_object(rec: VerificationRecord, slots: tuple[str, ...]) -> dict:
-    obj: dict = {
-        "id": rec.id.value,
-        "params": {slot: getattr(rec.params, slot) for slot in slots},
-    }
-    if rec.skipped_reason is not None:
-        obj["skipped"] = rec.skipped_reason
-    elif rec.error is not None:
-        obj["error"] = rec.error
-        obj["match"] = False
-    else:
-        obj["lhs"] = decimal_str(rec.lhs)
-        obj["rhs"] = decimal_str(rec.rhs)
-        obj["match"] = rec.match
-    return obj
+def _line(
+    head: str, lhs: Fraction | None, rhs: Fraction | None, match: bool | None, skipped: str | None, error: str | None
+) -> str:
+    """The one report line writer: a filled-in head, then the outcome's keys."""
+    if skipped is not None:
+        return f'{head}"skipped":{dump_json(skipped)}}}\n'
+    if error is not None:
+        return f'{head}"error":{dump_json(error)},"match":false}}\n'
+    return f'{head}"lhs":"{decimal_str(lhs)}","rhs":"{decimal_str(rhs)}","match":{"true" if match else "false"}}}\n'
+
+
+def record_line(rec: VerificationRecord) -> str:
+    """A record's report line, with its newline."""
+    desc = descriptor(rec.id)
+    head = _head_format(desc) % tuple(getattr(rec.params, slot) for slot in desc.slots)
+    return _line(head, rec.lhs, rec.rhs, rec.match, rec.skipped_reason, rec.error)
 
 
 def _record_key(rec: VerificationRecord) -> tuple:
@@ -252,31 +250,36 @@ def _chunks(specs: Sequence[GridSpec], size: int) -> Iterator[_Chunk]:
             yield desc.id, batch
 
 
-def _check(desc: IdentityDescriptor, params: IdentityParams) -> VerificationRecord:
-    """One point, in `eval_pair`'s order; `rhs` decides the domain, once."""
-    try:
-        rhs = desc.rhs(params)
-        lhs = desc.lhs(params)
-    except InapplicableParamsError:
-        return VerificationRecord(desc.id, params, None, None, None, desc.applicable(params)[1])
-    except ArithmeticError as exc:  # IntegralityError, IrrationalResultError, ...
-        return VerificationRecord(
-            desc.id, params, None, None, False, error=f"{type(exc).__name__}: {exc}"
-        )
-    return VerificationRecord(desc.id, params, lhs, rhs, lhs == rhs)
-
-
 def _check_chunk(chunk: _Chunk, keep: bool, render: bool) -> tuple[Report, str]:
-    """Check one chunk: its tallied report (with the records if `keep`) and,
-    if `render`, its JSONL lines."""
+    """Check one chunk: its tallied report, with every record if `keep` and else
+    only the failures' records, and, if `render`, its JSONL lines."""
     id, combos = chunk
     desc = descriptor(id)
-    records = [_check(desc, IdentityParams(*combo)) for combo in combos]
-    part = Report(records if keep else [])
-    part.count(records)
-    slots = desc.slots
-    text = "".join([f"{dump_json(_json_object(rec, slots))}\n" for rec in records]) if render else ""
-    return part, text
+    head, values = _head_format(desc), itemgetter(*(SLOT_ORDER.index(slot) for slot in desc.slots))
+    records: list[VerificationRecord] = []
+    lines: list[str] = []
+    matched = skipped = 0
+    for combo in combos:
+        params = IdentityParams(*combo)
+        # a point's outcome is its record's (lhs, rhs, match, skipped_reason, error); `rhs` decides the domain, once
+        try:
+            rhs = desc.rhs(params)
+            lhs = desc.lhs(params)
+        except InapplicableParamsError:
+            skipped += 1
+            outcome = (None, None, None, desc.applicable(params)[1], None)
+        except ArithmeticError as exc:  # IntegralityError, IrrationalResultError, ...
+            outcome = (None, None, False, None, f"{type(exc).__name__}: {exc}")
+        else:
+            outcome = (lhs, rhs, lhs == rhs, None, None)
+            matched += outcome[2]
+        if render:
+            lines.append(_line(head % values(combo), *outcome))
+        if keep or outcome[2] is False:
+            records.append(VerificationRecord(id, params, *outcome))
+    totals = {id: IdTotals(len(combos) - skipped, matched, skipped)}
+    failures = [rec for rec in records if rec.match is False]
+    return Report(records if keep else [], totals, failures), "".join(lines)
 
 
 def _in_order(fn: Callable, chunks: Iterable, workers: int) -> Iterator:
@@ -306,6 +309,11 @@ def _in_order(fn: Callable, chunks: Iterable, workers: int) -> Iterator:
                 future.cancel()
 
 
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _checked_chunks(
     specs: Sequence[GridSpec], parallelism: int, keep: bool, render: bool
 ) -> Iterator[tuple[Report, str]]:
@@ -319,7 +327,7 @@ def _checked_chunks(
     ]
     points = sum(sizes)
     # at most one worker per CPU and per chunk: fork starts all max_workers at once
-    workers = min(parallelism, os.cpu_count() or 1)
+    workers = min(parallelism, available_cpus())
     size = min(_MAX_CHUNK, max(64, points // (workers * 16)))
     workers = min(workers, sum(-(-n // size) for n in sizes)) if points >= 64 else 1
     fn = partial(_check_chunk, keep=keep, render=render)
@@ -386,9 +394,10 @@ def summarize(report: Report) -> str:
             f"{id.value:<12} checked={t.checked:<8} matched={t.matched:<8} skipped={t.skipped}"
         )
     for rec in report.failures:
-        obj = record_to_json(rec)
-        found = f"error={rec.error}" if rec.error is not None else f"lhs={obj['lhs']} rhs={obj['rhs']}"
-        lines.append(f"FAIL {rec.id.value} params={obj['params']} {found}")
+        params = {slot: getattr(rec.params, slot) for slot in descriptor(rec.id).slots}
+        found = (f"error={rec.error}" if rec.error is not None
+                 else f"lhs={decimal_str(rec.lhs)} rhs={decimal_str(rec.rhs)}")
+        lines.append(f"FAIL {rec.id.value} params={params} {found}")
     if report.passed:
         lines.append(f"PASS ({checked} checks, {skipped} skipped)")
     else:

@@ -6,6 +6,7 @@ term-by-term sums) so they share no code path with the package.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 
@@ -58,3 +59,28 @@ def naive_weighted_sum(n, x, z, j, r, s, m, fibonacci: bool) -> Fraction:
             * frac_pow(w, m)
         )
     return total
+
+
+def _exact_str(value: Fraction) -> str:
+    # the interpreter caps int-to-str at 4300 digits by default; lift it for this value only
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def record_json_oracle(rec, slots: tuple[str, ...]) -> dict:
+    """A verification record as the report's JSON object, built key by key."""
+    obj: dict = {"id": rec.id.value, "params": {slot: getattr(rec.params, slot) for slot in slots}}
+    if rec.skipped_reason is not None:
+        obj["skipped"] = rec.skipped_reason
+    elif rec.error is not None:
+        obj["error"] = rec.error
+        obj["match"] = False
+    else:
+        obj["lhs"] = _exact_str(rec.lhs)
+        obj["rhs"] = _exact_str(rec.rhs)
+        obj["match"] = rec.match
+    return obj

@@ -6,19 +6,23 @@ from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fibsums
 from fibsums import GridSpec, IdentityDescriptor, IdentityId, IdentityParams, Report, VerificationRecord, summarize
-from fibsums import verify
+from fibsums import cli, verify
+from fibsums.identities import IntegralityError, catalog, descriptor
 from fibsums.verify import (
     decimal_str,
     default_grid_specs,
     dump_json,
-    record_to_json,
+    record_line,
     run_grid,
     run_grids,
     stream_grids,
 )
+from oracles import record_json_oracle
 
 
 def small_spec(**kw):
@@ -131,18 +135,30 @@ class TestWorkerClamp:
         return created
 
     def test_clamped_to_cpu_count(self, pools, monkeypatch):
+        # without an affinity mask on the platform, the CPU count bounds the workers
+        monkeypatch.delattr(verify.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
         spec = small_spec(n_range=(0, 40), s_range=(-10, 10))  # 861 points, 14 chunks
         report = run_grid(spec, parallelism=100_000)
         assert pools == [3]
         assert report.to_jsonl() == run_grid(spec).to_jsonl()
 
+    def test_clamped_to_affinity(self, pools, monkeypatch):
+        # under taskset or a cpuset the process may use fewer CPUs than the machine has
+        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 5, 6}, raising=False)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
+        run_grid(small_spec(n_range=(0, 40), s_range=(-10, 10)), parallelism=100_000)
+        assert pools == [3]
+        assert verify.available_cpus() == 3
+
     def test_clamped_to_chunk_count(self, pools, monkeypatch):
+        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
         run_grid(small_spec(n_range=(0, 63), s_range=(0, 1)), parallelism=100_000)  # 2 chunks of 64
         assert pools == [2]
 
     def test_unknown_cpu_count_runs_serially(self, pools, monkeypatch):
+        monkeypatch.delattr(verify.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
         report = run_grid(small_spec(n_range=(0, 40), s_range=(-10, 10)), parallelism=100_000)
         assert pools == []
@@ -216,6 +232,39 @@ class TestStreaming:
         assert report.counts() == (123, 123, 0)
         assert summarize(report) == summarize(run_grid(small_spec(n_range=(0, 40), s_range=(-1, 1))))
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_failures_and_errors_stream_as_collected(self, parallelism, monkeypatch, capsys):
+        # C18's closed form off by one at some points and raising at others
+        c18 = descriptor(IdentityId.C18)
+        closed = c18.closed
+
+        def faulty(q):
+            if (q.n + q.s) % 3 == 1:
+                return closed(q) + 1
+            if (q.n + q.s) % 3 == 2 and q.n % 2:
+                raise IntegralityError('5^-1 \\ "é"\x01')
+            return closed(q)
+
+        monkeypatch.setitem(vars(c18), "closed", faulty)
+        spec = small_spec(ids=(IdentityId.C18, IdentityId.Q13), n_range=(0, 40), s_range=(-1, 1), p_range=(-1, 1))
+        collected = run_grids([spec], parallelism)
+        out = io.StringIO()
+        streamed = stream_grids([spec], parallelism, out)
+        assert out.getvalue() + dump_json(streamed.summary_json()) + "\n" == collected.to_jsonl()
+        assert streamed.failures == collected.failures
+        assert {rec.match for rec in streamed.failures} == {False}
+        assert {rec.error for rec in streamed.failures} == {None, 'IntegralityError: 5^-1 \\ "é"\x01'}
+        assert summarize(streamed) == summarize(collected)
+        for line, rec in zip(out.getvalue().splitlines(), collected.records, strict=True):
+            assert line == dump_json(record_json_oracle(rec, descriptor(rec.id).slots))
+        ranges = ["--n", "0..40", "--j", "1..1", "--r", "1..1", "--s", "-1..1", "--p", "-1..1"]
+        argv = ["verify", "--ids", "C18,Q13", *ranges, "--jobs", str(parallelism)]
+        capsys.readouterr()
+        assert cli.main([*argv, "--format", "json"]) == 1
+        assert capsys.readouterr().out == collected.to_jsonl()
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().out == summarize(collected) + "\n"
+
     def test_empty_stream(self):
         out = io.StringIO()
         report = stream_grids([small_spec(ids=())], out=out)
@@ -262,7 +311,7 @@ class TestDeterminism:
 class TestSerialization:
     def test_record_objects(self):
         report = run_grid(small_spec())
-        obj = record_to_json(report.records[-1])
+        obj = json.loads(record_line(report.records[-1]))
         assert obj == {"id": "C18", "params": {"n": 2, "s": 1}, "lhs": "11", "rhs": "11", "match": True}
 
     def test_jsonl_shape_and_roundtrip(self):
@@ -278,18 +327,67 @@ class TestSerialization:
     def test_big_values_stay_strings(self):
         spec = small_spec(ids=(IdentityId.C19,), n_range=(40, 41), s_range=(3, 3))
         report = run_grid(spec)
-        obj = record_to_json(report.records[0])
+        obj = json.loads(record_line(report.records[0]))
         assert isinstance(obj["lhs"], str)
         assert int(obj["lhs"]) == report.records[0].lhs
 
     def test_skipped_record_shape(self):
         report = run_grid(small_spec(ids=(IdentityId.Q13,), p_range=(0, 0), n_range=(1, 1), s_range=(0, 0)))
-        obj = record_to_json(report.records[0])
+        obj = json.loads(record_line(report.records[0]))
         assert obj == {
             "id": "Q13",
             "params": {"n": 1, "j": 1, "r": 1, "s": 0, "p": 0},
             "skipped": "p must be nonzero",
         }
+
+
+# more digits than the interpreter's default int-to-str cap of 4300
+_BIG = st.builds(
+    lambda sign, e, k: sign * (10**e + k), st.sampled_from((1, -1)), st.integers(4300, 4500), st.integers(0, 10**9)
+)
+_VALUES = st.one_of(
+    st.integers().map(Fraction),
+    st.fractions(),
+    _BIG.map(Fraction),
+    st.builds(Fraction, st.integers(), _BIG.map(abs)),
+    st.builds(Fraction, _BIG, st.integers(2, 10**6)),
+)
+_MESSAGES = st.text() | st.sampled_from(
+    ['say "no"', "back\\slash", "\x00\x1f\n\t\x7f", "é ∤ 5^-1 \u2028 \U0001f600"]
+)
+
+
+class TestLineWriter:
+    """`record_line` against the report object built key by key (tests/oracles.py)."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        desc=st.sampled_from(catalog()),
+        params=st.builds(IdentityParams, *[st.integers(-10**6, 10**6)] * 6),
+        kind=st.sampled_from(("match", "mismatch", "skipped", "error")),
+        lhs=_VALUES,
+        rhs=_VALUES,
+        message=_MESSAGES,
+    )
+    @example(
+        desc=descriptor(IdentityId.Q13),
+        params=IdentityParams(n=1, p=0),
+        kind="error",
+        lhs=Fraction(0),
+        rhs=Fraction(0),
+        message='IntegralityError: "\\\x01é',
+    )
+    def test_line_matches_oracle(self, desc, params, kind, lhs, rhs, message):
+        rec = {
+            "match": VerificationRecord(desc.id, params, lhs, lhs, True),
+            "mismatch": VerificationRecord(desc.id, params, lhs, rhs, False),
+            "skipped": VerificationRecord(desc.id, params, None, None, None, message),
+            "error": VerificationRecord(desc.id, params, None, None, False, error=message),
+        }[kind]
+        line = record_line(rec)
+        assert line == dump_json(record_json_oracle(rec, desc.slots)) + "\n"
+        obj = json.loads(line)
+        assert obj.get("skipped", obj.get("error", message)) == message
 
 
 class TestSummarize:
