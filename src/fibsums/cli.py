@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import math
 import re
-import statistics
 import sys
 import time
 from dataclasses import replace
@@ -44,10 +43,11 @@ _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 # evaluation builds about K = n + 1 + P integers of at most B = log2(phi) max(P,1) I + n (w + 2) bits.  P is the
 # oracle's power (2m+1 for an identity, whose closed forms loop over m terms; m for `sum`; 1 for fib/lucas), w the
 # bit size of `sum`'s x and z, and 2 more bits per step cover C(n,k) and an identity's weights at index 0 (L_0 = 2).
-# A B-bit product costs about B^1.585: MAX_BITS bounds B, so memory, and MAX_WORK bounds reps K B^1.585.  Seconds
+# A B-bit product costs about B^1.585: MAX_BITS bounds B, so memory, and MAX_WORK bounds reps K B^1.585.  Printing
+# a B-bit value costs a few such products (`decimal_str` is subquadratic), so output needs no term of its own.  Seconds
 # without the bounds (2-vCPU VM, Python 3.11) and log2 B/log2 work:
-#   admitted: fib 10^6                  0.95 19.4/31.8   closed C18 n=10^4                1.61 15.9/38.5
-#             sum n=100 x=1e-2000       2.26 19.3/37.3   bench C18 n=5000 s=1 reps=5      1.49 14.9/38.2
+#   admitted: fib 10^6                  0.31 19.4/31.8   closed C18 n=10^4                1.61 15.9/38.5
+#             sum n=100 x=1e-2000       0.97 19.3/37.3   bench C18 n=5000 s=1 reps=5      1.49 14.9/38.2
 #   rejected: sum n=10^4 m=10           5.43 17.4/40.8   closed EVEN_F n=100 j=r=31 m=10  9.70 20.4/-
 #             that bench at reps=100    19.8 14.9/42.6   closed ODD_F n=100 j=r=31 m=10   38.1 21.4/-
 #             sum n=300 x=1e-6000       >60  22.5/-      verify C18 n=30000..30000        >60  17.5/42.6
@@ -202,6 +202,8 @@ def bench_identity(id: IdentityId, params: IdentityParams, reps: int) -> dict:
     """
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
+    import statistics  # only bench reads it; kept out of every other command's start-up
+
     desc = descriptor(id)
     outcome = eval_pair(id, params)
     if not outcome.match:

@@ -22,14 +22,12 @@ then one trailing summary object with totals.
 
 from __future__ import annotations
 
+import decimal
 import heapq
 import json
 import math
-import multiprocessing
 import os
-import sys
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -173,18 +171,48 @@ def dump_json(obj: object) -> str:
 def decimal_str(value: Fraction | int) -> str:
     """Decimal string of an exact value, however large.
 
-    Grid values can exceed the interpreter's int-to-str digit cap (4300 by
-    default); the cap is lifted for such a value only and then put back.
+    `str` is used up to the interpreter's int-to-str digit cap (4300 by
+    default), where it is fast.  Above the cap, where `str` would also take
+    time quadratic in the size, an int is converted by divide and conquer
+    and a Fraction as numerator/denominator, leaving the cap as it is.
     """
     try:
         return str(value)
     except ValueError:  # more digits than sys.get_int_max_str_digits() allows
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return str(value)
-        finally:
-            sys.set_int_max_str_digits(limit)
+        pass
+    if value.denominator != 1:
+        return f"{decimal_str(value.numerator)}/{decimal_str(value.denominator)}"
+    return _split_decimal_str(value.numerator)
+
+
+_SPLIT_BITS = 128  # below this many bits a part is converted as a whole
+
+
+def _split_decimal_str(value: int) -> str:
+    """`str(value)` for any int, in subquadratic time.
+
+    The int is split into binary halves, lo + hi * 2^w, recursively, and
+    the parts are recombined as exact `decimal.Decimal` values, whose
+    libmpdec multiplication is subquadratic; CPython 3.12's `_pylong` converts
+    the same way.  Each split width w has its power 2^w computed once.
+    """
+    powers: dict[int, decimal.Decimal] = {}
+
+    def convert(v: int, bits: int) -> decimal.Decimal:
+        if bits <= _SPLIT_BITS:
+            return decimal.Decimal(v)
+        w = bits >> 1
+        hi = v >> w
+        if w not in powers:
+            powers[w] = decimal.Decimal(2) ** w
+        return convert(v - (hi << w), w) + convert(hi, bits - w) * powers[w]
+
+    with decimal.localcontext() as ctx:
+        # exact: no rounding, no exponent bound, and an inexact step raises
+        ctx.prec, ctx.Emax, ctx.Emin = decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        digits = str(convert(abs(value), abs(value).bit_length()))
+    return "-" + digits if value < 0 else digits
 
 
 def _head_format(desc: IdentityDescriptor) -> str:
@@ -291,6 +319,10 @@ def _in_order(fn: Callable, chunks: Iterable, workers: int) -> Iterator:
     if workers <= 1:
         yield from map(fn, chunks)
         return
+    # loaded here, so a serial run never pays for the process pool's imports
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
@@ -383,6 +415,11 @@ def default_grid_specs() -> tuple[GridSpec, GridSpec]:
     )
 
 
+def _one_line(text: str) -> str:
+    """`text` with each line break or other unprintable character escaped as `repr` escapes it."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
 def summarize(report: Report) -> str:
     """Per-identity one-line totals plus a global PASS/FAIL verdict."""
     checked, matched, skipped = report.counts()
@@ -395,7 +432,7 @@ def summarize(report: Report) -> str:
         )
     for rec in report.failures:
         params = {slot: getattr(rec.params, slot) for slot in descriptor(rec.id).slots}
-        found = (f"error={rec.error}" if rec.error is not None
+        found = (f"error={_one_line(rec.error)}" if rec.error is not None
                  else f"lhs={decimal_str(rec.lhs)} rhs={decimal_str(rec.rhs)}")
         lines.append(f"FAIL {rec.id.value} params={params} {found}")
     if report.passed:

@@ -61,7 +61,7 @@ def naive_weighted_sum(n, x, z, j, r, s, m, fibonacci: bool) -> Fraction:
     return total
 
 
-def _exact_str(value: Fraction) -> str:
+def exact_str(value: Fraction) -> str:
     # the interpreter caps int-to-str at 4300 digits by default; lift it for this value only
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
@@ -80,7 +80,7 @@ def record_json_oracle(rec, slots: tuple[str, ...]) -> dict:
         obj["error"] = rec.error
         obj["match"] = False
     else:
-        obj["lhs"] = _exact_str(rec.lhs)
-        obj["rhs"] = _exact_str(rec.rhs)
+        obj["lhs"] = exact_str(rec.lhs)
+        obj["rhs"] = exact_str(rec.rhs)
         obj["match"] = rec.match
     return obj

@@ -29,11 +29,16 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_module(*argv: str) -> subprocess.CompletedProcess:
-    """`python -m fibsums ...` in a fresh interpreter, against the package in src/."""
+def run_python(*argv: str) -> subprocess.CompletedProcess:
+    """`python ...` in a fresh interpreter, against the package in src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "fibsums", *argv], capture_output=True, env=env, cwd=ROOT)
+    return subprocess.run([sys.executable, *argv], capture_output=True, env=env, cwd=ROOT)
+
+
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    """`python -m fibsums ...` in a fresh interpreter, against the package in src/."""
+    return run_python("-m", "fibsums", *argv)
 
 
 class TestSeq:
@@ -274,6 +279,23 @@ class TestStreamedVerify:
             for spec in default_grid_specs()
         ]
         assert serial.decode() == run_grids(specs).to_jsonl()
+
+
+class TestSerialStartUp:
+    """A serial process loads neither the process pool nor `statistics`, which only bench reads."""
+
+    SCRIPT = """
+import sys
+from fibsums import cli
+codes = [cli.main(["verify", "--ids", "C18", "--n", "0..12", "--jobs", "1"])]
+codes.append(cli.main(["closed", "--id", "C18", "--n", "2", "--s", "1"]))
+print(codes, sorted({"multiprocessing", "concurrent.futures", "statistics"} & sys.modules.keys()))
+"""
+
+    def test_pool_and_statistics_stay_unloaded(self):
+        proc = run_python("-c", self.SCRIPT)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == b"[0, 0] []"
 
 
 class TestBench:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import json
 import random
@@ -22,7 +23,7 @@ from fibsums.verify import (
     run_grids,
     stream_grids,
 )
-from oracles import record_json_oracle
+from oracles import exact_str, record_json_oracle
 
 
 def small_spec(**kw):
@@ -131,7 +132,7 @@ class TestWorkerClamp:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         return created
 
     def test_clamped_to_cpu_count(self, pools, monkeypatch):
@@ -207,7 +208,7 @@ class TestInOrder:
                     completed.append(args[0])
                     future.set_result(fn(*args))
 
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", ReversingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ReversingExecutor)
         results = list(verify._in_order(lambda x: x * x, iter(range(100)), workers=3))
         assert results == [x * x for x in range(100)]
         assert completed != sorted(completed)
@@ -280,6 +281,27 @@ class TestDecimalStr:
             assert decimal_str(10**10000 + 7) == "1" + "0" * 9999 + "7"
             assert decimal_str(Fraction(3, 10**9999 + 1)) == "3/1" + "0" * 9998 + "1"
             assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    def test_equals_str_above_the_digit_limit(self):
+        # seeded: sizes from just past the default 4300-digit cap up to ~200k bits, both signs
+        rng = random.Random(12)
+        floor = 10**4300  # the least int with 4301 digits
+        values = [floor, floor + 1, floor * 10 - 1, -floor]
+        values += [floor + rng.getrandbits(rng.randrange(1, 64)) for _ in range(4)]
+        for bits in (14_300, 16_384, 50_000, 131_072, 200_000):
+            for _ in range(2):
+                v = rng.getrandbits(bits) | 1 << (bits - 1)
+                values += [v, -v, 2**bits - 1, -(2**bits)]
+        huge_den = Fraction(-rng.getrandbits(100), rng.getrandbits(150_000) | 1 << 149_999)
+        values += [huge_den, 1 / huge_den, Fraction(floor * 7 + 1, 3), Fraction(floor)]
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for v in values:
+                assert decimal_str(v) == exact_str(v)
+                assert sys.get_int_max_str_digits() == 4300
         finally:
             sys.set_int_max_str_digits(saved)
 
@@ -401,6 +423,21 @@ class TestSummarize:
         assert "'n': 1" in text and "lhs=1 rhs=2" in text
         assert not report.passed
         assert report.summary_json()["verdict"] == "FAIL"
+
+    def test_error_with_line_break_stays_one_line(self):
+        # the exception text is escaped as repr escapes it, so no line forges a second FAIL
+        error = "IntegralityError: a\nFAIL forged"
+        rec = VerificationRecord(IdentityId.C18, IdentityParams(n=1), None, None, False, error=error)
+        assert summarize(Report.from_records([rec])).splitlines() == [
+            "C18          checked=1        matched=0        skipped=0",
+            "FAIL C18 params={'n': 1, 's': 0} error=IntegralityError: a\\nFAIL forged",
+            "FAIL (1 mismatches of 1 checks)",
+        ]
+
+    def test_printable_error_prints_as_is(self):
+        error = "ValueError: don't \\ \"quote\" é"
+        rec = VerificationRecord(IdentityId.C18, IdentityParams(n=1), None, None, False, error=error)
+        assert f"error={error}\n" in summarize(Report.from_records([rec]))
 
     def test_pass_rendering(self):
         report = run_grid(small_spec())
