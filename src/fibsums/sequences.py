@@ -93,6 +93,12 @@ def direct_sum(
     powers and for W^m when W = 0, m = 0.  This is the brute-force oracle
     every closed form is checked against; it never consults any identity.
 
+    One stepped loop computes every term: it walks W_{j(rk+s)} by the
+    addition formula and the weight by its ratio (n-k)z / ((k+1)x).  Up to
+    16 terms it runs once from x^n; a longer sum is cut into blocks of 16
+    terms, each summed from a small integer weight, and the block sums are
+    merged as exact integer ratios by binary splitting.
+
     Rational weights are scaled by the common denominator D of x and z:
     the sum is the integer sum at (D x, D z) divided by D^n.
     """
@@ -102,12 +108,19 @@ def direct_sum(
         raise ValueError(f"direct_sum requires m >= 0, got m={m}")
     seq = fib if kind is SequenceKind.FIB else lucas
 
-    xi = as_exact(x)
-    zi = as_exact(z)
-    if isinstance(xi, int) and isinstance(zi, int):
-        return Fraction(_integer_sum(n, xi, zi, j, r, s, m, seq))
-    den = math.lcm(xi.denominator, zi.denominator)
-    return Fraction(_integer_sum(n, int(xi * den), int(zi * den), j, r, s, m, seq), den**n)
+    # every catalog embedding passes int weights; they skip the as_exact calls
+    if isinstance(x, int) and isinstance(z, int):
+        return Fraction(_integer_sum(n, x, z, j, r, s, m, seq))
+    x, z = as_exact(x), as_exact(z)
+    if isinstance(x, int) and isinstance(z, int):
+        return Fraction(_integer_sum(n, x, z, j, r, s, m, seq))
+    den = math.lcm(x.denominator, z.denominator)
+    return Fraction(_integer_sum(n, int(x * den), int(z * den), j, r, s, m, seq), den**n)
+
+
+# Terms per block.  A sum of more terms is cut into blocks of this many,
+# whose weights stay small, and the block sums are merged by binary splitting.
+_BLOCK = 16
 
 
 def _integer_sum(
@@ -124,11 +137,42 @@ def _integer_sum(
     w, w1 = seq(a), seq(a + 1)
     f0, f1 = fib(j * r - 1), fib(j * r)
     f2 = f0 + f1
+    if n < _BLOCK:
+        return _terms(0, n + 1, x**n, n, x, z, m, w, w1, f0, f1, f2)[0]
+    return _split_sum(n, x, z, m, w, w1, f0, f1, f2)
+
+
+def _terms(
+    lo: int, hi: int, t: int, n: int, x: int, z: int, m: int, w: int, w1: int, f0: int, f1: int, f2: int
+) -> tuple[int, int, int]:
+    # The sum of t_k W_k^m over k in [lo, hi) from t = t_lo, and (W_hi, W_hi+1).
     # t_{k+1} = t_k (n-k) z / ((k+1) x), and the division is exact.
-    t = x**n
     total = 0
-    for k in range(n + 1):
+    for k in range(lo, hi):
         total += t * w**m
         t = t * (n - k) * z // ((k + 1) * x)
         w, w1 = f0 * w + f1 * w1, f1 * w + f2 * w1
-    return total
+    return total, w, w1
+
+
+def _split_sum(n: int, x: int, z: int, m: int, w: int, w1: int, f0: int, f1: int, f2: int) -> int:
+    # Binary splitting (Haible and Papanikolaou, 1998).  Over the terms [lo, hi)
+    # with c = hi - lo, t_hi / t_lo = P / Q for P = perm(n-lo, c) z^c and
+    # Q = perm(hi, c) x^c, and T = (Q / t_lo) * (the block's sum) is the stepped
+    # loop's total from t = Q: Q holds every (k+1) x the loop divides by.
+    # Two halves merge as (P1 P2, Q1 Q2, Q2 T1 + P1 T2), and the sum is t_0 T / Q.
+    def split(lo: int, hi: int) -> tuple[int, int, int]:
+        nonlocal w, w1
+        c = hi - lo
+        if c <= _BLOCK:
+            q = math.perm(hi, c) * x**c
+            t, w, w1 = _terms(lo, hi, q, n, x, z, m, w, w1, f0, f1, f2)
+            return math.perm(n - lo, c) * z**c, q, t
+        # whole blocks go left, so only the last block is short
+        mid = lo + (c + 2 * _BLOCK - 1) // (2 * _BLOCK) * _BLOCK
+        p1, q1, t1 = split(lo, mid)
+        p2, q2, t2 = split(mid, hi)
+        return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
+
+    _, q, t = split(0, n + 1)
+    return x**n * t // q

@@ -117,7 +117,7 @@ class TestDirectSum:
 
     @settings(deadline=None, max_examples=80)
     @given(
-        n=st.integers(0, 40),
+        n=st.integers(0, 100),
         x=st.fractions(max_denominator=6, min_value=-4, max_value=4),
         z=st.fractions(max_denominator=6, min_value=-4, max_value=4),
         j=st.integers(-6, 6),
@@ -132,9 +132,39 @@ class TestDirectSum:
     @example(n=29, x=Fraction(3, 4), z=0, j=5, r=-6, s=-6, m=2, fibonacci=True)  # z = 0
     @example(n=0, x=0, z=0, j=3, r=2, s=0, m=0, fibonacci=True)  # 0^0 everywhere
     @example(n=40, x=Fraction(-3, 2), z=Fraction(1, 4), j=-3, r=-2, s=3, m=2, fibonacci=False)
+    # sums of more than 16 terms are split into blocks of 16
+    @example(n=15, x=-1, z=3, j=2, r=-1, s=1, m=3, fibonacci=True)  # one full block
+    @example(n=16, x=3, z=-2, j=-1, r=2, s=0, m=2, fibonacci=False)  # a block and one term
+    @example(n=17, x=Fraction(2, 3), z=-1, j=1, r=3, s=-2, m=1, fibonacci=True)
+    @example(n=31, x=-2, z=0, j=3, r=1, s=2, m=2, fibonacci=False)  # z = 0
+    @example(n=32, x=1, z=1, j=2, r=2, s=-1, m=0, fibonacci=True)  # m = 0
+    @example(n=33, x=-1, z=-1, j=-2, r=-3, s=4, m=3, fibonacci=False)
+    @example(n=47, x=Fraction(-5, 4), z=Fraction(1, 6), j=1, r=-2, s=3, m=2, fibonacci=True)
+    @example(n=64, x=4, z=-3, j=-3, r=1, s=-4, m=1, fibonacci=False)
+    @example(n=100, x=Fraction(1, 2), z=Fraction(-3, 2), j=2, r=-1, s=5, m=3, fibonacci=True)
     def test_matches_naive_summation(self, n, x, z, j, r, s, m, fibonacci):
         # direct_sum steps the index j(rk+s) by jr with the addition formula
         # and the weight by exact division; the naive sum recomputes both.
+        kind = F if fibonacci else L
+        assert direct_sum(n, x, z, j, r, s, m, kind) == naive_weighted_sum(
+            n, x, z, j, r, s, m, fibonacci
+        )
+
+    @pytest.mark.parametrize("n", [15, 16, 17, 31, 32, 33, 47, 64, 100])
+    @pytest.mark.parametrize(
+        "x,z,j,r,s,m,fibonacci",
+        [
+            (2, -1, 1, 1, 0, 2, True),
+            (3, 0, 2, -1, 1, 2, False),  # z = 0: only the first block's k = 0 term
+            (-2, 3, -1, 2, 3, 1, True),  # negative x
+            (-1, 1, 1, -1, 2, 3, False),  # x = -1
+            (Fraction(-3, 2), Fraction(1, 4), 1, 2, -1, 2, True),  # rational weights
+            (2, 5, 3, 1, 0, 0, False),  # m = 0: the binomial theorem
+        ],
+    )
+    def test_block_boundaries_match_naive_summation(self, n, x, z, j, r, s, m, fibonacci):
+        # n + 1 terms: one block of 16 at n = 15, a split from n = 16 on, and
+        # uneven splits (a short last block, or an odd number of blocks) after
         kind = F if fibonacci else L
         assert direct_sum(n, x, z, j, r, s, m, kind) == naive_weighted_sum(
             n, x, z, j, r, s, m, fibonacci
