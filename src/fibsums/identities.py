@@ -26,13 +26,14 @@ n and the kind.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import transform
-from .sequences import SequenceKind, binomial, direct_sum, fib, lucas
+from .sequences import SequenceKind, direct_sum, fib, lucas
 
 
 class IntegralityError(ArithmeticError):
@@ -80,9 +81,12 @@ class IdentityId(Enum):
     ALT_ODD_L = "ALT_ODD_L"
 
 
-@dataclass(frozen=True, slots=True)
-class IdentityParams:
-    """Parameter tuple for a catalog entry; unused slots keep their defaults."""
+class IdentityParams(NamedTuple):
+    """Parameter tuple for a catalog entry; unused slots keep their defaults.
+
+    A NamedTuple, like `EvalOutcome`: immutable, hashable and picklable, and
+    cheap to build positionally, as `verify` does once per grid point.
+    """
 
     n: int = 0
     j: int = 1
@@ -92,7 +96,7 @@ class IdentityParams:
     m: int = 1
 
 
-SLOT_ORDER = ("n", "j", "r", "s", "p", "m")
+SLOT_ORDER = IdentityParams._fields
 
 
 def _sgn(e: int) -> int:
@@ -144,10 +148,10 @@ def _power_rhs(
     for i in range((big + 1) // 2):
         t = big - 2 * i
         h = t * d // 2
-        term = binomial(big, i) * first(h) ** n * second(h * n + t * a)
+        term = math.comb(big, i) * first(h) ** n * second(h * n + t * a)
         total += -term if (sign_e * i) % 2 else term
     if big % 2 == 0:
-        center = binomial(big, big // 2) * (0 if fib_first else 2) ** n
+        center = math.comb(big, big // 2) * (0 if fib_first else 2) ** n
         total += -center if (sign_e * (big // 2)) % 2 else center
     if alternating and n % 2:
         total = -total
@@ -238,19 +242,22 @@ class IdentityDescriptor:
     anchor: str
     lhs_args: Callable[[IdentityParams], DirectSumArgs]
     closed: Callable[[IdentityParams], Fraction]
-    domain_error: Callable[[IdentityParams], str | None] = lambda params: None
+    domain_error: Callable[[IdentityParams], str | None] | None = None
 
     def applicable(self, params: IdentityParams) -> tuple[bool, str | None]:
         if params.n < 0:
             return False, "n must be non-negative"
         if "m" in self.slots and params.m < 0:
             return False, "m must be non-negative"
-        reason = self.domain_error(params)
-        if reason is not None:
-            return False, reason
+        if self.domain_error is not None:
+            reason = self.domain_error(params)
+            if reason is not None:
+                return False, reason
         return True, None
 
     def lhs(self, params: IdentityParams) -> Fraction:
+        # unpacked, not passed as *args: a star call builds a tuple and costs
+        # about 0.1 us more per point
         n, x, z, j, r, s, m = self.lhs_args(params)
         return direct_sum(n, x, z, j, r, s, m, self.kind)
 

@@ -287,8 +287,9 @@ def _check_chunk(chunk: _Chunk, keep: bool, render: bool) -> tuple[Report, str]:
     records: list[VerificationRecord] = []
     lines: list[str] = []
     matched = skipped = 0
+    make = IdentityParams._make  # positional from a combo, which is in SLOT_ORDER, the field order
     for combo in combos:
-        params = IdentityParams(*combo)
+        params = make(combo)
         # a point's outcome is its record's (lhs, rhs, match, skipped_reason, error); `rhs` decides the domain, once
         try:
             rhs = desc.rhs(params)

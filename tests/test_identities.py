@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -7,17 +8,20 @@ from hypothesis import strategies as st
 
 from fibsums import (
     BinomialKernel,
+    GridSpec,
     IdentityId,
     IdentityParams,
     InapplicableParamsError,
     IntegralityError,
     SequenceKind,
+    VerificationRecord,
     binomial_rhs,
     catalog,
     descriptor,
     direct_sum,
     eval_pair,
     fib,
+    run_grids,
 )
 from fibsums.identities import SLOT_ORDER, _times_5pow
 
@@ -47,6 +51,51 @@ class TestCatalog:
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):
             descriptor("nope")
+
+
+class TestIdentityParams:
+    def test_slot_order_is_the_field_order(self):
+        assert P._fields == SLOT_ORDER == ("n", "j", "r", "s", "p", "m")
+
+    def test_verify_builds_params_positionally_in_slot_order(self):
+        # one point per spec, every slot at a distinct value, so a permuted slot shows
+        spec = GridSpec(
+            ids=(IdentityId.E9, IdentityId.EVEN_F),
+            n_range=(2, 2), j_range=(3, 3), r_range=(-1, -1), s_range=(4, 4), p_range=(-2, -2), m_range=(5, 5),
+        )
+        params = [rec.params for rec in run_grids([spec]).records]
+        assert params == [P(n=2, j=3, r=-1, s=4, p=-2), P(n=2, j=3, r=-1, s=4, m=5)]
+        assert all(type(q) is P for q in params)
+
+    def test_defaults_and_keyword_construction(self):
+        assert P() == P(0, 1, 1, 0, 1, 1)
+        q = P(s=-3, n=4)
+        assert (q.n, q.j, q.r, q.s, q.p, q.m) == (4, 1, 1, -3, 1, 1)
+        assert P(**{"m": 2, "j": -1}) == P(0, -1, 1, 0, 1, 2)
+
+    def test_immutable(self):
+        q = P(n=2)
+        for slot in SLOT_ORDER:
+            with pytest.raises(AttributeError):
+                setattr(q, slot, 7)
+        assert q == P(n=2)
+
+    def test_equality_and_hash(self):
+        assert P(n=2, s=1) == P(2, 1, 1, 1) and P(n=2, s=1) != P(n=2, s=-1)
+        assert hash(P(n=2, s=1)) == hash(P(2, 1, 1, 1))
+        assert len({P(n=2), P(2), P(n=3)}) == 2
+
+    def test_repr(self):
+        assert repr(P(n=2)) == "IdentityParams(n=2, j=1, r=1, s=0, p=1, m=1)"
+
+    def test_pickle_round_trip(self):
+        # --jobs workers send failure records, params included, to the parent by pickle
+        q = P(n=5, j=-2, r=3, s=-1, p=4, m=2)
+        rec = VerificationRecord(IdentityId.EVEN_F, q, Fraction(1), Fraction(2), False)
+        for value in (q, rec):
+            back = pickle.loads(pickle.dumps(value))
+            assert back == value
+        assert type(pickle.loads(pickle.dumps(q))) is P
 
 
 class TestApplicable:

@@ -8,7 +8,7 @@ rename of a wrapped boundary fails here instead of breaking
 import importlib.util
 from pathlib import Path
 
-from fibsums import cli, sequences, transform, verify
+from fibsums import cli, identities, sequences, transform, verify
 from fibsums.identities import IdentityId, IdentityParams, catalog, descriptor
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -81,3 +81,24 @@ def test_trace_mode_times_binomial_rhs():
     assert tracer.total["binomial_rhs"] > 0
     assert tracer.calls["closed:quadratic_base"] == tracer.calls["closed:linear"] == 2
     assert transform.binomial_rhs is binomial_rhs
+
+
+def test_trace_mode_counts_and_restores_the_memoized_sequences(capsys):
+    # fib and lucas are memoized (lru_cache wrappers); the tracer rebinds those
+    # names, so its counts read 0 if a caller kept the unwrapped function, and
+    # the memos stop working for the rest of the process if restore() misses one;
+    # C18 reads only F and C19 only L
+    tracing, run = _load("tracing"), _load("run")
+    fib, lucas = sequences.fib, sequences.lucas
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer, run.FAMILIES, True)
+    try:
+        code = cli.main(["verify", "--ids", "C18,C19", "--n", "0..2", "--s", "0..1", "--jobs", "1"])
+    finally:
+        tracer.restore()
+    assert code == 0
+    assert "PASS (12 checks, 0 skipped)" in capsys.readouterr().out
+    assert tracer.calls["fib"] > 0 and tracer.calls["lucas"] > 0
+    assert sequences.fib is fib and sequences.lucas is lucas
+    assert hasattr(sequences.fib, "cache_info") and hasattr(sequences.lucas, "cache_info")
+    assert identities.fib is fib and identities.lucas is lucas

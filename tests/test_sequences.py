@@ -49,6 +49,28 @@ class TestFib:
         finally:
             sequences.clear_caches()
 
+    def test_value_memos_bounded_exact_and_cleared(self):
+        memos = (fib, lucas, sequences._fib_pair)
+        size = fib.cache_info().maxsize
+        assert lucas.cache_info().maxsize == size
+        sequences.clear_caches()
+        try:
+            # 2*size distinct indices each, negative ones included
+            for n in range(-size, size):
+                assert fib(n) == naive_fib(n), n
+                assert lucas(n) == naive_lucas(n), n
+            assert fib.cache_info().currsize <= size
+            assert lucas.cache_info().currsize <= size
+            # evicted and re-computed values are still exact
+            for n in range(-size, size, 41):
+                assert fib(n) == naive_fib(n), n
+                assert lucas(n) == naive_lucas(n), n
+            assert all(memo.cache_info().currsize > 0 for memo in memos)
+            sequences.clear_caches()
+            assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0]
+        finally:
+            sequences.clear_caches()
+
 
 class TestLucas:
     @pytest.mark.parametrize("n,expected", [(0, 2), (1, 1), (6, 18), (-3, -4), (-4, 7)])
