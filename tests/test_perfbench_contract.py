@@ -87,13 +87,18 @@ def test_trace_mode_counts_and_restores_the_memoized_sequences(capsys):
     # fib and lucas are memoized (lru_cache wrappers); the tracer rebinds those
     # names, so its counts read 0 if a caller kept the unwrapped function, and
     # the memos stop working for the rest of the process if restore() misses one;
-    # C18 reads only F and C19 only L
+    # C18 reads only F and C19 only L; cold timing (large-n) clears the memos
+    # while the names are wrapped
     tracing, run = _load("tracing"), _load("run")
     fib, lucas = sequences.fib, sequences.lucas
     tracer = tracing.Tracer()
     tracing.instrument(tracer, run.FAMILIES, True)
     try:
         code = cli.main(["verify", "--ids", "C18,C19", "--n", "0..2", "--s", "0..1", "--jobs", "1"])
+        assert sequences.fib is not fib and fib.cache_info().currsize > 0
+        sequences.clear_caches()
+        assert fib.cache_info().currsize == lucas.cache_info().currsize == 0
+        assert sequences._fib_pair.cache_info().currsize == 0
     finally:
         tracer.restore()
     assert code == 0
