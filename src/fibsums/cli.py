@@ -273,6 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lucas.set_defaults(func=cmd_seq, kind=SequenceKind.LUCAS)
 
     p_sum = sub.add_parser("sum", help="direct summation of C(n,k) x^(n-k) z^k W_{j(rk+s)}^m")
+    # let negative weights like -2/7 and -1e-3 pass for tokens that look like options
+    p_sum._negative_number_matcher = re.compile(r"^-(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?)$")
     p_sum.add_argument("--seq", type=_parse_kind, default=SequenceKind.FIB, help="F or L (default F)")
     # p is a slot of E9..E12 and Q13..Q16 only, and no sum reads it
     _add_params(p_sum, ("n", "j", "r", "s", "m"))

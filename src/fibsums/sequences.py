@@ -107,10 +107,11 @@ def direct_sum(
     powers and for W^m when W = 0, m = 0.  This is the brute-force oracle
     every closed form is checked against; it never consults any identity.
 
-    One stepped loop computes every term: it walks W_{j(rk+s)} by the
-    addition formula and the weight by its ratio (n-k)z / ((k+1)x).  Up to
-    16 terms it runs once from x^n; a longer sum is cut into blocks of 16
-    terms, each summed from a small integer weight, and the block sums are
+    W_{j(rk+s)} is walked by the addition formula from four seed values.
+    Up to 16 terms the sum is Horner's rule in x over a precomputed row of
+    C(n,k), with no division.  A longer sum is cut into blocks of 16 terms,
+    each summed by a loop that steps the weight by its ratio
+    (n-k)z / ((k+1)x) from a small integer weight, and the block sums are
     merged as exact integer ratios by binary splitting.
 
     Rational weights are scaled by the common denominator D of x and z:
@@ -135,6 +136,8 @@ def direct_sum(
 # Terms per block.  A sum of more terms is cut into blocks of this many,
 # whose weights stay small, and the block sums are merged by binary splitting.
 _BLOCK = 16
+# The binomial rows C(n, 0..n) for n < _BLOCK: every sum of at most one block of terms.
+_ROWS = tuple(tuple(math.comb(n, k) for k in range(n + 1)) for n in range(_BLOCK))
 
 
 def _integer_sum(
@@ -152,7 +155,13 @@ def _integer_sum(
     f0, f1 = fib(j * r - 1), fib(j * r)
     f2 = f0 + f1
     if n < _BLOCK:
-        return _terms(0, n + 1, x**n, n, x, z, m, w, w1, f0, f1, f2)[0]
+        # Horner's rule in x, so no term divides
+        total, zk = 0, 1
+        for c in _ROWS[n]:
+            total = total * x + c * zk * w**m
+            zk *= z
+            w, w1 = f0 * w + f1 * w1, f1 * w + f2 * w1
+        return total
     return _split_sum(n, x, z, m, w, w1, f0, f1, f2)
 
 

@@ -72,6 +72,16 @@ class TestSum:
         code, out, _ = run_cli(capsys, "sum", "--n", "2", "--m", "0", "--x", "1/2", "--z", "1")
         assert (code, out.strip()) == (0, str(Fraction(9, 4)))
 
+    def test_negative_rational_weight_as_separate_token(self, capsys):
+        # 2x + 1 at x = -2/7: the token must not be taken for an option
+        code, out, _ = run_cli(capsys, "sum", "--n", "2", "--x", "-2/7")
+        assert (code, out.strip()) == (0, "3/7")
+
+    def test_negative_exponent_weight_as_separate_token(self, capsys):
+        # 2z + z^2 at z = -1/1000
+        code, out, _ = run_cli(capsys, "sum", "--n", "2", "--z", "-1e-3")
+        assert (code, out.strip()) == (0, "-1999/1000000")
+
     def test_negative_n_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sum", "--n", "-1")
         assert code == 2

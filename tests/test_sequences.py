@@ -165,8 +165,9 @@ class TestDirectSum:
     @example(n=64, x=4, z=-3, j=-3, r=1, s=-4, m=1, fibonacci=False)
     @example(n=100, x=Fraction(1, 2), z=Fraction(-3, 2), j=2, r=-1, s=5, m=3, fibonacci=True)
     def test_matches_naive_summation(self, n, x, z, j, r, s, m, fibonacci):
-        # direct_sum steps the index j(rk+s) by jr with the addition formula
-        # and the weight by exact division; the naive sum recomputes both.
+        # direct_sum steps the index j(rk+s) by jr with the addition formula,
+        # and weighs the terms by Horner's rule up to 16 terms and by exact
+        # division in the blocks of a longer sum; the naive sum recomputes both.
         kind = F if fibonacci else L
         assert direct_sum(n, x, z, j, r, s, m, kind) == naive_weighted_sum(
             n, x, z, j, r, s, m, fibonacci
@@ -191,6 +192,64 @@ class TestDirectSum:
         assert direct_sum(n, x, z, j, r, s, m, kind) == naive_weighted_sum(
             n, x, z, j, r, s, m, fibonacci
         )
+
+    @pytest.mark.parametrize("n", range(17))
+    @pytest.mark.parametrize(
+        "x,z,j,r,s,m,fibonacci",
+        [
+            (-1, 3, 2, 1, 1, 2, True),  # x = -1
+            (0, -2, 1, 2, -1, 3, False),  # x = 0: only the k = n term
+            (3, 0, 2, -1, 1, 2, True),  # z = 0: only the k = 0 term
+            (2, 5, 3, 1, 0, 0, False),  # m = 0: the binomial theorem
+            (-2, 3, 0, 5, 3, 2, True),  # j*r = 0 by j = 0
+            (1, -1, 4, 0, -2, 3, False),  # j*r = 0 by r = 0
+            (3, -2, -2, 3, 1, 2, True),  # negative step
+            (Fraction(-3, 2), Fraction(1, 4), -1, 2, -1, 2, False),  # rational weights
+            (Fraction(2, 3), -1, 1, 3, -2, 1, True),  # rational x, int z
+        ],
+    )
+    def test_every_small_size_matches_naive_summation(self, n, x, z, j, r, s, m, fibonacci):
+        # n <= 15 is the Horner loop over one binomial row; n = 16 is the first blocked sum
+        kind = F if fibonacci else L
+        assert direct_sum(n, x, z, j, r, s, m, kind) == naive_weighted_sum(
+            n, x, z, j, r, s, m, fibonacci
+        )
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        n=st.integers(0, 15),
+        x=st.one_of(st.integers(-6, 6), st.fractions(max_denominator=9, min_value=-6, max_value=6)),
+        z=st.one_of(st.integers(-6, 6), st.fractions(max_denominator=9, min_value=-6, max_value=6)),
+        j=st.integers(-60, 60),
+        r=st.integers(-60, 60),
+        s=st.integers(-60, 60),
+        m=st.integers(0, 6),
+        fibonacci=st.booleans(),
+    )
+    def test_small_sums_match_naive_summation(self, n, x, z, j, r, s, m, fibonacci):
+        kind = F if fibonacci else L
+        assert direct_sum(n, x, z, j, r, s, m, kind) == naive_weighted_sum(
+            n, x, z, j, r, s, m, fibonacci
+        )
+
+    @pytest.mark.parametrize("n", [0, 7, 15, 16, 200])
+    @pytest.mark.parametrize("kind", [F, L])
+    @pytest.mark.parametrize("x", [2, 0, Fraction(-3, 2)])
+    def test_at_most_four_sequence_calls_per_sum(self, monkeypatch, n, kind, x):
+        # the index is stepped from four seed values, never read term by term
+        calls = []
+
+        def counting(seq):
+            def wrapper(k):
+                calls.append(k)
+                return seq(k)
+
+            return wrapper
+
+        monkeypatch.setattr(sequences, "fib", counting(sequences.fib))
+        monkeypatch.setattr(sequences, "lucas", counting(sequences.lucas))
+        direct_sum(n, x, -1, 3, -2, 1, 2, kind)
+        assert 0 < len(calls) <= 4
 
     def test_rational_weights_exact(self):
         got = direct_sum(2, Fraction(1, 2), Fraction(1, 3), 1, 1, 0, 1, F)
