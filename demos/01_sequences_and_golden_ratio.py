@@ -5,7 +5,7 @@ Fibonacci/Lucas values for any integer index, and exact arithmetic in
 Q(alpha) with alpha the golden ratio.
 """
 
-from fibsums import ALPHA, BETA, ONE, SQRT5, QuadNum, alpha_pow, fib, lucas, root5_parts
+from fibsums import ALPHA, BETA, ONE, SQRT5, QuadNum, alpha_pow, fib, lucas
 
 print("=== Fibonacci and Lucas values, any integer index ===")
 print("F_0..F_10 :", [fib(n) for n in range(11)])
@@ -51,4 +51,5 @@ print("=== The a + b*sqrt5 view of an element ===")
 t = 9
 doubled = 2 * alpha_pow(t)
 print(f"2*alpha^{t} =", doubled)
-print("as p + q*sqrt5:", root5_parts(doubled), f" = (L_{t}, F_{t})")
+parts = lucas(t) * ONE + fib(t) * SQRT5
+print(f"as p + q*sqrt5 with (p, q) = (L_{t}, F_{t}) = ({lucas(t)}, {fib(t)}):", parts, " equal:", parts == doubled)

@@ -16,24 +16,23 @@ from fibsums import (
     direct_sum,
     fib,
     lucas,
-    reduce_F,
-    reduce_L,
+    reduce_power,
 )
 
 F, L = SequenceKind.FIB, SequenceKind.LUCAS
 
 print("=== A kernel is a finite list of (coefficient, exponent) terms ===")
-h = Kernel.from_pairs([(1, 4)])
+h = Kernel(((1, 4),))
 print("h(z) = z^4, one term, so the reduction gives a single power:")
-print("reduce_F(h, j=1, m=2, z=1) =", reduce_F(h, 1, 2, 1), " = F_4^2 =", fib(4) ** 2)
-print("reduce_L(h, j=2, m=3, z=1) =", reduce_L(h, 2, 3, 1), " = L_8^3 =", lucas(8) ** 3)
+print("reduce_power(h, j=1, m=2, z=1, F) =", reduce_power(h, 1, 2, 1, F), " = F_4^2 =", fib(4) ** 2)
+print("reduce_power(h, j=2, m=3, z=1, L) =", reduce_power(h, 2, 3, 1, L), " = L_8^3 =", lucas(8) ** 3)
 
 print()
 print("=== Mixed kernels with rational weights and negative exponents ===")
-h = Kernel.from_pairs([(Fraction(1, 2), 3), (2, -1), (1, 0)])
+h = Kernel(((Fraction(1, 2), 3), (2, -1), (1, 0)))
 z = Fraction(3, 2)
 print("h(z) = z^3/2 + 2/z + 1 at z = 3/2, squares of F_{3k}:")
-got = reduce_F(h, 3, 2, z)
+got = reduce_power(h, 3, 2, z, F)
 expected = (
     Fraction(1, 2) * z**3 * fib(9) ** 2 + 2 * z**-1 * fib(-3) ** 2 + fib(0) ** 2
 )

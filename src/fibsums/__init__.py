@@ -16,7 +16,7 @@ from .identities import (
     descriptor,
     eval_pair,
 )
-from .quadfield import ALPHA, BETA, ONE, SQRT5, ZERO, NonInvertibleError, QuadNum, alpha_pow, beta_pow, root5_parts
+from .quadfield import ALPHA, BETA, ONE, SQRT5, ZERO, NonInvertibleError, QuadNum, alpha_pow
 from .sequences import SequenceKind, binomial, direct_sum, fib, lucas
 from .transform import (
     BinomialKernel,
@@ -24,8 +24,7 @@ from .transform import (
     Kernel,
     binomial_rhs,
     kernel_eval,
-    reduce_F,
-    reduce_L,
+    reduce_power,
 )
 from .verify import (
     GridSpec,
@@ -62,7 +61,6 @@ __all__ = [
     "VerificationRecord",
     "ZERO",
     "alpha_pow",
-    "beta_pow",
     "binomial",
     "binomial_rhs",
     "catalog",
@@ -73,9 +71,7 @@ __all__ = [
     "fib",
     "kernel_eval",
     "lucas",
-    "reduce_F",
-    "reduce_L",
-    "root5_parts",
+    "reduce_power",
     "run_grid",
     "run_grids",
     "stream_grids",

@@ -10,12 +10,12 @@ form takes an identity id.  An identity's domain is stated once, in
 closed form, which checks nothing itself.  `eval_pair` runs both sides and
 reports exact equality, which is what the grid verifier drives.
 
-Closed forms are computed with integer Fibonacci/Lucas values only, apart
-from F1/L1 and the quadratic base forms T1, which bind the Q(alpha) engine
-`transform.binomial_rhs` directly.  `_times_5pow` is the one division by a
-power of 5 and the one integrality check; a 5^k with k known to be
-non-negative (E7/E8, E11/E12, Q15/Q16's tail) is a plain product.  Integer
-powers follow the 0^0 = 1 convention.
+Both sides of every entry are ints.  Closed forms are computed with integer
+Fibonacci/Lucas values only, apart from F1/L1 and the quadratic base forms
+T1, which bind the Q(alpha) engine `transform.binomial_rhs` directly.
+`_times_5pow` is the one division by a power of 5 and the one integrality
+check; a 5^k with k known to be non-negative (E7/E8, E11/E12, Q15/Q16's
+tail) is a plain product.  Integer powers follow the 0^0 = 1 convention.
 
 The even- and odd-power theorems are one closed form, `_power_rhs`, of
 sum_k (+/-1)^k C(n,k) W_{a+dk}^B with B*d even: EVEN has B = 2m, d = jr and
@@ -103,14 +103,14 @@ def _sgn(e: int) -> int:
     return -1 if e % 2 else 1
 
 
-def _times_5pow(value: int, e: int) -> Fraction:
+def _times_5pow(value: int, e: int) -> int:
     """value * 5^e; the one integrality check, raising IntegralityError on a remainder."""
     if e >= 0:
-        return Fraction(value * 5**e)
+        return value * 5**e
     q, rem = divmod(value, 5**-e)
     if rem:
         raise IntegralityError(f"expected an integer value, got {Fraction(value, 5**-e)}")
-    return Fraction(q)
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +125,7 @@ def _power_rhs(
     big: int,
     alternating: bool,
     kind: SequenceKind,
-) -> Fraction:
+) -> int:
     """Closed form of sum_k (+/-1)^k C(n,k) W_{a+dk}^big, for big*d even.
 
     Expanding W^big by Binet pairs alpha^(tx) with beta^(tx), t = big - 2i,
@@ -158,35 +158,35 @@ def _power_rhs(
     return _times_5pow(total, (n * fib_first + fib_second - big * is_fib) // 2)
 
 
-def _e7(q: IdentityParams) -> Fraction:
+def _e7(q: IdentityParams) -> int:
     n, jr = q.n, q.j * q.r
     if n % 2 == 0:
-        return Fraction(5 ** (n // 2) * fib(jr) ** n * fib(q.j * (q.r * n + q.s)))
-    return Fraction(_sgn(jr + 1) * 5 ** ((n - 1) // 2) * fib(jr) ** n * lucas(q.j * (q.r * n + q.s)))
+        return 5 ** (n // 2) * fib(jr) ** n * fib(q.j * (q.r * n + q.s))
+    return _sgn(jr + 1) * 5 ** ((n - 1) // 2) * fib(jr) ** n * lucas(q.j * (q.r * n + q.s))
 
 
-def _e8(q: IdentityParams) -> Fraction:
+def _e8(q: IdentityParams) -> int:
     n, jr = q.n, q.j * q.r
     if n % 2 == 0:
-        return Fraction(5 ** (n // 2) * fib(jr) ** n * lucas(q.j * (q.r * n + q.s)))
-    return Fraction(_sgn(jr + 1) * 5 ** ((n + 1) // 2) * fib(jr) ** n * fib(q.j * (q.r * n + q.s)))
+        return 5 ** (n // 2) * fib(jr) ** n * lucas(q.j * (q.r * n + q.s))
+    return _sgn(jr + 1) * 5 ** ((n + 1) // 2) * fib(jr) ** n * fib(q.j * (q.r * n + q.s))
 
 
-def _e11(q: IdentityParams) -> Fraction:
+def _e11(q: IdentityParams) -> int:
     n, js = q.n, q.j * q.s
     if n % 2 == 0:
-        return Fraction(_sgn(js + 1) * 5 ** (n // 2) * fib(q.j * q.r) ** n * fib(q.p * n - js))
-    return Fraction(_sgn(js + 1) * 5 ** ((n - 1) // 2) * fib(q.j * q.r) ** n * lucas(q.p * n - js))
+        return _sgn(js + 1) * 5 ** (n // 2) * fib(q.j * q.r) ** n * fib(q.p * n - js)
+    return _sgn(js + 1) * 5 ** ((n - 1) // 2) * fib(q.j * q.r) ** n * lucas(q.p * n - js)
 
 
-def _e12(q: IdentityParams) -> Fraction:
+def _e12(q: IdentityParams) -> int:
     n, js = q.n, q.j * q.s
     if n % 2 == 0:
-        return Fraction(_sgn(js) * 5 ** (n // 2) * fib(q.j * q.r) ** n * lucas(q.p * n - js))
-    return Fraction(_sgn(js) * 5 ** ((n + 1) // 2) * fib(q.j * q.r) ** n * fib(q.p * n - js))
+        return _sgn(js) * 5 ** (n // 2) * fib(q.j * q.r) ** n * lucas(q.p * n - js)
+    return _sgn(js) * 5 ** ((n + 1) // 2) * fib(q.j * q.r) ** n * fib(q.p * n - js)
 
 
-def _q15_q16(q: IdentityParams, sign: int) -> Fraction:
+def _q15_q16(q: IdentityParams, sign: int) -> int:
     """Q15 (sign -1) and Q16 (sign +1): head + sign * tail.
 
     Both parities of n share one prefactor 5^e, e = ceil(n/2) (Q16) or
@@ -198,14 +198,14 @@ def _q15_q16(q: IdentityParams, sign: int) -> Fraction:
     return _times_5pow(head + sign * tail, (n + 1) // 2 - (sign < 0))
 
 
-def _c22(q: IdentityParams) -> Fraction:
+def _c22(q: IdentityParams) -> int:
     n, s = q.n, q.s
     if n % 2 == 0:
         return _times_5pow(fib(3 * n + 3 * s) - _sgn(s) * 3 * fib(s), n // 2 - 1)
     return _times_5pow(lucas(3 * n + 3 * s) + _sgn(s) * 3 * lucas(s), n // 2 - 1)
 
 
-def _c23(q: IdentityParams) -> Fraction:
+def _c23(q: IdentityParams) -> int:
     n, s = q.n, q.s
     if n % 2 == 0:
         return _times_5pow(lucas(3 * n + 3 * s) + _sgn(s) * 3 * lucas(s), n // 2)
@@ -217,12 +217,12 @@ def _c23(q: IdentityParams) -> Fraction:
 
 
 class EvalOutcome(NamedTuple):
-    lhs: Fraction
-    rhs: Fraction
+    lhs: int
+    rhs: int
     match: bool
 
 
-DirectSumArgs = tuple[int, int | Fraction, int | Fraction, int, int, int, int]
+DirectSumArgs = tuple[int, int, int, int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,7 @@ class IdentityDescriptor:
     slots: tuple[str, ...]
     anchor: str
     lhs_args: Callable[[IdentityParams], DirectSumArgs]
-    closed: Callable[[IdentityParams], Fraction]
+    closed: Callable[[IdentityParams], int]
     domain_error: Callable[[IdentityParams], str | None] | None = None
 
     def applicable(self, params: IdentityParams) -> tuple[bool, str | None]:
@@ -255,13 +255,13 @@ class IdentityDescriptor:
                 return False, reason
         return True, None
 
-    def lhs(self, params: IdentityParams) -> Fraction:
+    def lhs(self, params: IdentityParams) -> int:
         # unpacked, not passed as *args: a star call builds a tuple and costs
         # about 0.1 us more per point
         n, x, z, j, r, s, m = self.lhs_args(params)
         return direct_sum(n, x, z, j, r, s, m, self.kind)
 
-    def rhs(self, params: IdentityParams) -> Fraction:
+    def rhs(self, params: IdentityParams) -> int:
         """The closed form; InapplicableParamsError outside the identity's domain."""
         ok, reason = self.applicable(params)
         if not ok:
@@ -297,13 +297,13 @@ def _build_catalog() -> tuple[IdentityDescriptor, ...]:
             IdentityId.E5, F, nj,
             "sum_k (-1)^(jrk) C(n,k) F[j(2rk+s)] = (-1)^(jrn) L[jr]^n F[j(rn+s)]",
             lambda q: (q.n, 1, _sgn(q.j * q.r), q.j, 2 * q.r, q.s, 1),
-            lambda q: Fraction(_sgn(q.j * q.r * q.n) * lucas(q.j * q.r) ** q.n * fib(q.j * (q.r * q.n + q.s))),
+            lambda q: _sgn(q.j * q.r * q.n) * lucas(q.j * q.r) ** q.n * fib(q.j * (q.r * q.n + q.s)),
         ),
         IdentityDescriptor(
             IdentityId.E6, L, nj,
             "sum_k (-1)^(jrk) C(n,k) L[j(2rk+s)] = (-1)^(jrn) L[jr]^n L[j(rn+s)]",
             lambda q: (q.n, 1, _sgn(q.j * q.r), q.j, 2 * q.r, q.s, 1),
-            lambda q: Fraction(_sgn(q.j * q.r * q.n) * lucas(q.j * q.r) ** q.n * lucas(q.j * (q.r * q.n + q.s))),
+            lambda q: _sgn(q.j * q.r * q.n) * lucas(q.j * q.r) ** q.n * lucas(q.j * (q.r * q.n + q.s)),
         ),
         IdentityDescriptor(
             IdentityId.E7, F, nj,
@@ -324,7 +324,7 @@ def _build_catalog() -> tuple[IdentityDescriptor, ...]:
             "sum_k (-1)^k C(n,k) F[p+jr]^(n-k) F[p]^k F[j(rk+s)]"
             " = (-1)^(js+1) F[jr]^n F[pn-js]",
             lambda q: (q.n, fib(q.p + q.j * q.r), -fib(q.p), q.j, q.r, q.s, 1),
-            lambda q: Fraction(_sgn(q.j * q.s + 1) * fib(q.j * q.r) ** q.n * fib(q.p * q.n - q.j * q.s)),
+            lambda q: _sgn(q.j * q.s + 1) * fib(q.j * q.r) ** q.n * fib(q.p * q.n - q.j * q.s),
         ),
         IdentityDescriptor(
             IdentityId.E10, L, njp,
@@ -333,7 +333,7 @@ def _build_catalog() -> tuple[IdentityDescriptor, ...]:
             lambda q: (q.n, fib(q.p + q.j * q.r), -fib(q.p), q.j, q.r, q.s, 1),
             # the Lucas pairing alpha^(js) beta^(pn) + beta^(js) alpha^(pn) = (-1)^(js) L[pn-js]
             # carries no extra sign flip
-            lambda q: Fraction(_sgn(q.j * q.s) * fib(q.j * q.r) ** q.n * lucas(q.p * q.n - q.j * q.s)),
+            lambda q: _sgn(q.j * q.s) * fib(q.j * q.r) ** q.n * lucas(q.p * q.n - q.j * q.s),
         ),
         IdentityDescriptor(
             IdentityId.E11, F, njp,
@@ -382,7 +382,7 @@ def _build_catalog() -> tuple[IdentityDescriptor, ...]:
             "sum_k (-1)^k C(n,k) F[2jr+p]^(n-k) F[p]^k L[j(rk+s)]^2"
             " = F[2jr]^n L[pn-2js] + (-1)^(js) 2 F[jr]^n L[jr+p]^n, p != 0",
             lambda q: (q.n, fib(2 * q.j * q.r + q.p), -fib(q.p), q.j, q.r, q.s, 2),
-            lambda q: Fraction(
+            lambda q: (
                 fib(2 * q.j * q.r) ** q.n * lucas(q.p * q.n - 2 * q.j * q.s)
                 + _sgn(q.j * q.s) * 2 * fib(q.j * q.r) ** q.n * lucas(q.j * q.r + q.p) ** q.n
             ),
@@ -414,7 +414,7 @@ def _build_catalog() -> tuple[IdentityDescriptor, ...]:
             IdentityId.C19, L, ("n", "s"),
             "sum_k C(n,k) L[k+s]^3 = 2^n L[2n+3s] + 3 L[n-s]",
             lambda q: (q.n, 1, 1, 1, 1, q.s, 3),
-            lambda q: Fraction(2**q.n * lucas(2 * q.n + 3 * q.s) + 3 * lucas(q.n - q.s)),
+            lambda q: 2**q.n * lucas(2 * q.n + 3 * q.s) + 3 * lucas(q.n - q.s),
         ),
         IdentityDescriptor(
             IdentityId.C20, F, ("n", "s"),
@@ -428,7 +428,7 @@ def _build_catalog() -> tuple[IdentityDescriptor, ...]:
             IdentityId.C21, L, ("n", "s"),
             "sum_k (-1)^k C(n,k) L[k+s]^3 = (-1)^n 2^n L[n+3s] + (-1)^s 3 L[2n+s]",
             lambda q: (q.n, 1, -1, 1, 1, q.s, 3),
-            lambda q: Fraction(_sgn(q.n) * 2**q.n * lucas(q.n + 3 * q.s) + _sgn(q.s) * 3 * lucas(2 * q.n + q.s)),
+            lambda q: _sgn(q.n) * 2**q.n * lucas(q.n + 3 * q.s) + _sgn(q.s) * 3 * lucas(2 * q.n + q.s),
         ),
         IdentityDescriptor(
             IdentityId.C22, F, ("n", "s"),

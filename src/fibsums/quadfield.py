@@ -5,7 +5,8 @@ The arithmetic is `mul`, `power` and `inverse` on plain pairs: integer pairs
 stay in Z[alpha], and so do the inverses of its units (norm +/-1), such as
 every power of alpha, whose coordinates are (F_{n-1}, F_n).  `QuadNum`, the
 public element type, is a pair with the field operators built on them.
-beta = 1 - alpha and sqrt5 = 2*alpha - 1 are derived constants.
+beta = 1 - alpha and sqrt5 = 2*alpha - 1 are derived constants, and
+beta^n is `alpha_pow(n).conj()`.
 """
 
 from __future__ import annotations
@@ -122,17 +123,6 @@ SQRT5 = QuadNum(-1, 2)  # 2*alpha - 1
 def alpha_pow(n: int) -> QuadNum:
     """alpha^n for any integer n; alpha^-1 = alpha - 1, so the coordinates are (F_{n-1}, F_n)."""
     return QuadNum._make(power(ALPHA, n))
-
-
-def beta_pow(n: int) -> QuadNum:
-    """beta^n = conj(alpha^n)."""
-    return alpha_pow(n).conj()
-
-
-def root5_parts(a: QuadNum) -> tuple[Fraction, Fraction]:
-    """Decompose a = p + q*sqrt5 into exact rational (p, q): p = u + v/2, q = v/2."""
-    q = Fraction(a.v, 2)
-    return Fraction(a.u) + q, q
 
 
 def clear_caches() -> None:

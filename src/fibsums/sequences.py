@@ -1,7 +1,9 @@
 """Arbitrary-precision Fibonacci/Lucas values and the direct-summation oracle.
 
-Everything here is exact: indices are plain Python ints (any magnitude),
-values are Python ints, and weighted sums are `fractions.Fraction`.
+Everything here is exact: indices are plain Python ints (any magnitude) and
+values are Python ints.  A weighted sum follows the package's one value rule:
+an `int` when it is integral, and a `fractions.Fraction` only when it has a
+denominator, which only rational weights can give it.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def clear_caches() -> None:
 
 
 def as_exact(q: int | Fraction) -> int | Fraction:
-    """q as an int when it is integral, otherwise the Fraction unchanged."""
+    """The package's one value rule: q as an int when it is integral, otherwise the Fraction unchanged."""
     if isinstance(q, int) or q.denominator != 1:
         return q
     return q.numerator
@@ -100,7 +102,7 @@ def direct_sum(
     s: int,
     m: int,
     kind: SequenceKind,
-) -> Fraction:
+) -> int | Fraction:
     """Sum of C(n,k) x^(n-k) z^k W_{j(rk+s)}^m over k = 0..n, term by term.
 
     W is F or L per `kind`.  0^0 = 1 throughout: for the x and z weight
@@ -114,23 +116,21 @@ def direct_sum(
     (n-k)z / ((k+1)x) from a small integer weight, and the block sums are
     merged as exact integer ratios by binary splitting.
 
-    Rational weights are scaled by the common denominator D of x and z:
-    the sum is the integer sum at (D x, D z) divided by D^n.
+    The sum is an int when it is integral, as it always is for integral
+    weights, and a Fraction only when it has a denominator.  Rational
+    weights are scaled by the common denominator D of x and z: the sum is
+    the integer sum at (D x, D z) divided by D^n.
     """
     if n < 0:
         raise ValueError(f"direct_sum requires n >= 0, got n={n}")
     if m < 0:
         raise ValueError(f"direct_sum requires m >= 0, got m={m}")
     seq = fib if kind is SequenceKind.FIB else lucas
-
-    # every catalog embedding passes int weights; they skip the as_exact calls
-    if isinstance(x, int) and isinstance(z, int):
-        return Fraction(_integer_sum(n, x, z, j, r, s, m, seq))
-    x, z = as_exact(x), as_exact(z)
-    if isinstance(x, int) and isinstance(z, int):
-        return Fraction(_integer_sum(n, x, z, j, r, s, m, seq))
+    # an int is its own numerator over 1; a float has no denominator and raises AttributeError
+    if x.denominator == z.denominator == 1:
+        return _integer_sum(n, x.numerator, z.numerator, j, r, s, m, seq)
     den = math.lcm(x.denominator, z.denominator)
-    return Fraction(_integer_sum(n, int(x * den), int(z * den), j, r, s, m, seq), den**n)
+    return as_exact(Fraction(_integer_sum(n, int(x * den), int(z * den), j, r, s, m, seq), den**n))
 
 
 # Terms per block.  A sum of more terms is cut into blocks of this many,

@@ -3,13 +3,14 @@
 The power-reduction lemma: sum_k g_k z^(f_k) W_{j f_k}^m equals
 sum_{i=0..m} (-1)^i C(m,i) h(p_i) / sqrt5^m for W = F (for L unsigned and
 without sqrt5), with the kernel h(w) = sum_k g_k w^(f_k) and the lemma points
-p_i = beta^(ij) alpha^((m-i)j) z = (-1)^(ij) alpha^((m-2i)j) z.  `_reduce` is
-that one loop and `kernel_eval` its one evaluator, for either kernel: both
-answer `terms`, and a `BinomialKernel` at a nonzero point is evaluated in
-closed form as h(w) = w^s (x + z w^r)^n.  `binomial_rhs` runs it at z = 1,
-where the points are units of Z[alpha]: with x, z scaled to integers by
-their common denominator d, every contribution is an integer pair of
-`quadfield` arithmetic, and the sum is divided by d^n once.
+p_i = beta^(ij) alpha^((m-i)j) z = (-1)^(ij) alpha^((m-2i)j) z.
+`reduce_power` is that one loop and `kernel_eval` its one evaluator, for
+either kernel: both answer `terms`, and a `BinomialKernel` at a nonzero point
+is evaluated in closed form as h(w) = w^s (x + z w^r)^n.  `binomial_rhs` runs
+it at z = 1, where the points are units of Z[alpha]: with x, z scaled to
+integers by their common denominator d, every contribution is an integer pair
+of `quadfield` arithmetic, and the sum is divided by d^n once.  Results
+follow `sequences.as_exact`: an int when integral, a Fraction otherwise.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .quadfield import SQRT5, QuadNum, alpha_pow, mul, power
-from .sequences import SequenceKind, binomial
+from .sequences import SequenceKind, as_exact, binomial
 
 
 class IrrationalResultError(ArithmeticError):
@@ -39,10 +39,6 @@ class Kernel:
     """
 
     terms: tuple[tuple[int | Fraction, int], ...]
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int | Fraction, int]]) -> Kernel:
-        return cls(tuple((g, int(f)) for g, f in pairs))
 
 
 @dataclass(frozen=True)
@@ -66,8 +62,8 @@ class BinomialKernel:
         return tuple((binomial(n, k) * x ** (n - k) * z**k, r * k + s) for k in range(n + 1))
 
 
-def rationalize_root5(q: tuple, m: int) -> Fraction:
-    """q / sqrt5^m as an exact rational, for a pair q.
+def rationalize_root5(q: tuple, m: int) -> int | Fraction:
+    """q / sqrt5^m as an exact rational, for a pair q: an int when integral.
 
     For odd m the value is multiplied by sqrt5 first, then the rational part
     is divided by 5^ceil(m/2); the alpha-part must vanish at that point.
@@ -75,7 +71,7 @@ def rationalize_root5(q: tuple, m: int) -> Fraction:
     u, v = mul(q, SQRT5) if m % 2 else q
     if v != 0:
         raise IrrationalResultError(f"non-rational after sqrt5 rationalization: {u} + {v}*alpha")
-    return Fraction(u, 5 ** ((m + 1) // 2))
+    return as_exact(Fraction(u, 5 ** ((m + 1) // 2)))
 
 
 def kernel_eval(h: Kernel | BinomialKernel, point: tuple) -> QuadNum:
@@ -101,14 +97,20 @@ def _lemma_points(j: int, m: int, z: int | Fraction) -> list[tuple]:
     return [mul(alpha_pow((m - 2 * i) * j), (-z if i * j % 2 else z, 0)) for i in range(m + 1)]
 
 
-def _reduce(h: Kernel | BinomialKernel, j: int, m: int, z: int | Fraction, kind: SequenceKind) -> Fraction:
+def reduce_power(h: Kernel | BinomialKernel, j: int, m: int, z: int | Fraction, kind: SequenceKind) -> int | Fraction:
+    """sum of g_k z^(f_k) W_{j f_k}^m over h's terms, W = F or L per `kind`.
+
+    For F it is (1/sqrt5^m) sum_{i=0..m} (-1)^i C(m,i) h(beta^(ij) alpha^((m-i)j) z),
+    rationalized; for L the same sum unsigned and without 1/sqrt5^m.  Kernels
+    with negative exponents need z != 0.
+    """
     if m < 0:
         raise ValueError(f"power reduction requires m >= 0, got m={m}")
     if z == 0:
         # Only f = 0 terms survive at z = 0; W_0 is 0 (F) or 2 (L).
-        h0 = sum((Fraction(g) for g, f in h.terms if f == 0), Fraction(0))
+        h0 = sum(Fraction(g) for g, f in h.terms if f == 0)
         w0 = 0 if kind is SequenceKind.FIB else 2
-        return h0 * w0**m
+        return as_exact(h0 * w0**m)
     is_fib = kind is SequenceKind.FIB
     u = v = 0
     for i, point in enumerate(_lemma_points(j, m, z)):
@@ -119,27 +121,13 @@ def _reduce(h: Kernel | BinomialKernel, j: int, m: int, z: int | Fraction, kind:
     return rationalize_root5((u, v), m if is_fib else 0)
 
 
-def reduce_F(h: Kernel | BinomialKernel, j: int, m: int, z: int | Fraction) -> Fraction:
-    """sum of g_k z^(f_k) F_{j f_k}^m via the alternating kernel combination.
-
-    Equals (1/sqrt5^m) * sum_{i=0..m} (-1)^i C(m,i) h(beta^(ij) alpha^((m-i)j) z),
-    rationalized; kernels with negative exponents need z != 0.
-    """
-    return _reduce(h, j, m, z, SequenceKind.FIB)
-
-
-def reduce_L(h: Kernel | BinomialKernel, j: int, m: int, z: int | Fraction) -> Fraction:
-    """sum of g_k z^(f_k) L_{j f_k}^m; as reduce_F but unsigned and without 1/sqrt5^m."""
-    return _reduce(h, j, m, z, SequenceKind.LUCAS)
-
-
-def binomial_rhs(bk: BinomialKernel, j: int, m: int, kind: SequenceKind) -> Fraction:
-    """Closed form of sum_k C(n,k) x^(n-k) z^k W_{j(rk+s)}^m: `_reduce` at z = 1 over bk.
+def binomial_rhs(bk: BinomialKernel, j: int, m: int, kind: SequenceKind) -> int | Fraction:
+    """Closed form of sum_k C(n,k) x^(n-k) z^k W_{j(rk+s)}^m: `reduce_power` at z = 1 over bk.
 
     The contract, enforced by the test suite, is exact equality with direct_sum.
     """
     d = math.lcm(bk.x.denominator, bk.z.denominator)  # a float weight raises AttributeError
     if d == 1:
-        return _reduce(bk, j, m, 1, kind)
+        return reduce_power(bk, j, m, 1, kind)
     scaled = BinomialKernel(bk.n, int(bk.x * d), int(bk.z * d), bk.r, bk.s)
-    return _reduce(scaled, j, m, 1, kind) / d**bk.n
+    return as_exact(Fraction(reduce_power(scaled, j, m, 1, kind), d**bk.n))

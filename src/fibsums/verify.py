@@ -87,8 +87,8 @@ class VerificationRecord:
 
     id: IdentityId
     params: IdentityParams
-    lhs: Fraction | None
-    rhs: Fraction | None
+    lhs: int | None
+    rhs: int | None
     match: bool | None
     skipped_reason: str | None = None
     error: str | None = None
@@ -222,7 +222,7 @@ def _head_format(desc: IdentityDescriptor) -> str:
 
 
 def _line(
-    head: str, lhs: Fraction | None, rhs: Fraction | None, match: bool | None, skipped: str | None, error: str | None
+    head: str, lhs: int | None, rhs: int | None, match: bool | None, skipped: str | None, error: str | None
 ) -> str:
     """The one report line writer: a filled-in head, then the outcome's keys."""
     if skipped is not None:

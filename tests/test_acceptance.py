@@ -24,14 +24,11 @@ from fibsums import (
     Kernel,
     SequenceKind,
     alpha_pow,
-    beta_pow,
     binomial_rhs,
     direct_sum,
     fib,
     lucas,
-    reduce_F,
-    reduce_L,
-    root5_parts,
+    reduce_power,
 )
 from fibsums.cli import bench_identity
 from fibsums.verify import GridSpec, default_grid_specs, dump_json, run_grids, stream_grids
@@ -129,7 +126,7 @@ def test_criterion_3_kernel_engine_random_kernels():
             (Fraction(rng.randint(-9, 9), rng.randint(1, 7)), rng.randint(-10, 10))
             for _ in range(rng.randint(1, 6))
         ]
-        h = Kernel.from_pairs(terms)
+        h = Kernel(tuple(terms))
         j = rng.randint(-4, 4)
         m = rng.randint(0, 3)
         z = rng.choice(zs)
@@ -140,7 +137,7 @@ def test_criterion_3_kernel_engine_random_kernels():
                  for g, f in terms),
                 Fraction(0),
             )
-            got = reduce_F(h, j, m, z) if fibonacci else reduce_L(h, j, m, z)
+            got = reduce_power(h, j, m, z, F if fibonacci else L)
             assert got == expected, (terms, j, m, z, fibonacci)
         kernels += 1
     _report(f"PASS: criterion 3 (Lemma-1 engine): {kernels} random kernels, exact")
@@ -152,10 +149,10 @@ def test_criterion_3_kernel_engine_random_kernels():
 def test_criterion_4_ring_lemmas():
     checks = 0
     for p in range(-20, 21):
-        ap, bp = alpha_pow(p), beta_pow(p)
+        ap, bp = alpha_pow(p), alpha_pow(p).conj()
         sp = -1 if p % 2 else 1
         for q in range(-20, 21):
-            aq, bq = alpha_pow(q), beta_pow(q)
+            aq, bq = alpha_pow(q), alpha_pow(q).conj()
             Fq, Lq = fib(q), lucas(q)
             # index-shift lemma, all four identities
             assert (lucas(p + q) * ONE) - lucas(p) * aq == -(bp * Fq) * SQRT5
@@ -173,12 +170,12 @@ def test_criterion_4_ring_lemmas():
             checks += 6
     # the four sign-collapsed corollaries
     for q in range(-20, 21):
-        aq, bq = alpha_pow(q), beta_pow(q)
+        aq, bq = alpha_pow(q), alpha_pow(q).conj()
         sq = (-1 if q % 2 else 1) * ONE
         assert sq + alpha_pow(2 * q) == aq * lucas(q)
         assert sq - alpha_pow(2 * q) == -(aq * fib(q)) * SQRT5
-        assert sq + beta_pow(2 * q) == bq * lucas(q)
-        assert sq - beta_pow(2 * q) == (bq * fib(q)) * SQRT5
+        assert sq + alpha_pow(2 * q).conj() == bq * lucas(q)
+        assert sq - alpha_pow(2 * q).conj() == (bq * fib(q)) * SQRT5
         checks += 4
     _report(f"PASS: criterion 4 (ring lemmas): {checks} exact equations over p,q in [-20,20]")
 
@@ -193,7 +190,7 @@ def test_criterion_5_sequence_core():
     for n in range(-200, 201):
         assert alpha_pow(n).u == fib(n - 1) and alpha_pow(n).v == fib(n)
     for t in range(-200, 201):
-        assert root5_parts(2 * alpha_pow(t)) == (lucas(t), fib(t))
+        assert 2 * alpha_pow(t) == lucas(t) * ONE + fib(t) * SQRT5
     _report(
         "PASS: criterion 5 (sequence core): doubling == iteration on |n|<=300; "
         "alpha powers and sqrt5 parts exact on |n|<=200"

@@ -13,6 +13,7 @@ from fibsums import (
     IdentityParams,
     InapplicableParamsError,
     IntegralityError,
+    Kernel,
     SequenceKind,
     VerificationRecord,
     binomial_rhs,
@@ -21,6 +22,7 @@ from fibsums import (
     direct_sum,
     eval_pair,
     fib,
+    reduce_power,
     run_grids,
 )
 from fibsums.identities import SLOT_ORDER, _times_5pow
@@ -365,8 +367,8 @@ class TestIntegrality:
         assert _times_5pow(-3, 2) == -75
         assert _times_5pow(-50, -2) == -2
         for value, e in ((4, 0), (-3, 2), (-50, -2)):
-            assert type(_times_5pow(value, e)) is Fraction
-        with pytest.raises(IntegralityError):
+            assert type(_times_5pow(value, e)) is int
+        with pytest.raises(IntegralityError, match=r"^expected an integer value, got 1/5$"):
             _times_5pow(1, -1)
         with pytest.raises(IntegralityError):
             _times_5pow(-30, -2)
@@ -374,7 +376,68 @@ class TestIntegrality:
     def test_closed_forms_integral_on_sample(self):
         for n, s in product(range(5), range(-2, 3)):
             for id in (IdentityId.C18, IdentityId.C20, IdentityId.C22):
-                assert descriptor(id).rhs(P(n=n, s=s)).denominator == 1
+                assert type(descriptor(id).rhs(P(n=n, s=s))) is int
         for n, j, r, s, m in product(range(4), (-1, 2), (1, 2), (-1, 1), range(3)):
-            assert even_rhs(n, j, r, s, m, False, F).denominator == 1
-            assert odd_rhs(n, j, r, s, m, True, L).denominator == 1
+            assert type(even_rhs(n, j, r, s, m, False, F)) is int
+            assert type(odd_rhs(n, j, r, s, m, True, L)) is int
+
+
+# The one value rule: an int when the value is integral, a Fraction only when it
+# has a denominator, never a float.  Each row is (call, expected value); the
+# expected value's type is the type the call must return.
+_HALF, _THREE_HALVES = Fraction(1, 2), Fraction(3, 2)
+VALUE_TYPE_CASES = {
+    "direct_sum int weights": (lambda: direct_sum(2, 1, 1, 1, 1, 1, 3, F), 11),
+    "direct_sum Fraction(1) weights, as `sum` passes them": (
+        lambda: direct_sum(2, Fraction(1), Fraction(1), 1, 1, 1, 3, F), 11
+    ),
+    "direct_sum Fraction(2) weight": (lambda: direct_sum(2, Fraction(2), 1, 1, 1, 0, 1, F), 5),
+    "direct_sum rational weights, integral sum": (lambda: direct_sum(1, _HALF, _HALF, 1, 1, 1, 1, F), 1),
+    "direct_sum rational weights, rational sum": (
+        lambda: direct_sum(2, _HALF, _THREE_HALVES, 1, 1, 0, 1, F), Fraction(15, 4)
+    ),
+    "binomial_rhs int weights": (lambda: binomial_rhs(BinomialKernel(2, 1, 1, 1, 1), 1, 3, F), 11),
+    "binomial_rhs int weights, Lucas": (lambda: binomial_rhs(BinomialKernel(3, 1, 1, 1, 0), 1, 1, L), 18),
+    "binomial_rhs Fraction(1) weights": (
+        lambda: binomial_rhs(BinomialKernel(2, Fraction(1), Fraction(1), 1, 1), 1, 3, F), 11
+    ),
+    "binomial_rhs Fraction(2) weight": (lambda: binomial_rhs(BinomialKernel(2, Fraction(2), 1, 1, 0), 1, 1, F), 5),
+    "binomial_rhs rational weights, integral sum": (
+        lambda: binomial_rhs(BinomialKernel(1, _HALF, _HALF, 1, 1), 1, 1, F), 1
+    ),
+    "binomial_rhs rational weights, rational sum": (
+        lambda: binomial_rhs(BinomialKernel(2, _HALF, _THREE_HALVES, 1, 0), 1, 1, F), Fraction(15, 4)
+    ),
+    "reduce_power at z = 0, integral": (lambda: reduce_power(Kernel(((_HALF, 0), (3, 1))), 1, 1, 0, L), 1),
+    "reduce_power at z = 0, rational": (
+        lambda: reduce_power(Kernel(((Fraction(1, 3), 0), (3, 1))), 1, 1, 0, L), Fraction(2, 3)
+    ),
+}
+
+
+class TestValueType:
+    @pytest.mark.parametrize("call,expected", VALUE_TYPE_CASES.values(), ids=VALUE_TYPE_CASES.keys())
+    def test_int_when_integral_fraction_only_with_a_denominator(self, call, expected):
+        value = call()
+        assert value == expected
+        assert type(value) is type(expected)
+        assert type(value) is int or value.denominator != 1
+
+    def test_eval_pair_sides_are_ints(self):
+        outcome = eval_pair(IdentityId.C18, P(n=2, s=1))
+        assert outcome == (11, 11, True)
+        assert type(outcome.lhs) is int and type(outcome.rhs) is int
+
+    def test_every_catalog_side_is_an_int(self):
+        axes = {"n": (0, 1, 4), "j": (-2, 3), "r": (-1, 2), "s": (-1, 2), "p": (-1, 2), "m": (0, 2)}
+        for desc in catalog():
+            checked = 0
+            read = (axes[slot] if slot in desc.slots else (P._field_defaults[slot],) for slot in SLOT_ORDER)
+            for combo in product(*read):
+                params = P(*combo)
+                if not desc.applicable(params)[0]:
+                    continue
+                lhs, rhs = desc.lhs(params), desc.rhs(params)
+                assert type(lhs) is int and type(rhs) is int, (desc.id, params, lhs, rhs)
+                checked += 1
+            assert checked, desc.id

@@ -13,10 +13,8 @@ from fibsums import (
     NonInvertibleError,
     QuadNum,
     alpha_pow,
-    beta_pow,
     fib,
     lucas,
-    root5_parts,
 )
 
 from oracles import naive_fib, naive_lucas
@@ -121,11 +119,12 @@ class TestAlphaPowers:
             assert total.is_rational and total.u == naive_lucas(n)
 
     def test_root5_parts(self):
-        assert root5_parts(ALPHA) == (Fraction(1, 2), Fraction(1, 2))
-        assert root5_parts(QuadNum(7, 0)) == (7, 0)
-        assert root5_parts(2 * alpha_pow(4)) == (7, 3)  # (L_4, F_4)
+        # a = p + q*sqrt5 with exact rational (p, q)
+        assert ALPHA == Fraction(1, 2) * ONE + Fraction(1, 2) * SQRT5
+        assert QuadNum(7, 0) == 7 * ONE + 0 * SQRT5
+        assert 2 * alpha_pow(4) == 7 * ONE + 3 * SQRT5  # (L_4, F_4)
         for t in range(-200, 201):
-            assert root5_parts(2 * alpha_pow(t)) == (lucas(t), fib(t))
+            assert 2 * alpha_pow(t) == lucas(t) * ONE + fib(t) * SQRT5
 
 
 def in_range(lo, hi):
@@ -138,8 +137,8 @@ class TestIndexShiftIdentities:
     def test_all_four(self):
         for p in in_range(-12, 12):
             for q in in_range(-12, 12):
-                ap, bp = alpha_pow(p), beta_pow(p)
-                aq, bq = alpha_pow(q), beta_pow(q)
+                ap, bp = alpha_pow(p), alpha_pow(p).conj()
+                aq, bq = alpha_pow(q), alpha_pow(q).conj()
                 Fq, Lpq, Lp = fib(q), lucas(p + q), lucas(p)
                 Fpq, Fp = fib(p + q), fib(p)
                 assert QuadNum(Lpq, 0) - Lp * aq == -(bp * Fq) * SQRT5
@@ -168,8 +167,8 @@ class TestParitySplitIdentities:
     def test_corollaries(self):
         for q in in_range(-12, 12):
             sq = QuadNum(-1 if q % 2 else 1, 0)
-            aq, bq = alpha_pow(q), beta_pow(q)
+            aq, bq = alpha_pow(q), alpha_pow(q).conj()
             assert sq + alpha_pow(2 * q) == aq * lucas(q)
             assert sq - alpha_pow(2 * q) == -(aq * fib(q)) * SQRT5
-            assert sq + beta_pow(2 * q) == bq * lucas(q)
-            assert sq - beta_pow(2 * q) == (bq * fib(q)) * SQRT5
+            assert sq + alpha_pow(2 * q).conj() == bq * lucas(q)
+            assert sq - alpha_pow(2 * q).conj() == (bq * fib(q)) * SQRT5
