@@ -1,21 +1,27 @@
-"""The identity catalog: one entry per closed form, paired with its embedding
+"""The identity catalog: one row per F/L pair, paired with its embedding
 into the direct-summation oracle.
 
-Every entry binds an identity tag to (a) the parameter slots it reads, (b) the
-direct_sum call computing its left side term by term, and (c) its closed
-form: a lambda next to its anchor, or a small private function where the
-form branches on the parity of n.  The catalog is the one table; no closed
-form takes an identity id.  An identity's domain is stated once, in
-`IdentityDescriptor.applicable`: `rhs` checks it and then calls the bound
-closed form, which checks nothing itself.  `eval_pair` runs both sides and
-reports exact equality, which is what the grid verifier drives.
+The paper states its sums in F/L pairs whose members share the left side.
+The catalog is written as one row per pair: the two ids, the parameter slots
+both read, the one direct_sum call computing the shared left side term by
+term, and each member's anchor with its closed form, a lambda next to it.
+The rows expand into one `IdentityDescriptor` per identity, F member first.
+The catalog is the one table; no closed form takes an identity id.  An
+identity's domain is stated once, in `IdentityDescriptor.applicable`: `rhs`
+checks it and then calls the bound closed form, which checks nothing itself.
+`eval_pair` runs both sides and reports exact equality, which is what the
+grid verifier drives.
 
 Both sides of every entry are ints.  Closed forms are computed with integer
 Fibonacci/Lucas values only, apart from F1/L1 and the quadratic base forms
 T1, which bind the Q(alpha) engine `transform.binomial_rhs` directly.
 `_times_5pow` is the one division by a power of 5 and the one integrality
-check; a 5^k with k known to be non-negative (E7/E8, E11/E12, Q15/Q16's
+check; a 5^k with k known to be non-negative (`_root5_swap`, Q15/Q16's
 tail) is a plain product.  Integer powers follow the 0^0 = 1 convention.
+
+The closed forms that branch on the parity of n (E7/E8, E11/E12, Q15/Q16,
+C22/C23) take the branch from one rule, `_root5_swap`, the Binet pairing
+alpha^i sqrt5^n -/+ beta^i (-sqrt5)^n.
 
 The even- and odd-power theorems are one closed form, `_power_rhs`, of
 sum_k (+/-1)^k C(n,k) W_{a+dk}^B with B*d even: EVEN has B = 2m, d = jr and
@@ -114,8 +120,21 @@ def _times_5pow(value: int, e: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms bound by name (the rest are lambdas in their catalog entries).
+# Closed forms bound by name (the rest are lambdas in their catalog rows).
 # None checks the domain: IdentityDescriptor.rhs does.
+
+
+def _root5_swap(n: int, kind: SequenceKind, i: int) -> int:
+    """alpha^i sqrt5^n - beta^i (-sqrt5)^n over sqrt5 (F), or with + (L).
+
+    As an int: 5^(n/2) W_i for even n, and 5^((n-1)/2) L_i (F) or
+    5^((n+1)/2) F_i (L) for odd n.
+    """
+    if n % 2 == 0:
+        return 5 ** (n // 2) * (fib(i) if kind is SequenceKind.FIB else lucas(i))
+    if kind is SequenceKind.FIB:
+        return 5 ** (n // 2) * lucas(i)
+    return 5 ** (n // 2 + 1) * fib(i)
 
 
 def _power_rhs(
@@ -156,60 +175,6 @@ def _power_rhs(
     if alternating and n % 2:
         total = -total
     return _times_5pow(total, (n * fib_first + fib_second - big * is_fib) // 2)
-
-
-def _e7(q: IdentityParams) -> int:
-    n, jr = q.n, q.j * q.r
-    if n % 2 == 0:
-        return 5 ** (n // 2) * fib(jr) ** n * fib(q.j * (q.r * n + q.s))
-    return _sgn(jr + 1) * 5 ** ((n - 1) // 2) * fib(jr) ** n * lucas(q.j * (q.r * n + q.s))
-
-
-def _e8(q: IdentityParams) -> int:
-    n, jr = q.n, q.j * q.r
-    if n % 2 == 0:
-        return 5 ** (n // 2) * fib(jr) ** n * lucas(q.j * (q.r * n + q.s))
-    return _sgn(jr + 1) * 5 ** ((n + 1) // 2) * fib(jr) ** n * fib(q.j * (q.r * n + q.s))
-
-
-def _e11(q: IdentityParams) -> int:
-    n, js = q.n, q.j * q.s
-    if n % 2 == 0:
-        return _sgn(js + 1) * 5 ** (n // 2) * fib(q.j * q.r) ** n * fib(q.p * n - js)
-    return _sgn(js + 1) * 5 ** ((n - 1) // 2) * fib(q.j * q.r) ** n * lucas(q.p * n - js)
-
-
-def _e12(q: IdentityParams) -> int:
-    n, js = q.n, q.j * q.s
-    if n % 2 == 0:
-        return _sgn(js) * 5 ** (n // 2) * fib(q.j * q.r) ** n * lucas(q.p * n - js)
-    return _sgn(js) * 5 ** ((n + 1) // 2) * fib(q.j * q.r) ** n * fib(q.p * n - js)
-
-
-def _q15_q16(q: IdentityParams, sign: int) -> int:
-    """Q15 (sign -1) and Q16 (sign +1): head + sign * tail.
-
-    Both parities of n share one prefactor 5^e, e = ceil(n/2) (Q16) or
-    ceil(n/2) - 1 (Q15); the tail's 5^(n-1) or 5^n leaves 5^(n//2) inside.
-    """
-    n, js, jr = q.n, q.j * q.s, q.j * q.r
-    head = fib(2 * jr) ** n * (fib(q.p * n - 2 * js) if n % 2 else lucas(q.p * n - 2 * js))
-    tail = _sgn(js) * 5 ** (n // 2) * 2 * fib(jr) ** n * fib(jr + q.p) ** n
-    return _times_5pow(head + sign * tail, (n + 1) // 2 - (sign < 0))
-
-
-def _c22(q: IdentityParams) -> int:
-    n, s = q.n, q.s
-    if n % 2 == 0:
-        return _times_5pow(fib(3 * n + 3 * s) - _sgn(s) * 3 * fib(s), n // 2 - 1)
-    return _times_5pow(lucas(3 * n + 3 * s) + _sgn(s) * 3 * lucas(s), n // 2 - 1)
-
-
-def _c23(q: IdentityParams) -> int:
-    n, s = q.n, q.s
-    if n % 2 == 0:
-        return _times_5pow(lucas(3 * n + 3 * s) + _sgn(s) * 3 * lucas(s), n // 2)
-    return _times_5pow(fib(3 * n + 3 * s) - _sgn(s) * 3 * fib(s), (n + 1) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -280,219 +245,144 @@ def _build_catalog() -> tuple[IdentityDescriptor, ...]:
     nj = ("n", "j", "r", "s")
     njp = ("n", "j", "r", "s", "p")
     njm = ("n", "j", "r", "s", "m")
-    entries = [
-        IdentityDescriptor(
-            IdentityId.F1, F, nj,
-            "sum_k C(n,k) F[j(rk+s)] = (a^(js)(1+a^(jr))^n - b^(js)(1+b^(jr))^n)/sqrt5",
-            lambda q: (q.n, 1, 1, q.j, q.r, q.s, 1),
-            lambda q: transform.binomial_rhs(transform.BinomialKernel(q.n, 1, 1, q.r, q.s), q.j, 1, F),
-        ),
-        IdentityDescriptor(
-            IdentityId.L1, L, nj,
-            "sum_k C(n,k) L[j(rk+s)] = a^(js)(1+a^(jr))^n + b^(js)(1+b^(jr))^n",
-            lambda q: (q.n, 1, 1, q.j, q.r, q.s, 1),
-            lambda q: transform.binomial_rhs(transform.BinomialKernel(q.n, 1, 1, q.r, q.s), q.j, 1, L),
-        ),
-        IdentityDescriptor(
-            IdentityId.E5, F, nj,
-            "sum_k (-1)^(jrk) C(n,k) F[j(2rk+s)] = (-1)^(jrn) L[jr]^n F[j(rn+s)]",
-            lambda q: (q.n, 1, _sgn(q.j * q.r), q.j, 2 * q.r, q.s, 1),
-            lambda q: _sgn(q.j * q.r * q.n) * lucas(q.j * q.r) ** q.n * fib(q.j * (q.r * q.n + q.s)),
-        ),
-        IdentityDescriptor(
-            IdentityId.E6, L, nj,
-            "sum_k (-1)^(jrk) C(n,k) L[j(2rk+s)] = (-1)^(jrn) L[jr]^n L[j(rn+s)]",
-            lambda q: (q.n, 1, _sgn(q.j * q.r), q.j, 2 * q.r, q.s, 1),
-            lambda q: _sgn(q.j * q.r * q.n) * lucas(q.j * q.r) ** q.n * lucas(q.j * (q.r * q.n + q.s)),
-        ),
-        IdentityDescriptor(
-            IdentityId.E7, F, nj,
-            "sum_k (-1)^((jr+1)k) C(n,k) F[j(2rk+s)] = 5^(n/2) F[jr]^n F[j(rn+s)]"
-            " (n even) | (-1)^(jr+1) 5^((n-1)/2) F[jr]^n L[j(rn+s)] (n odd)",
-            lambda q: (q.n, 1, _sgn(q.j * q.r + 1), q.j, 2 * q.r, q.s, 1),
-            _e7,
-        ),
-        IdentityDescriptor(
-            IdentityId.E8, L, nj,
-            "sum_k (-1)^((jr+1)k) C(n,k) L[j(2rk+s)] = 5^(n/2) F[jr]^n L[j(rn+s)]"
-            " (n even) | (-1)^(jr+1) 5^((n+1)/2) F[jr]^n F[j(rn+s)] (n odd)",
-            lambda q: (q.n, 1, _sgn(q.j * q.r + 1), q.j, 2 * q.r, q.s, 1),
-            _e8,
-        ),
-        IdentityDescriptor(
-            IdentityId.E9, F, njp,
-            "sum_k (-1)^k C(n,k) F[p+jr]^(n-k) F[p]^k F[j(rk+s)]"
-            " = (-1)^(js+1) F[jr]^n F[pn-js]",
-            lambda q: (q.n, fib(q.p + q.j * q.r), -fib(q.p), q.j, q.r, q.s, 1),
-            lambda q: _sgn(q.j * q.s + 1) * fib(q.j * q.r) ** q.n * fib(q.p * q.n - q.j * q.s),
-        ),
-        IdentityDescriptor(
-            IdentityId.E10, L, njp,
-            "sum_k (-1)^k C(n,k) F[p+jr]^(n-k) F[p]^k L[j(rk+s)]"
-            " = (-1)^(js) F[jr]^n L[pn-js]",
-            lambda q: (q.n, fib(q.p + q.j * q.r), -fib(q.p), q.j, q.r, q.s, 1),
-            # the Lucas pairing alpha^(js) beta^(pn) + beta^(js) alpha^(pn) = (-1)^(js) L[pn-js]
-            # carries no extra sign flip
-            lambda q: _sgn(q.j * q.s) * fib(q.j * q.r) ** q.n * lucas(q.p * q.n - q.j * q.s),
-        ),
-        IdentityDescriptor(
-            IdentityId.E11, F, njp,
-            "sum_k (-1)^k C(n,k) L[p+jr]^(n-k) L[p]^k F[j(rk+s)]"
-            " = (-1)^(js+1) 5^(n/2) F[jr]^n F[pn-js] (n even)"
-            " | (-1)^(js+1) 5^((n-1)/2) F[jr]^n L[pn-js] (n odd)",
-            lambda q: (q.n, lucas(q.p + q.j * q.r), -lucas(q.p), q.j, q.r, q.s, 1),
-            _e11,
-        ),
-        IdentityDescriptor(
-            IdentityId.E12, L, njp,
-            "sum_k (-1)^k C(n,k) L[p+jr]^(n-k) L[p]^k L[j(rk+s)]"
-            " = (-1)^(js) 5^(n/2) F[jr]^n L[pn-js] (n even)"
-            " | (-1)^(js) 5^((n+1)/2) F[jr]^n F[pn-js] (n odd)",
-            lambda q: (q.n, lucas(q.p + q.j * q.r), -lucas(q.p), q.j, q.r, q.s, 1),
-            _e12,
-        ),
-        IdentityDescriptor(
-            IdentityId.T1_F2RHS, F, nj,
-            "5 sum_k C(n,k) F[j(rk+s)]^2 = a^(2js)(1+a^(2jr))^n"
-            " + b^(2js)(1+b^(2jr))^n - 2(-1)^(js)(1+(-1)^(jr))^n",
-            lambda q: (q.n, 1, 1, q.j, q.r, q.s, 2),
-            lambda q: transform.binomial_rhs(transform.BinomialKernel(q.n, 1, 1, q.r, q.s), q.j, 2, F),
-        ),
-        IdentityDescriptor(
-            IdentityId.T1_L2RHS, L, nj,
-            "sum_k C(n,k) L[j(rk+s)]^2 = a^(2js)(1+a^(2jr))^n"
-            " + b^(2js)(1+b^(2jr))^n + 2(-1)^(js)(1+(-1)^(jr))^n",
-            lambda q: (q.n, 1, 1, q.j, q.r, q.s, 2),
-            lambda q: transform.binomial_rhs(transform.BinomialKernel(q.n, 1, 1, q.r, q.s), q.j, 2, L),
-        ),
-        IdentityDescriptor(
-            IdentityId.Q13, F, njp,
-            "sum_k (-1)^k C(n,k) F[2jr+p]^(n-k) F[p]^k F[j(rk+s)]^2"
-            " = (F[2jr]^n L[pn-2js] - (-1)^(js) 2 F[jr]^n L[jr+p]^n)/5, p != 0",
-            lambda q: (q.n, fib(2 * q.j * q.r + q.p), -fib(q.p), q.j, q.r, q.s, 2),
-            lambda q: _times_5pow(
-                fib(2 * q.j * q.r) ** q.n * lucas(q.p * q.n - 2 * q.j * q.s)
-                - _sgn(q.j * q.s) * 2 * fib(q.j * q.r) ** q.n * lucas(q.j * q.r + q.p) ** q.n,
-                -1,
-            ),
-            _nonzero_p,
-        ),
-        IdentityDescriptor(
-            IdentityId.Q14, L, njp,
-            "sum_k (-1)^k C(n,k) F[2jr+p]^(n-k) F[p]^k L[j(rk+s)]^2"
-            " = F[2jr]^n L[pn-2js] + (-1)^(js) 2 F[jr]^n L[jr+p]^n, p != 0",
-            lambda q: (q.n, fib(2 * q.j * q.r + q.p), -fib(q.p), q.j, q.r, q.s, 2),
-            lambda q: (
-                fib(2 * q.j * q.r) ** q.n * lucas(q.p * q.n - 2 * q.j * q.s)
-                + _sgn(q.j * q.s) * 2 * fib(q.j * q.r) ** q.n * lucas(q.j * q.r + q.p) ** q.n
-            ),
-            _nonzero_p,
-        ),
-        IdentityDescriptor(
-            IdentityId.Q15, F, njp,
-            "sum_k (-1)^k C(n,k) L[2jr+p]^(n-k) L[p]^k F[j(rk+s)]^2"
-            " = 5^(n/2-1) F[2jr]^n L[pn-2js] - (-1)^(js) 5^(n-1) 2 F[jr]^n F[jr+p]^n (n even)"
-            " | 5^((n-1)/2) F[2jr]^n F[pn-2js] - same tail (n odd)",
-            lambda q: (q.n, lucas(2 * q.j * q.r + q.p), -lucas(q.p), q.j, q.r, q.s, 2),
-            lambda q: _q15_q16(q, -1),
-        ),
-        IdentityDescriptor(
-            IdentityId.Q16, L, njp,
-            "sum_k (-1)^k C(n,k) L[2jr+p]^(n-k) L[p]^k L[j(rk+s)]^2"
-            " = 5^(n/2) F[2jr]^n L[pn-2js] + (-1)^(js) 5^n 2 F[jr]^n F[jr+p]^n (n even)"
-            " | 5^((n+1)/2) F[2jr]^n F[pn-2js] + same tail (n odd)",
-            lambda q: (q.n, lucas(2 * q.j * q.r + q.p), -lucas(q.p), q.j, q.r, q.s, 2),
-            lambda q: _q15_q16(q, 1),
-        ),
-        IdentityDescriptor(
-            IdentityId.C18, F, ("n", "s"),
-            "sum_k C(n,k) F[k+s]^3 = (2^n F[2n+3s] + 3 F[n-s])/5",
-            lambda q: (q.n, 1, 1, 1, 1, q.s, 3),
-            lambda q: _times_5pow(2**q.n * fib(2 * q.n + 3 * q.s) + 3 * fib(q.n - q.s), -1),
-        ),
-        IdentityDescriptor(
-            IdentityId.C19, L, ("n", "s"),
-            "sum_k C(n,k) L[k+s]^3 = 2^n L[2n+3s] + 3 L[n-s]",
-            lambda q: (q.n, 1, 1, 1, 1, q.s, 3),
-            lambda q: 2**q.n * lucas(2 * q.n + 3 * q.s) + 3 * lucas(q.n - q.s),
-        ),
-        IdentityDescriptor(
-            IdentityId.C20, F, ("n", "s"),
-            "sum_k (-1)^k C(n,k) F[k+s]^3 = ((-1)^n 2^n F[n+3s] - (-1)^s 3 F[2n+s])/5",
-            lambda q: (q.n, 1, -1, 1, 1, q.s, 3),
-            lambda q: _times_5pow(
-                _sgn(q.n) * 2**q.n * fib(q.n + 3 * q.s) - _sgn(q.s) * 3 * fib(2 * q.n + q.s), -1
-            ),
-        ),
-        IdentityDescriptor(
-            IdentityId.C21, L, ("n", "s"),
-            "sum_k (-1)^k C(n,k) L[k+s]^3 = (-1)^n 2^n L[n+3s] + (-1)^s 3 L[2n+s]",
-            lambda q: (q.n, 1, -1, 1, 1, q.s, 3),
-            lambda q: _sgn(q.n) * 2**q.n * lucas(q.n + 3 * q.s) + _sgn(q.s) * 3 * lucas(2 * q.n + q.s),
-        ),
-        IdentityDescriptor(
-            IdentityId.C22, F, ("n", "s"),
-            "sum_k C(n,k) 2^k F[k+s]^3 = 5^(n/2-1)(F[3n+3s] - (-1)^s 3 F[s]) (n even)"
-            " | 5^((n-3)/2)(L[3n+3s] + (-1)^s 3 L[s]) (n odd)",
-            lambda q: (q.n, 1, 2, 1, 1, q.s, 3),
-            _c22,
-        ),
-        IdentityDescriptor(
-            IdentityId.C23, L, ("n", "s"),
-            "sum_k C(n,k) 2^k L[k+s]^3 = 5^(n/2)(L[3n+3s] + (-1)^s 3 L[s]) (n even)"
-            " | 5^((n+1)/2)(F[3n+3s] - (-1)^s 3 F[s]) (n odd)",
-            lambda q: (q.n, 1, 2, 1, 1, q.s, 3),
-            _c23,
-        ),
-        IdentityDescriptor(
-            IdentityId.EVEN_F, F, njm,
-            "sum_k C(n,k) F[j(rk+s)]^(2m): closed form branched on parity of jmr and n",
-            lambda q: (q.n, 1, 1, q.j, q.r, q.s, 2 * q.m),
-            lambda q: _power_rhs(q.n, q.j * q.s, q.j * q.r, 2 * q.m, False, F),
-        ),
-        IdentityDescriptor(
-            IdentityId.EVEN_L, L, njm,
-            "sum_k C(n,k) L[j(rk+s)]^(2m): closed form branched on parity of jmr and n",
-            lambda q: (q.n, 1, 1, q.j, q.r, q.s, 2 * q.m),
-            lambda q: _power_rhs(q.n, q.j * q.s, q.j * q.r, 2 * q.m, False, L),
-        ),
-        IdentityDescriptor(
-            IdentityId.ALT_EVEN_F, F, njm,
-            "sum_k (-1)^k C(n,k) F[j(rk+s)]^(2m): closed form branched on parity of jmr and n",
-            lambda q: (q.n, 1, -1, q.j, q.r, q.s, 2 * q.m),
-            lambda q: _power_rhs(q.n, q.j * q.s, q.j * q.r, 2 * q.m, True, F),
-        ),
-        IdentityDescriptor(
-            IdentityId.ALT_EVEN_L, L, njm,
-            "sum_k (-1)^k C(n,k) L[j(rk+s)]^(2m): closed form branched on parity of jmr and n",
-            lambda q: (q.n, 1, -1, q.j, q.r, q.s, 2 * q.m),
-            lambda q: _power_rhs(q.n, q.j * q.s, q.j * q.r, 2 * q.m, True, L),
-        ),
-        IdentityDescriptor(
-            IdentityId.ODD_F, F, njm,
-            "sum_k C(n,k) F[j(2rk+s)]^(2m+1): closed form branched on parity of jr and n",
-            lambda q: (q.n, 1, 1, q.j, 2 * q.r, q.s, 2 * q.m + 1),
-            lambda q: _power_rhs(q.n, q.j * q.s, 2 * q.j * q.r, 2 * q.m + 1, False, F),
-        ),
-        IdentityDescriptor(
-            IdentityId.ODD_L, L, njm,
-            "sum_k C(n,k) L[j(2rk+s)]^(2m+1): closed form branched on parity of jr and n",
-            lambda q: (q.n, 1, 1, q.j, 2 * q.r, q.s, 2 * q.m + 1),
-            lambda q: _power_rhs(q.n, q.j * q.s, 2 * q.j * q.r, 2 * q.m + 1, False, L),
-        ),
-        IdentityDescriptor(
-            IdentityId.ALT_ODD_F, F, njm,
-            "sum_k (-1)^k C(n,k) F[j(2rk+s)]^(2m+1): closed form branched on parity of jr and n",
-            lambda q: (q.n, 1, -1, q.j, 2 * q.r, q.s, 2 * q.m + 1),
-            lambda q: _power_rhs(q.n, q.j * q.s, 2 * q.j * q.r, 2 * q.m + 1, True, F),
-        ),
-        IdentityDescriptor(
-            IdentityId.ALT_ODD_L, L, njm,
-            "sum_k (-1)^k C(n,k) L[j(2rk+s)]^(2m+1): closed form branched on parity of jr and n",
-            lambda q: (q.n, 1, -1, q.j, 2 * q.r, q.s, 2 * q.m + 1),
-            lambda q: _power_rhs(q.n, q.j * q.s, 2 * q.j * q.r, 2 * q.m + 1, True, L),
-        ),
+    ns = ("n", "s")
+    # One row per F/L pair, which shares its slots, oracle embedding and domain:
+    # (F id, L id, slots, lhs_args, F anchor, F closed, L anchor, L closed[, domain_error])
+    pairs = [
+        (IdentityId.F1, IdentityId.L1, nj,
+         lambda q: (q.n, 1, 1, q.j, q.r, q.s, 1),
+         "sum_k C(n,k) F[j(rk+s)] = (a^(js)(1+a^(jr))^n - b^(js)(1+b^(jr))^n)/sqrt5",
+         lambda q: transform.binomial_rhs(transform.BinomialKernel(q.n, 1, 1, q.r, q.s), q.j, 1, F),
+         "sum_k C(n,k) L[j(rk+s)] = a^(js)(1+a^(jr))^n + b^(js)(1+b^(jr))^n",
+         lambda q: transform.binomial_rhs(transform.BinomialKernel(q.n, 1, 1, q.r, q.s), q.j, 1, L)),
+        (IdentityId.E5, IdentityId.E6, nj,
+         lambda q: (q.n, 1, _sgn(q.j * q.r), q.j, 2 * q.r, q.s, 1),
+         "sum_k (-1)^(jrk) C(n,k) F[j(2rk+s)] = (-1)^(jrn) L[jr]^n F[j(rn+s)]",
+         lambda q: _sgn(q.j * q.r * q.n) * lucas(q.j * q.r) ** q.n * fib(q.j * (q.r * q.n + q.s)),
+         "sum_k (-1)^(jrk) C(n,k) L[j(2rk+s)] = (-1)^(jrn) L[jr]^n L[j(rn+s)]",
+         lambda q: _sgn(q.j * q.r * q.n) * lucas(q.j * q.r) ** q.n * lucas(q.j * (q.r * q.n + q.s))),
+        (IdentityId.E7, IdentityId.E8, nj,
+         lambda q: (q.n, 1, _sgn(q.j * q.r + 1), q.j, 2 * q.r, q.s, 1),
+         "sum_k (-1)^((jr+1)k) C(n,k) F[j(2rk+s)] = 5^(n/2) F[jr]^n F[j(rn+s)]"
+         " (n even) | (-1)^(jr+1) 5^((n-1)/2) F[jr]^n L[j(rn+s)] (n odd)",
+         lambda q: _sgn((q.j * q.r + 1) * q.n) * fib(q.j * q.r) ** q.n * _root5_swap(q.n, F, q.j * (q.r * q.n + q.s)),
+         "sum_k (-1)^((jr+1)k) C(n,k) L[j(2rk+s)] = 5^(n/2) F[jr]^n L[j(rn+s)]"
+         " (n even) | (-1)^(jr+1) 5^((n+1)/2) F[jr]^n F[j(rn+s)] (n odd)",
+         lambda q: _sgn((q.j * q.r + 1) * q.n) * fib(q.j * q.r) ** q.n * _root5_swap(q.n, L, q.j * (q.r * q.n + q.s))),
+        (IdentityId.E9, IdentityId.E10, njp,
+         lambda q: (q.n, fib(q.p + q.j * q.r), -fib(q.p), q.j, q.r, q.s, 1),
+         "sum_k (-1)^k C(n,k) F[p+jr]^(n-k) F[p]^k F[j(rk+s)]"
+         " = (-1)^(js+1) F[jr]^n F[pn-js]",
+         lambda q: _sgn(q.j * q.s + 1) * fib(q.j * q.r) ** q.n * fib(q.p * q.n - q.j * q.s),
+         "sum_k (-1)^k C(n,k) F[p+jr]^(n-k) F[p]^k L[j(rk+s)]"
+         " = (-1)^(js) F[jr]^n L[pn-js]",
+         # the Lucas pairing alpha^(js) beta^(pn) + beta^(js) alpha^(pn) = (-1)^(js) L[pn-js]
+         # carries no extra sign flip
+         lambda q: _sgn(q.j * q.s) * fib(q.j * q.r) ** q.n * lucas(q.p * q.n - q.j * q.s)),
+        (IdentityId.E11, IdentityId.E12, njp,
+         lambda q: (q.n, lucas(q.p + q.j * q.r), -lucas(q.p), q.j, q.r, q.s, 1),
+         "sum_k (-1)^k C(n,k) L[p+jr]^(n-k) L[p]^k F[j(rk+s)]"
+         " = (-1)^(js+1) 5^(n/2) F[jr]^n F[pn-js] (n even)"
+         " | (-1)^(js+1) 5^((n-1)/2) F[jr]^n L[pn-js] (n odd)",
+         lambda q: _sgn(q.j * q.s + 1) * fib(q.j * q.r) ** q.n * _root5_swap(q.n, F, q.p * q.n - q.j * q.s),
+         "sum_k (-1)^k C(n,k) L[p+jr]^(n-k) L[p]^k L[j(rk+s)]"
+         " = (-1)^(js) 5^(n/2) F[jr]^n L[pn-js] (n even)"
+         " | (-1)^(js) 5^((n+1)/2) F[jr]^n F[pn-js] (n odd)",
+         lambda q: _sgn(q.j * q.s) * fib(q.j * q.r) ** q.n * _root5_swap(q.n, L, q.p * q.n - q.j * q.s)),
+        (IdentityId.T1_F2RHS, IdentityId.T1_L2RHS, nj,
+         lambda q: (q.n, 1, 1, q.j, q.r, q.s, 2),
+         "5 sum_k C(n,k) F[j(rk+s)]^2 = a^(2js)(1+a^(2jr))^n"
+         " + b^(2js)(1+b^(2jr))^n - 2(-1)^(js)(1+(-1)^(jr))^n",
+         lambda q: transform.binomial_rhs(transform.BinomialKernel(q.n, 1, 1, q.r, q.s), q.j, 2, F),
+         "sum_k C(n,k) L[j(rk+s)]^2 = a^(2js)(1+a^(2jr))^n"
+         " + b^(2js)(1+b^(2jr))^n + 2(-1)^(js)(1+(-1)^(jr))^n",
+         lambda q: transform.binomial_rhs(transform.BinomialKernel(q.n, 1, 1, q.r, q.s), q.j, 2, L)),
+        (IdentityId.Q13, IdentityId.Q14, njp,
+         lambda q: (q.n, fib(2 * q.j * q.r + q.p), -fib(q.p), q.j, q.r, q.s, 2),
+         "sum_k (-1)^k C(n,k) F[2jr+p]^(n-k) F[p]^k F[j(rk+s)]^2"
+         " = (F[2jr]^n L[pn-2js] - (-1)^(js) 2 F[jr]^n L[jr+p]^n)/5, p != 0",
+         lambda q: _times_5pow(
+             fib(2 * q.j * q.r) ** q.n * lucas(q.p * q.n - 2 * q.j * q.s)
+             - _sgn(q.j * q.s) * 2 * fib(q.j * q.r) ** q.n * lucas(q.j * q.r + q.p) ** q.n,
+             -1,
+         ),
+         "sum_k (-1)^k C(n,k) F[2jr+p]^(n-k) F[p]^k L[j(rk+s)]^2"
+         " = F[2jr]^n L[pn-2js] + (-1)^(js) 2 F[jr]^n L[jr+p]^n, p != 0",
+         lambda q: (
+             fib(2 * q.j * q.r) ** q.n * lucas(q.p * q.n - 2 * q.j * q.s)
+             + _sgn(q.j * q.s) * 2 * fib(q.j * q.r) ** q.n * lucas(q.j * q.r + q.p) ** q.n
+         ),
+         _nonzero_p),
+        (IdentityId.Q15, IdentityId.Q16, njp,
+         lambda q: (q.n, lucas(2 * q.j * q.r + q.p), -lucas(q.p), q.j, q.r, q.s, 2),
+         "sum_k (-1)^k C(n,k) L[2jr+p]^(n-k) L[p]^k F[j(rk+s)]^2"
+         " = 5^(n/2-1) F[2jr]^n L[pn-2js] - (-1)^(js) 5^(n-1) 2 F[jr]^n F[jr+p]^n (n even)"
+         " | 5^((n-1)/2) F[2jr]^n F[pn-2js] - same tail (n odd)",
+         lambda q: _times_5pow(
+             fib(2 * q.j * q.r) ** q.n * _root5_swap(q.n, L, q.p * q.n - 2 * q.j * q.s)
+             - _sgn(q.j * q.s) * 2 * 5**q.n * fib(q.j * q.r) ** q.n * fib(q.j * q.r + q.p) ** q.n,
+             -1,
+         ),
+         "sum_k (-1)^k C(n,k) L[2jr+p]^(n-k) L[p]^k L[j(rk+s)]^2"
+         " = 5^(n/2) F[2jr]^n L[pn-2js] + (-1)^(js) 5^n 2 F[jr]^n F[jr+p]^n (n even)"
+         " | 5^((n+1)/2) F[2jr]^n F[pn-2js] + same tail (n odd)",
+         lambda q: (
+             fib(2 * q.j * q.r) ** q.n * _root5_swap(q.n, L, q.p * q.n - 2 * q.j * q.s)
+             + _sgn(q.j * q.s) * 2 * 5**q.n * fib(q.j * q.r) ** q.n * fib(q.j * q.r + q.p) ** q.n
+         )),
+        (IdentityId.C18, IdentityId.C19, ns,
+         lambda q: (q.n, 1, 1, 1, 1, q.s, 3),
+         "sum_k C(n,k) F[k+s]^3 = (2^n F[2n+3s] + 3 F[n-s])/5",
+         lambda q: _times_5pow(2**q.n * fib(2 * q.n + 3 * q.s) + 3 * fib(q.n - q.s), -1),
+         "sum_k C(n,k) L[k+s]^3 = 2^n L[2n+3s] + 3 L[n-s]",
+         lambda q: 2**q.n * lucas(2 * q.n + 3 * q.s) + 3 * lucas(q.n - q.s)),
+        (IdentityId.C20, IdentityId.C21, ns,
+         lambda q: (q.n, 1, -1, 1, 1, q.s, 3),
+         "sum_k (-1)^k C(n,k) F[k+s]^3 = ((-1)^n 2^n F[n+3s] - (-1)^s 3 F[2n+s])/5",
+         lambda q: _times_5pow(
+             _sgn(q.n) * 2**q.n * fib(q.n + 3 * q.s) - _sgn(q.s) * 3 * fib(2 * q.n + q.s), -1
+         ),
+         "sum_k (-1)^k C(n,k) L[k+s]^3 = (-1)^n 2^n L[n+3s] + (-1)^s 3 L[2n+s]",
+         lambda q: _sgn(q.n) * 2**q.n * lucas(q.n + 3 * q.s) + _sgn(q.s) * 3 * lucas(2 * q.n + q.s)),
+        (IdentityId.C22, IdentityId.C23, ns,
+         lambda q: (q.n, 1, 2, 1, 1, q.s, 3),
+         "sum_k C(n,k) 2^k F[k+s]^3 = 5^(n/2-1)(F[3n+3s] - (-1)^s 3 F[s]) (n even)"
+         " | 5^((n-3)/2)(L[3n+3s] + (-1)^s 3 L[s]) (n odd)",
+         lambda q: _times_5pow(
+             _root5_swap(q.n, F, 3 * q.n + 3 * q.s) - _sgn(q.n + q.s) * 3 * _root5_swap(q.n, F, q.s), -1
+         ),
+         "sum_k C(n,k) 2^k L[k+s]^3 = 5^(n/2)(L[3n+3s] + (-1)^s 3 L[s]) (n even)"
+         " | 5^((n+1)/2)(F[3n+3s] - (-1)^s 3 F[s]) (n odd)",
+         lambda q: _root5_swap(q.n, L, 3 * q.n + 3 * q.s) + _sgn(q.n + q.s) * 3 * _root5_swap(q.n, L, q.s)),
+        (IdentityId.EVEN_F, IdentityId.EVEN_L, njm,
+         lambda q: (q.n, 1, 1, q.j, q.r, q.s, 2 * q.m),
+         "sum_k C(n,k) F[j(rk+s)]^(2m): closed form branched on parity of jmr and n",
+         lambda q: _power_rhs(q.n, q.j * q.s, q.j * q.r, 2 * q.m, False, F),
+         "sum_k C(n,k) L[j(rk+s)]^(2m): closed form branched on parity of jmr and n",
+         lambda q: _power_rhs(q.n, q.j * q.s, q.j * q.r, 2 * q.m, False, L)),
+        (IdentityId.ALT_EVEN_F, IdentityId.ALT_EVEN_L, njm,
+         lambda q: (q.n, 1, -1, q.j, q.r, q.s, 2 * q.m),
+         "sum_k (-1)^k C(n,k) F[j(rk+s)]^(2m): closed form branched on parity of jmr and n",
+         lambda q: _power_rhs(q.n, q.j * q.s, q.j * q.r, 2 * q.m, True, F),
+         "sum_k (-1)^k C(n,k) L[j(rk+s)]^(2m): closed form branched on parity of jmr and n",
+         lambda q: _power_rhs(q.n, q.j * q.s, q.j * q.r, 2 * q.m, True, L)),
+        (IdentityId.ODD_F, IdentityId.ODD_L, njm,
+         lambda q: (q.n, 1, 1, q.j, 2 * q.r, q.s, 2 * q.m + 1),
+         "sum_k C(n,k) F[j(2rk+s)]^(2m+1): closed form branched on parity of jr and n",
+         lambda q: _power_rhs(q.n, q.j * q.s, 2 * q.j * q.r, 2 * q.m + 1, False, F),
+         "sum_k C(n,k) L[j(2rk+s)]^(2m+1): closed form branched on parity of jr and n",
+         lambda q: _power_rhs(q.n, q.j * q.s, 2 * q.j * q.r, 2 * q.m + 1, False, L)),
+        (IdentityId.ALT_ODD_F, IdentityId.ALT_ODD_L, njm,
+         lambda q: (q.n, 1, -1, q.j, 2 * q.r, q.s, 2 * q.m + 1),
+         "sum_k (-1)^k C(n,k) F[j(2rk+s)]^(2m+1): closed form branched on parity of jr and n",
+         lambda q: _power_rhs(q.n, q.j * q.s, 2 * q.j * q.r, 2 * q.m + 1, True, F),
+         "sum_k (-1)^k C(n,k) L[j(2rk+s)]^(2m+1): closed form branched on parity of jr and n",
+         lambda q: _power_rhs(q.n, q.j * q.s, 2 * q.j * q.r, 2 * q.m + 1, True, L)),
     ]
+    entries = []
+    for f_id, l_id, slots, lhs_args, f_anchor, f_closed, l_anchor, l_closed, *domain in pairs:
+        entries.append(IdentityDescriptor(f_id, F, slots, f_anchor, lhs_args, f_closed, *domain))
+        entries.append(IdentityDescriptor(l_id, L, slots, l_anchor, lhs_args, l_closed, *domain))
     return tuple(entries)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -547,6 +548,20 @@ class TestList:
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert len(rows) == 30
         assert rows[0]["id"] == "F1" and rows[0]["slots"] == ["n", "j", "r", "s"]
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            ((), "278b5fb0620a08df6d3df1bad7a2817a52453485f8992b184cd3263de9817d9f"),
+            (("--format", "json"), "487ca8db5c637311b41cbee2dd1a242961743c4e858ee1d79a576c98e9176878"),
+        ],
+        ids=["text", "json"],
+    )
+    def test_anchors_pinned(self, capsys, argv, digest):
+        # ids, slots and anchors are the public naming contract reports use
+        code, out, _ = run_cli(capsys, "list", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestEntryPoint:

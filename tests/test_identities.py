@@ -25,7 +25,8 @@ from fibsums import (
     reduce_power,
     run_grids,
 )
-from fibsums.identities import SLOT_ORDER, _times_5pow
+from fibsums.identities import SLOT_ORDER, _root5_swap, _times_5pow
+from fibsums.quadfield import SQRT5, alpha_pow
 
 from oracles import naive_fib, naive_lucas
 
@@ -53,6 +54,23 @@ class TestCatalog:
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):
             descriptor("nope")
+
+    def test_f_l_pairs_share_the_left_side_and_domain(self):
+        cat = catalog()
+        assert [d.kind for d in cat] == [F, L] * 15
+        for f, l in zip(cat[::2], cat[1::2]):
+            assert (f.slots, f.lhs_args, f.domain_error) == (l.slots, l.lhs_args, l.domain_error), f.id
+
+
+class TestRoot5Swap:
+    @pytest.mark.parametrize("n", [*range(13), 25, 40])
+    def test_matches_binet_pairing_in_q_alpha(self, n):
+        # alpha^i sqrt5^n -/+ beta^i (-sqrt5)^n, over sqrt5 for F, computed without fib/lucas
+        up, down = SQRT5**n, (-SQRT5) ** n
+        for i in range(-40, 41):
+            a, b = alpha_pow(i), alpha_pow(i).conj()
+            assert (a * up - b * down) * SQRT5.inv() == (_root5_swap(n, F, i), 0), (n, i)
+            assert a * up + b * down == (_root5_swap(n, L, i), 0), (n, i)
 
 
 class TestIdentityParams:
