@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibsums import SequenceKind, binomial, direct_sum, fib, lucas, sequences
+from fibsums.cli import main
 
 from oracles import naive_binomial, naive_fib, naive_lucas, naive_weighted_sum
 
@@ -288,3 +289,120 @@ class TestDirectSum:
         imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
         imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
         assert imported <= {"__future__", "enum", "fractions", "functools", "math", "typing"}
+
+
+class TestSteppedPowers:
+    """Past the crossover a blocked sum steps u_k = W_{a+dk}^m by its order-(m+1) recurrence."""
+
+    def test_coefficients_predict_the_next_power(self):
+        # the recurrence is a theorem about W^m alone; the expected powers come
+        # from fib/lucas at each index, with no stepping
+        for d in range(-40, 41):
+            for m in range(9):
+                e = sequences._power_recurrence(m, fib(d - 1), fib(d))
+                assert len(e) == m + 1
+                for seq in (fib, lucas):
+                    for a in (-5, 0, 3):
+                        u = [seq(a + d * k) ** m for k in range(3 * m + 2)]
+                        for k in range(2 * m + 1):
+                            assert sum(map(int.__mul__, e, u[k : k + m + 1])) == u[k + m + 1], (d, m, a, k)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        n=st.sampled_from((16, 17, 31, 32, 33, 47, 48, 64, 65, 200)),
+        x=st.one_of(st.integers(-4, 4), st.fractions(max_denominator=6, min_value=-4, max_value=4)).filter(bool),
+        z=st.one_of(st.integers(-4, 4), st.fractions(max_denominator=6, min_value=-4, max_value=4)).filter(bool),
+        j=st.integers(1, 4),
+        r=st.integers(1, 3),
+        flip=st.booleans(),
+        s=st.integers(-8, 8),
+        m=st.integers(2, 8),
+        fibonacci=st.booleans(),
+    )
+    @example(n=16, x=1, z=1, j=1, r=1, flip=True, s=0, m=8, fibonacci=True)
+    @example(n=200, x=Fraction(-3, 2), z=Fraction(1, 4), j=4, r=3, flip=False, s=-8, m=8, fibonacci=False)
+    def test_stepped_sums_match_naive_summation(self, n, x, z, j, r, flip, s, m, fibonacci):
+        # The crossover only chooses the cheaper path, so the stepped path is
+        # forced here at every block boundary and every m up to 8; the pinned
+        # pairs below check where the crossover itself falls.
+        j, r = (-j, r) if flip else (j, -r)  # jr < 0
+        kind = F if fibonacci else L
+        expected = naive_weighted_sum(n, x, z, j, r, s, m, fibonacci)
+        assert direct_sum(n, x, z, j, r, s, m, kind) == expected
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sequences, "_steps_powers", lambda n, d, m: True)
+            assert direct_sum(n, x, z, j, r, s, m, kind) == expected
+
+    @pytest.mark.parametrize(
+        "below,past",
+        [
+            ((200, -3, 17, 1), (200, -3, 17, 2)),  # m >= 2
+            ((63, -4, 20, 2), (64, -4, 20, 2)),  # n >= 64
+            ((127, 5, -4, 4), (128, 5, -4, 4)),  # n >= 8 m^2
+            ((100, -3, 11, 3), (100, 2, -17, 3)),  # |jr| n m = 9900, then 10200 > _STEPPED_WORK
+        ],
+    )
+    @pytest.mark.parametrize("kind", [F, L])
+    def test_crossover_pairs(self, monkeypatch, below, past, kind):
+        seq = fib if kind is F else lucas
+        built = []
+
+        def recording(m, f0, f1):
+            built.append(m)
+            return real(m, f0, f1)
+
+        real = sequences._power_recurrence
+        monkeypatch.setattr(sequences, "_power_recurrence", recording)
+        for (n, j, r, m), stepped in [(below, False), (past, True)]:
+            assert sequences._steps_powers(n, j * r, m) is stepped
+            built.clear()
+            literal = sum(math.comb(n, k) * 2 ** (n - k) * (-1) ** k * seq(j * (r * k + 1)) ** m for k in range(n + 1))
+            assert direct_sum(n, 2, -1, j, r, 1, m, kind) == literal
+            assert built == ([m] if stepped else [])
+
+    @pytest.mark.parametrize("kind", [F, L])
+    @pytest.mark.parametrize("x", [2, Fraction(-3, 2)])
+    def test_stepped_sum_makes_at_most_four_sequence_calls(self, monkeypatch, kind, x):
+        # the seeds u_0..u_m and the safeguard's last power are stepped from the same four values
+        assert sequences._steps_powers(600, -6, 8)
+        calls = []
+
+        def counting(seq):
+            def wrapper(k):
+                calls.append(k)
+                return seq(k)
+
+            return wrapper
+
+        monkeypatch.setattr(sequences, "fib", counting(sequences.fib))
+        monkeypatch.setattr(sequences, "lucas", counting(sequences.lucas))
+        direct_sum(600, x, -1, 3, -2, 1, 8, kind)
+        assert 0 < len(calls) <= 4
+
+    @pytest.mark.parametrize("position", [0, 4, 8])
+    def test_safeguard_raises_on_a_wrong_coefficient(self, monkeypatch, capsys, position):
+        real = sequences._power_recurrence
+
+        def off_by_one(m, f0, f1):
+            e = list(real(m, f0, f1))
+            e[position] += 1
+            return tuple(e)
+
+        monkeypatch.setattr(sequences, "_power_recurrence", off_by_one)
+        assert sequences._steps_powers(600, -6, 8)
+        with pytest.raises(sequences.RecurrenceError):
+            direct_sum(600, 1, 1, 3, -2, 1, 8, F)
+        assert main(["sum", "--n", "600", "--j", "3", "--r=-2", "--s", "1", "--m", "8"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: stepped W^8 disagrees")
+
+    def test_safeguard_fails_a_verify_point(self, monkeypatch, capsys):
+        real = sequences._power_recurrence
+        monkeypatch.setattr(sequences, "_power_recurrence", lambda m, f0, f1: (1,) + real(m, f0, f1)[1:])
+        # ODD_F's oracle is sum C(n,k) F_{j(2rk+s)}^(2m+1): W^5 with step 2jr = -12
+        assert sequences._steps_powers(200, -12, 5)
+        argv = ["verify", "--ids", "ODD_F", "--n", "200..200", "--j", "1..1", "--r=-6..-6", "--s", "0..0"]
+        assert main([*argv, "--m", "2..2", "--jobs", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL ODD_F" in out and "RecurrenceError" in out
