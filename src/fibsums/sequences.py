@@ -109,7 +109,7 @@ def direct_sum(
     powers and for W^m when W = 0, m = 0.  This is the brute-force oracle
     every closed form is checked against; it never consults any identity.
 
-    W_{j(rk+s)} is walked by the addition formula from four seed values.
+    W_{j(rk+s)} is walked by its order-2 recurrence from four seed values.
     Up to 16 terms the sum is Horner's rule in x over a precomputed row of
     C(n,k), with no division.  A longer sum is cut into blocks of 16 terms,
     each summed by a loop that steps the weight by its ratio
@@ -118,7 +118,7 @@ def direct_sum(
 
     Past a measured crossover in n, m and the step d = jr (see
     `_steps_powers`), a blocked sum does not raise each W to the m-th power:
-    u_k = W_{js+dk}^m follows a linear recurrence of order m+1 with integer
+    u_k = W_{js+dk}^m follows a linear recurrence of order m+1 with Fibonomial
     coefficients, built once per sum from F_{d-1} and F_d, so each term costs
     m+1 products by small integers.  As a safeguard the stepped u_{n+1} is
     compared with W_{js+(n+1)d}^m computed from the seeds by a matrix power;
@@ -151,19 +151,20 @@ _ROWS = tuple(tuple(math.comb(n, k) for k in range(n + 1)) for n in range(_BLOCK
 # w**m per term.  A stepped term is m+1 products of a value of about 0.69 |d| k m
 # bits by coefficients of up to about 0.17 |d| m^2 bits, against the few squarings
 # of w**m, so it pays only on long values (|d| n m) that are long against the
-# coefficients (n against m^2); |d| m alone is the wrong axis.  Min-of-3 to 5 cold
+# coefficients (n against m^2); |d| m alone is the wrong axis.  Min-of-5 cold
 # timings of one sum (2-vCPU VM, Python 3.11), w**m against stepped powers:
-#   (n, jr, m) = (2000, 21, 3)    875-897 ms against 73 ms      stepped
-#                (1000, 15, 6)    210-214 ms against 48-51 ms   stepped
-#                (418, -430, 7)   8.5-8.8 s against 4.5-4.7 s   stepped
-#                (600, -6, 8)     24 ms against 15 ms           stepped
-#                (200, 2500, 2)   1.03-1.06 s against 0.48-0.50 s stepped
-#                (20, 2500, 8)    31 ms against 327-354 ms      w**m
-#                (16, -2500, 6)   13-15 ms against 107-139 ms   w**m
-#                (200, -6, 8)     1.6 ms against 2.2 ms         w**m
-#                (1000, 2, 2)     2.9-3.0 ms against 3.5-3.6 ms w**m
-#                (32, 128, 2)     0.22 ms against 0.31 ms       w**m
-# Over 362 such points (n <= 2000, |d| <= 512, 2 <= m <= 8) this rule loses at none.
+#   (n, jr, m) = (2000, 21, 3)    678 ms against 59 ms          stepped
+#                (1000, 15, 6)    166 ms against 41 ms          stepped
+#                (418, -430, 7)   6.1 s against 3.5 s           stepped
+#                (600, -6, 8)     14.0 ms against 10.1 ms       stepped
+#                (200, 2500, 2)   0.91 s against 0.45 s         stepped
+#                (20, 2500, 8)    31 ms against 335 ms          w**m
+#                (16, -2500, 6)   13 ms against 92 ms           w**m
+#                (200, -6, 8)     0.82 ms against 1.26 ms       w**m
+#                (1000, 2, 2)     1.53 ms against 2.01 ms       w**m
+#                (32, 128, 2)     0.10 ms against 0.14 ms       w**m
+# Over 340 points near the boundaries (n <= 2000, 2 <= m <= 8) stepping never loses 10%
+# where this rule picks it, and w**m loses 10% to 2.8x at 81: the rule errs to w**m.
 _STEPPED_WORK = 10000
 
 
@@ -179,35 +180,37 @@ def _steps_powers(n: int, d: int, m: int) -> bool:
 def _integer_sum(
     n: int, x: int, z: int, j: int, r: int, s: int, m: int, seq: Callable[[int], int]
 ) -> int:
-    # The terms t_k W_{a+kd}^m with t_k = C(n,k) x^(n-k) z^k, a = js, d = jr.
+    # The terms t_k v_k^m with t_k = C(n,k) x^(n-k) z^k and v_k = W_{a+kd}, a = js, d = jr.
+    if m == 0:
+        j = 0  # every W^0 is 1, so the constant W_0 stands in for W
     if x == 0:
         # only k = n survives, since 0^0 = 1
         return z**n * seq(j * (r * n + s)) ** m
-    # W follows the Fibonacci recurrence, so stepping its index by d is the
-    # matrix product Q^a Q^d, as in fast doubling:
-    #   W_{a+d} = F_{d-1} W_a + F_d W_{a+1},  W_{a+d+1} = F_d W_a + F_{d+1} W_{a+1}.
+    # v follows v_{k+2} = L_d v_{k+1} - (-1)^d v_k (Cayley-Hamilton on Q^d, of trace L_d
+    # and determinant (-1)^d), from v_0 = W_a and v_1 = W_{a+d} = F_{d-1} W_a + F_d W_{a+1}.
     a, d = j * s, j * r
     w, w1 = seq(a), seq(a + 1)
     f0, f1 = fib(d - 1), fib(d)
-    f2 = f0 + f1
+    e0, e1 = 1 if d & 1 else -1, 2 * f0 + f1  # -(-1)^d and L_d
+    v, v1 = w, f0 * w + f1 * w1
     if n < _BLOCK:
         # Horner's rule in x, so no term divides
         total, zk = 0, 1
         for c in _ROWS[n]:
-            total = total * x + c * zk * w**m
+            total = total * x + c * zk * v**m
             zk *= z
-            w, w1 = f0 * w + f1 * w1, f1 * w + f2 * w1
+            v, v1 = v1, e0 * v + e1 * v1
         return total
     if not _steps_powers(n, d, m):
-        return _split_sum(n, x, z, m, _terms, (w, w1), (f0, f1, f2))[0]
-    # u_k = W_{a+dk}^m follows its own recurrence from the seeds u_0..u_m.  The
-    # safeguard checks the stepped u_{n+1} against W_{a+(n+1)d}^m, from the seeds by Q^((n+1)d).
-    g0, g1 = _q_power(f0, f1, f2, n + 1)
+        return _split_sum(n, x, z, m, _terms, (v, v1), (e0, e1))[0]
+    # u_k = v_k^m follows its own recurrence from the seeds u_0..u_m.  The safeguard
+    # checks the stepped u_{n+1} against W_{a+(n+1)d}^m, from W_a and W_{a+1} by Q^((n+1)d).
+    g0, g1 = _q_power(f0, f1, n + 1)
     last = g0 * w + g1 * w1
     e, u = _power_recurrence(m, f0, f1), []
     for _ in range(m + 1):
-        u.append(w**m)
-        w, w1 = f0 * w + f1 * w1, f1 * w + f2 * w1
+        u.append(v**m)
+        v, v1 = v1, e0 * v + e1 * v1
     total, u = _split_sum(n, x, z, m, _power_terms, tuple(u), e)
     if u[0] != last**m:
         raise RecurrenceError(f"stepped W^{m} disagrees with W_{a + (n + 1) * d}^{m}")
@@ -216,52 +219,47 @@ def _integer_sum(
 
 def _power_recurrence(m: int, f0: int, f1: int) -> tuple[int, ...]:
     # (e_0, .., e_m) with u_{k+m+1} = sum_i e_i u_{k+i} for u_k = W_{a+dk}^m, from
-    # f0 = F_{d-1} and f1 = F_d (Jarden, Recurring Sequences, 1958).  By Binet, u_k
-    # is a sum over the roots (-1)^(di) alpha^(d(m-2i)), i = 0..m; the roots i and
-    # m-i pair into X^2 - (-1)^(di) L_{d(m-2i)} X + (-1)^(dm), and for even m the
-    # middle root is (-1)^(dm/2).
+    # f0 = F_{d-1} and f1 = F_d (Jarden, Recurring Sequences, 1958).  By Binet its characteristic
+    # polynomial is prod_{i=0..m} (X - alpha^(d(m-i)) beta^(di)), whose X^(m+1-i) coefficient
+    # is (-1)^i (-1)^(d i(i-1)/2) [m+1, i] (Knuth, TAOCP 1.2.8), for the Fibonomial [N, i] =
+    # prod_{t=1..i} U_{N+1-t} / U_t over U_t = F_{td} / F_d; d = 0 gives U_t = t and C(N, i).
     sign = f0 * (f0 + f1) - f1 * f1  # (-1)^d, by Cassini's identity
-    lucas_td = [2, 2 * f0 + f1]  # L_{td} for t = 0..m, by L_{(t+1)d} = L_d L_{td} - (-1)^d L_{(t-1)d}
-    for _ in range(m - 1):
-        lucas_td.append(lucas_td[1] * lucas_td[-1] - sign * lucas_td[-2])
-    factors = [(1, -(sign**i) * lucas_td[m - 2 * i], sign**m) for i in range((m + 1) // 2)]
-    if m % 2 == 0:
-        factors.append((1, -(sign ** (m // 2))))
-    poly = [1]  # the characteristic polynomial, leading coefficient first
-    for factor in factors:
-        product = [0] * (len(poly) + len(factor) - 1)
-        for i, c in enumerate(poly):
-            for k, f in enumerate(factor):
-                product[i + k] += c * f
-        poly = product
-    return tuple(-c for c in reversed(poly[1:]))
+    us = [0, 1]  # U_{t+1} = L_d U_t - (-1)^d U_{t-1}
+    for _ in range(m):
+        us.append((2 * f0 + f1) * us[-1] - sign * us[-2])
+    e, c = [], 1
+    for i in range(1, m + 2):
+        c = c * us[m + 2 - i] // us[i]  # [m+1, i], an exact division
+        e.append((-1) ** (i - 1) * sign ** (i * (i - 1) // 2) * c)  # e_{m+1-i}
+    return tuple(reversed(e))
 
 
-def _q_power(f0: int, f1: int, f2: int, e: int) -> tuple[int, int]:
-    # (F_{de-1}, F_{de}) from Q^d = [[f0, f1], [f1, f2]] by square-and-multiply;
-    # powers of Q are symmetric, so a triple holds each.
-    g0, g1, g2 = 1, 0, 1
+def _q_power(f0: int, f1: int, e: int) -> tuple[int, int]:
+    # (F_{de-1}, F_{de}) from Q^d = [[f0, f1], [f1, f0 + f1]] by square-and-multiply;
+    # a power of Q is [[g0, g1], [g1, g0 + g1]], so its first row holds it.
+    g0, g1 = 1, 0
     while e:
         if e & 1:
-            g0, g1, g2 = g0 * f0 + g1 * f1, g0 * f1 + g1 * f2, g1 * f1 + g2 * f2
-        f0, f1, f2 = f0 * f0 + f1 * f1, f1 * (f0 + f2), f1 * f1 + f2 * f2
+            g0, g1 = g0 * f0 + g1 * f1, g0 * f1 + g1 * (f0 + f1)
         e >>= 1
+        if e:
+            f0, f1 = f0 * f0 + f1 * f1, f1 * (2 * f0 + f1)
     return g0, g1
 
 
 def _terms(
-    lo: int, hi: int, t: int, n: int, x: int, z: int, m: int, ws: tuple[int, int], fs: tuple[int, int, int]
+    lo: int, hi: int, t: int, n: int, x: int, z: int, m: int, vs: tuple[int, int], e: tuple[int, int]
 ) -> tuple[int, tuple[int, int]]:
-    # The sum of t_k W_k^m over k in [lo, hi) from t = t_lo and ws = (W_lo, W_lo+1),
-    # and (W_hi, W_hi+1); fs = (F_{d-1}, F_d, F_{d+1}) steps W.
+    # The sum of t_k v_k^m over k in [lo, hi) from t = t_lo and vs = (v_lo, v_lo+1),
+    # and (v_hi, v_hi+1); e = (e_0, e_1) steps v by v_{k+2} = e_0 v_k + e_1 v_{k+1}.
     # t_{k+1} = t_k (n-k) z / ((k+1) x), and the division is exact.
-    (w, w1), (f0, f1, f2) = ws, fs
+    (v, v1), (e0, e1) = vs, e
     total = 0
     for k in range(lo, hi):
-        total += t * w**m
+        total += t * v**m
         t = t * (n - k) * z // ((k + 1) * x)
-        w, w1 = f0 * w + f1 * w1, f1 * w + f2 * w1
-    return total, (w, w1)
+        v, v1 = v1, e0 * v + e1 * v1
+    return total, (v, v1)
 
 
 def _power_terms(

@@ -134,7 +134,7 @@ class TestDirectSum:
 
     @pytest.mark.parametrize("kind", [F, L])
     def test_m_zero_is_binomial_theorem(self, kind):
-        for n in range(9):
+        for n in (*range(9), 16, 65, 2000):
             for x, z in [(1, 1), (2, -1), (Fraction(1, 2), Fraction(3, 2)), (-2, 3)]:
                 assert direct_sum(n, x, z, 3, 2, 1, 0, kind) == Fraction(x + z) ** n
 
@@ -298,7 +298,7 @@ class TestSteppedPowers:
         # the recurrence is a theorem about W^m alone; the expected powers come
         # from fib/lucas at each index, with no stepping
         for d in range(-40, 41):
-            for m in range(9):
+            for m in range(13):
                 e = sequences._power_recurrence(m, fib(d - 1), fib(d))
                 assert len(e) == m + 1
                 for seq in (fib, lucas):
@@ -306,6 +306,29 @@ class TestSteppedPowers:
                         u = [seq(a + d * k) ** m for k in range(3 * m + 2)]
                         for k in range(2 * m + 1):
                             assert sum(map(int.__mul__, e, u[k : k + m + 1])) == u[k + m + 1], (d, m, a, k)
+
+    def test_order_two_step_is_the_first_power_recurrence(self, monkeypatch):
+        # W itself is stepped by (e_0, e_1) = (-(-1)^d, L_d); that must be the m = 1
+        # case of the coefficients that step W^m
+        stepped = []
+
+        def recording(lo, hi, t, n, x, z, m, vs, e):
+            stepped.append(e)
+            return real(lo, hi, t, n, x, z, m, vs, e)
+
+        real = sequences._terms
+        monkeypatch.setattr(sequences, "_terms", recording)
+        for d in range(-40, 41):
+            stepped.clear()
+            direct_sum(16, 1, 1, 1, d, 0, 1, F)
+            assert set(stepped) == {(-((-1) ** d), lucas(d))}
+            assert stepped[0] == sequences._power_recurrence(1, fib(d - 1), fib(d))
+
+    def test_q_power_is_a_power_of_q(self):
+        # the safeguard's own algorithm, checked directly against fib
+        for d in range(-30, 31):
+            for e in range(71):
+                assert sequences._q_power(fib(d - 1), fib(d), e) == (fib(d * e - 1), fib(d * e)), (d, e)
 
     @settings(deadline=None, max_examples=40)
     @given(
