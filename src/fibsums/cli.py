@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 import time
@@ -320,7 +321,9 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; keep the contract
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a failed buffered write raises here, not at exit
+        return code
     except ValueError as exc:  # InapplicableParamsError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -328,8 +331,14 @@ def main(argv: list[str] | None = None) -> int:
         # IntegralityError, IrrationalResultError, a bench mismatch: internal, not usage
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        return 0
+    except OSError as exc:  # stdout on a full disk, say, or a closed pipe: a reader that stopped early
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()  # keeps what was written before an error elsewhere
+        except OSError:  # stdout failed: its unwritten rest goes to devnull, or the exit flush fails again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0 if isinstance(exc, BrokenPipeError) else 1
 
 
 if __name__ == "__main__":

@@ -37,6 +37,16 @@ def _fib_pair(n: int) -> tuple[int, int]:
     return c, d
 
 
+def _fib_pair_at(n: int) -> tuple[int, int]:
+    # (F_{n-1}, F_n) for any integer n, from (F_k, F_{k+1}) = _fib_pair(k), k = |n|, by
+    # F_{k-1} = F_{k+1} - F_k and the one reflection rule F_{-k} = (-1)^(k-1) F_k.
+    # fib, lucas and the oracle's safeguard all read it.
+    a, b = _fib_pair(abs(n))
+    if n >= 0:
+        return b - a, a
+    return (-b, a) if n & 1 else (b, -a)
+
+
 # fib and lucas keep their own memos, so a repeated index costs one lookup and
 # no Python frame; the full default grid needs 591 and 599 entries.
 @lru_cache(maxsize=1024)
@@ -45,21 +55,14 @@ def fib(n: int) -> int:
 
     O(log |n|) big-integer multiplications.
     """
-    if n >= 0:
-        return _fib_pair(n)[0]
-    f = _fib_pair(-n)[0]
-    return f if n & 1 else -f
+    return _fib_pair_at(n)[1]
 
 
 @lru_cache(maxsize=1024)
 def lucas(n: int) -> int:
-    """L_n for any integer n, with L_{-n} = (-1)^n L_n."""
-    k = abs(n)
-    a, b = _fib_pair(k)
-    value = 2 * b - a
-    if n < 0 and k & 1:
-        return -value
-    return value
+    """L_n = 2 F_{n-1} + F_n for any integer n, so L_{-n} = (-1)^n L_n."""
+    f0, f1 = _fib_pair_at(n)
+    return 2 * f0 + f1
 
 
 def binomial(n: int, k: int) -> int:
@@ -119,9 +122,10 @@ def direct_sum(
     Past a measured crossover in n, m and the step d = jr (see
     `_steps_powers`), a blocked sum does not raise each W to the m-th power:
     u_k = W_{js+dk}^m follows a linear recurrence of order m+1 with Fibonomial
-    coefficients, built once per sum from F_{d-1} and F_d, so each term costs
-    m+1 products by small integers.  As a safeguard the stepped u_{n+1} is
-    compared with W_{js+(n+1)d}^m computed from the seeds by a matrix power;
+    coefficients, built once per sum from W's own order-2 step, so each term
+    costs m+1 products by small integers.  As a safeguard the stepped u_{n+1}
+    is compared with W_{js+D}^m = (F_{D-1} W_{js} + F_D W_{js+1})^m for
+    D = (n+1)d, whose Fibonacci pair comes by fast doubling, not by stepping;
     a mismatch raises RecurrenceError, an internal fault and never a value.
 
     The sum is an int when it is integral, as it always is for integral
@@ -204,10 +208,10 @@ def _integer_sum(
     if not _steps_powers(n, d, m):
         return _split_sum(n, x, z, m, _terms, (v, v1), (e0, e1))[0]
     # u_k = v_k^m follows its own recurrence from the seeds u_0..u_m.  The safeguard
-    # checks the stepped u_{n+1} against W_{a+(n+1)d}^m, from W_a and W_{a+1} by Q^((n+1)d).
-    g0, g1 = _q_power(f0, f1, n + 1)
+    # checks the stepped u_{n+1} against W_{a+D}^m = (F_{D-1} W_a + F_D W_{a+1})^m, D = (n+1)d.
+    g0, g1 = _fib_pair_at((n + 1) * d)
     last = g0 * w + g1 * w1
-    e, u = _power_recurrence(m, f0, f1), []
+    e, u = _power_recurrence(m, e0, e1), []
     for _ in range(m + 1):
         u.append(v**m)
         v, v1 = v1, e0 * v + e1 * v1
@@ -217,34 +221,20 @@ def _integer_sum(
     return total
 
 
-def _power_recurrence(m: int, f0: int, f1: int) -> tuple[int, ...]:
-    # (e_0, .., e_m) with u_{k+m+1} = sum_i e_i u_{k+i} for u_k = W_{a+dk}^m, from
-    # f0 = F_{d-1} and f1 = F_d (Jarden, Recurring Sequences, 1958).  By Binet its characteristic
+def _power_recurrence(m: int, e0: int, e1: int) -> tuple[int, ...]:
+    # (e_0, .., e_m) with u_{k+m+1} = sum_i e_i u_{k+i} for u_k = W_{a+dk}^m, from W's step
+    # (e0, e1) = (-(-1)^d, L_d) (Jarden, Recurring Sequences, 1958).  By Binet its characteristic
     # polynomial is prod_{i=0..m} (X - alpha^(d(m-i)) beta^(di)), whose X^(m+1-i) coefficient
     # is (-1)^i (-1)^(d i(i-1)/2) [m+1, i] (Knuth, TAOCP 1.2.8), for the Fibonomial [N, i] =
     # prod_{t=1..i} U_{N+1-t} / U_t over U_t = F_{td} / F_d; d = 0 gives U_t = t and C(N, i).
-    sign = f0 * (f0 + f1) - f1 * f1  # (-1)^d, by Cassini's identity
-    us = [0, 1]  # U_{t+1} = L_d U_t - (-1)^d U_{t-1}
+    us = [0, 1]  # U_t follows W's step: U_{t+1} = e1 U_t + e0 U_{t-1}
     for _ in range(m):
-        us.append((2 * f0 + f1) * us[-1] - sign * us[-2])
+        us.append(e1 * us[-1] + e0 * us[-2])
     e, c = [], 1
     for i in range(1, m + 2):
         c = c * us[m + 2 - i] // us[i]  # [m+1, i], an exact division
-        e.append((-1) ** (i - 1) * sign ** (i * (i - 1) // 2) * c)  # e_{m+1-i}
+        e.append((-1) ** (i - 1) * (-e0) ** (i * (i - 1) // 2) * c)  # e_{m+1-i}, with -e0 = (-1)^d
     return tuple(reversed(e))
-
-
-def _q_power(f0: int, f1: int, e: int) -> tuple[int, int]:
-    # (F_{de-1}, F_{de}) from Q^d = [[f0, f1], [f1, f0 + f1]] by square-and-multiply;
-    # a power of Q is [[g0, g1], [g1, g0 + g1]], so its first row holds it.
-    g0, g1 = 1, 0
-    while e:
-        if e & 1:
-            g0, g1 = g0 * f0 + g1 * f1, g0 * f1 + g1 * (f0 + f1)
-        e >>= 1
-        if e:
-            f0, f1 = f0 * f0 + f1 * f1, f1 * (2 * f0 + f1)
-    return g0, g1
 
 
 def _terms(

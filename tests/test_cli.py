@@ -30,11 +30,25 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_python(*argv: str) -> subprocess.CompletedProcess:
-    """`python ...` in a fresh interpreter, against the package in src/."""
+def python_env(unbuffered: bool | None = None) -> dict[str, str]:
+    """The environment of a fresh interpreter against the package in src/.
+
+    `unbuffered` sets or clears PYTHONUNBUFFERED; None keeps it as it is.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *argv], capture_output=True, env=env, cwd=ROOT)
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def run_python(*argv: str, stdout=subprocess.PIPE, unbuffered: bool | None = None) -> subprocess.CompletedProcess:
+    """`python ...` in a fresh interpreter, against the package in src/."""
+    return subprocess.run(
+        [sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE, env=python_env(unbuffered), cwd=ROOT
+    )
 
 
 def run_module(*argv: str) -> subprocess.CompletedProcess:
@@ -573,3 +587,32 @@ class TestEntryPoint:
     def test_usage_error_exit_code(self):
         proc = run_module("frob")
         assert proc.returncode == 2
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("fib", "10"), ("verify", "--ids", "C18", "--n", "0..12", "--format", "json", "--jobs", "1")],
+        ids=["fib", "verify-json"],
+    )
+    def test_full_stdout_is_one_error_line(self, argv, unbuffered):
+        # every write to /dev/full fails with ENOSPC: at the print when unbuffered,
+        # at the flush after the command when buffered, and never again at exit
+        with open("/dev/full", "wb") as full:
+            proc = run_python("-m", "fibsums", *argv, stdout=full, unbuffered=unbuffered)
+        err = proc.stderr.decode()
+        assert proc.returncode == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_reader_that_stops_early_exits_zero(self, unbuffered):
+        # `fibsums fib 1000000 | head -c 1`: 208,988 digits overflow the pipe, so a write meets its closed end
+        argv = [sys.executable, "-m", "fibsums", "fib", "1000000"]
+        env = python_env(unbuffered)
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=ROOT) as proc:
+            assert proc.stdout.read(1) == b"1"
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == 0
+        assert err == b""

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fibsums import SequenceKind, binomial, direct_sum, fib, lucas, sequences
 from fibsums.cli import main
+from fibsums.quadfield import alpha_pow
 
 from oracles import naive_binomial, naive_fib, naive_lucas, naive_weighted_sum
 
@@ -26,6 +27,12 @@ class TestFib:
     def test_matches_naive_iteration(self):
         for n in range(-300, 301):
             assert fib(n) == naive_fib(n), n
+
+    def test_pair_matches_naive_iteration_and_alpha_powers(self):
+        # (F_{n-1}, F_n) against plain iteration, and against the coordinates of
+        # alpha^n from binary exponentiation in Q(alpha), an independent algorithm
+        for n in range(-300, 301):
+            assert sequences._fib_pair_at(n) == (naive_fib(n - 1), naive_fib(n)) == alpha_pow(n), n
 
     def test_cassini(self):
         for n in range(-200, 201):
@@ -299,7 +306,7 @@ class TestSteppedPowers:
         # from fib/lucas at each index, with no stepping
         for d in range(-40, 41):
             for m in range(13):
-                e = sequences._power_recurrence(m, fib(d - 1), fib(d))
+                e = sequences._power_recurrence(m, 1 if d & 1 else -1, lucas(d))
                 assert len(e) == m + 1
                 for seq in (fib, lucas):
                     for a in (-5, 0, 3):
@@ -322,13 +329,17 @@ class TestSteppedPowers:
             stepped.clear()
             direct_sum(16, 1, 1, 1, d, 0, 1, F)
             assert set(stepped) == {(-((-1) ** d), lucas(d))}
-            assert stepped[0] == sequences._power_recurrence(1, fib(d - 1), fib(d))
+            assert stepped[0] == sequences._power_recurrence(1, 1 if d & 1 else -1, lucas(d))
 
-    def test_q_power_is_a_power_of_q(self):
-        # the safeguard's own algorithm, checked directly against fib
+    def test_safeguard_pair_is_a_power_of_q(self):
+        # the safeguard reads (F_{D-1}, F_D) at D = de; it must be the first row of
+        # (Q^d)^e, built here by e products with Q^d = [[F_{d-1}, F_d], [F_d, F_{d+1}]]
         for d in range(-30, 31):
+            f0, f1 = naive_fib(d - 1), naive_fib(d)
+            g0, g1 = 1, 0
             for e in range(71):
-                assert sequences._q_power(fib(d - 1), fib(d), e) == (fib(d * e - 1), fib(d * e)), (d, e)
+                assert sequences._fib_pair_at(d * e) == (g0, g1), (d, e)
+                g0, g1 = g0 * f0 + g1 * f1, g0 * f1 + g1 * (f0 + f1)
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -386,7 +397,8 @@ class TestSteppedPowers:
     @pytest.mark.parametrize("kind", [F, L])
     @pytest.mark.parametrize("x", [2, Fraction(-3, 2)])
     def test_stepped_sum_makes_at_most_four_sequence_calls(self, monkeypatch, kind, x):
-        # the seeds u_0..u_m and the safeguard's last power are stepped from the same four values
+        # the seeds u_0..u_m come from the four values, and the safeguard's last power from
+        # two of them and (F_{D-1}, F_D), which it reads from the private pair function, not fib
         assert sequences._steps_powers(600, -6, 8)
         calls = []
 
