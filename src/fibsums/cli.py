@@ -46,11 +46,11 @@ _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 # bit size of `sum`'s x and z, and 2 more bits per step cover C(n,k) and an identity's weights at index 0 (L_0 = 2).
 # A B-bit product costs about B^1.585: MAX_BITS bounds B, so memory, and MAX_WORK bounds reps K B^1.585.  Printing
 # a B-bit value costs a few such products (`decimal_str` is subquadratic), so output needs no term of its own.  Seconds
-# without the bounds (2-vCPU VM, Python 3.11, stepped-power oracle; fib, sum n=300 timed before it), log2 B/log2 work:
+# without the bounds (2-vCPU VM, Python 3.11, expanded-block oracle; fib, sum n=300 timed before it), log2 B/log2 work:
 #   admitted: fib 10^6                  0.29 19.4/31.8   closed C18 n=10^4                0.10 15.9/38.5
-#             sum n=100 x=1e-2000       0.66 19.3/37.3   bench C18 n=5000 s=1 reps=5      0.16 14.9/38.2
-#   rejected: sum n=10^4 m=10           0.47 17.4/40.8   closed EVEN_F n=100 j=r=31 m=10  2.74 20.4/-
-#             that bench at reps=100    2.79 14.9/42.6   closed ODD_F n=100 j=r=31 m=10   11.5 21.4/-
+#             sum n=100 x=1e-2000       0.64 19.3/37.3   bench C18 n=5000 s=1 reps=5      0.09 14.9/38.2
+#   rejected: sum n=10^4 m=10           0.43 17.4/40.8   closed EVEN_F n=100 j=r=31 m=10  2.74 20.4/-
+#             that bench at reps=100    1.45 14.9/42.6   closed ODD_F n=100 j=r=31 m=10   11.5 21.4/-
 #             sum n=300 x=1e-6000       59.4 22.5/-      verify C18 n=30000..30000        10.7 17.5/42.6
 #             closed ALT_ODD_F n=418 j=-43 r=-5 s=-52 m=3  4.36 19.8/40.1
 MAX_BITS = 2**20

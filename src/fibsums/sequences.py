@@ -114,18 +114,20 @@ def direct_sum(
 
     W_{j(rk+s)} is walked by its order-2 recurrence from four seed values.
     Up to 16 terms the sum is Horner's rule in x over a precomputed row of
-    C(n,k), with no division.  A longer sum is cut into blocks of 16 terms,
-    each summed by a loop that steps the weight by its ratio
-    (n-k)z / ((k+1)x) from a small integer weight, and the block sums are
-    merged as exact integer ratios by binary splitting.
+    C(n,k), with no division.  A longer sum is walked in blocks of 32 terms.
+    Block [lo, hi) weighs its terms by small integers w_k = t_k Q / t_lo, Q
+    holding every (k+1)x of the block, and adds t_lo (its weighted sum) / Q,
+    one exact division; t_lo steps once per block.  A block whose first W is
+    short takes each W to the m-th power.  A block whose first W is long
+    writes every W of the block as g0_i v + g1_i v' over its first pair
+    (v, v'), by W's own step, so its weighted sum of m-th powers is the
+    m+1 monomials v^l v'^(m-l) with small-integer coefficients, and the
+    pair then jumps past the block (see `_expands`).  Both reassociate the
+    same exact sum.
 
-    Past a measured crossover in n, m and the step d = jr (see
-    `_steps_powers`), a blocked sum does not raise each W to the m-th power:
-    u_k = W_{js+dk}^m follows a linear recurrence of order m+1 with Fibonomial
-    coefficients, built once per sum from W's own order-2 step, so each term
-    costs m+1 products by small integers.  As a safeguard the stepped u_{n+1}
-    is compared with W_{js+D}^m = (F_{D-1} W_{js} + F_D W_{js+1})^m for
-    D = (n+1)d, whose Fibonacci pair comes by fast doubling, not by stepping;
+    As a safeguard the final walked pair is compared with
+    (W_{js+D}, W_{js+D+d}), W_{js+D} = F_{D-1} W_{js} + F_D W_{js+1} for
+    D = (n+1)d, whose Fibonacci pair comes by fast doubling, not by walking;
     a mismatch raises RecurrenceError, an internal fault and never a value.
 
     The sum is an int when it is integral, as it always is for integral
@@ -145,40 +147,80 @@ def direct_sum(
     return as_exact(Fraction(_integer_sum(n, int(x * den), int(z * den), j, r, s, m, seq), den**n))
 
 
-# Terms per block.  A sum of more terms is cut into blocks of this many,
-# whose weights stay small, and the block sums are merged by binary splitting.
-_BLOCK = 16
-# The binomial rows C(n, 0..n) for n < _BLOCK: every sum of at most one block of terms.
-_ROWS = tuple(tuple(math.comb(n, k) for k in range(n + 1)) for n in range(_BLOCK))
-# A blocked sum steps W^m by its order-(m+1) recurrence when m >= 2,
-# n >= max(64, 8 m^2) and |d| n m > _STEPPED_WORK, and otherwise steps W and takes
-# w**m per term.  A stepped term is m+1 products of a value of about 0.69 |d| k m
-# bits by coefficients of up to about 0.17 |d| m^2 bits, against the few squarings
-# of w**m, so it pays only on long values (|d| n m) that are long against the
-# coefficients (n against m^2); |d| m alone is the wrong axis.  Min-of-5 cold
-# timings of one sum (2-vCPU VM, Python 3.11), w**m against stepped powers:
-#   (n, jr, m) = (2000, 21, 3)    678 ms against 59 ms          stepped
-#                (1000, 15, 6)    166 ms against 41 ms          stepped
-#                (418, -430, 7)   6.1 s against 3.5 s           stepped
-#                (600, -6, 8)     14.0 ms against 10.1 ms       stepped
-#                (200, 2500, 2)   0.91 s against 0.45 s         stepped
-#                (20, 2500, 8)    31 ms against 335 ms          w**m
-#                (16, -2500, 6)   13 ms against 92 ms           w**m
-#                (200, -6, 8)     0.82 ms against 1.26 ms       w**m
-#                (1000, 2, 2)     1.53 ms against 2.01 ms       w**m
-#                (32, 128, 2)     0.10 ms against 0.14 ms       w**m
-# Over 340 points near the boundaries (n <= 2000, 2 <= m <= 8) stepping never loses 10%
-# where this rule picks it, and w**m loses 10% to 2.8x at 81: the rule errs to w**m.
-_STEPPED_WORK = 10000
+# A sum of at most _HORNER terms is Horner's rule over one of the binomial rows C(n, 0..n), n < _HORNER.
+_HORNER = 16
+_ROWS = tuple(tuple(math.comb(n, k) for k in range(n + 1)) for n in range(_HORNER))
+# Terms per block of a longer sum, whose weights are products of 32 factors (l+1)x or (n-l)z.
+_BLOCK = 32
 
 
 class RecurrenceError(ArithmeticError):
-    """The oracle's stepped powers disagree with a power computed directly: an internal fault."""
+    """The oracle's walk of W disagrees with a value computed directly: an internal fault."""
 
 
-def _steps_powers(n: int, d: int, m: int) -> bool:
-    # Whether a blocked sum steps W^m itself rather than W: see _STEPPED_WORK.
-    return m >= 2 and n >= max(64, 8 * m * m) and abs(d) * n * m > _STEPPED_WORK
+# A block whose first W is W_k expands over its first pair when m >= 2 and 2|k| > m (|d| + 6) _BLOCK,
+# and otherwise takes w**m per term.  An expanded block costs about 2m products of its first pair,
+# of about 0.69 |k| bits each, and m+1 dot products over a table of (m+1) _BLOCK coefficients of up
+# to 0.69 |d| m _BLOCK bits, built once per sum; a per-term block costs _BLOCK powers.  So expanding
+# pays once W_k is long against the block's growth and the table, both of which grow with m, and
+# never at m = 1, which has no power to save.  Min-of-5 cold timings of direct_sum(n, 2, -1, 1, jr,
+# 1, m, F) (2-vCPU VM, Python 3.11; `tools/oracle_table.py`), every block per term, every block
+# expanded, and by this rule, with the blocks it expands:
+#   (n, jr, m) = (2000, 21, 3)    678 ms     62.6 ms    62.7 ms    61 of 63
+#                (1000, 15, 6)    170 ms     32.9 ms    34.2 ms    27 of 32
+#                (418, -430, 7)   8.47 s     1.04 s     1.30 s     10 of 14
+#                (600, -6, 8)     14.6 ms    5.71 ms    6.48 ms    10 of 19
+#                (200, 2500, 2)   1.04 s     320 ms     382 ms      5 of 7
+#                (20, 2500, 8)    31.5 ms    424 ms     31.7 ms     0 of 1
+#                (16, -2500, 6)   13.4 ms    112 ms     13.5 ms     0 of 1
+#                (200, -6, 8)     0.92 ms    1.09 ms    0.95 ms     0 of 7
+#                (1000, 2, 2)     1.73 ms    1.27 ms    1.24 ms    28 of 32
+#                (32, 128, 2)     0.12 ms    0.33 ms    0.12 ms     0 of 2
+#                (100, 1, 0)      0.04 ms    0.06 ms    0.04 ms     0 of 4
+#                (2000, 50, 0)    1.34 ms    1.51 ms    1.36 ms     0 of 63
+#                (5000, 1, 3)     68.9 ms    16.9 ms    15.8 ms   146 of 157
+#                (391, 15, 7)     25.1 ms    5.68 ms    6.96 ms     8 of 13
+#                (60, 3, 12)      0.08 ms    0.48 ms    0.09 ms     0 of 2
+# Over 1,549 sums (126 pairs of 1 <= jr <= 2500 and 1 <= m <= 12, 16 <= n <= 2000), timed block by
+# block, the rule is within 7% of the best first expanded block in geometric mean, at most 3% slower
+# than every block per term where that takes over 1 ms, and at most 0.12 ms slower below it.
+def _expands(k: int, d: int, m: int) -> bool:
+    return m >= 2 and 2 * abs(k) > m * (abs(d) + 6) * _BLOCK
+
+
+def _basis(e0: int, e1: int) -> tuple[list[int], list[int]]:
+    # The rows g_i = (g0_i, g1_i), i = 0.._BLOCK+1, with v_{k+i} = g0_i v_k + g1_i v_{k+1}
+    # for every k: g_0 = (1, 0), g_1 = (0, 1), and each coordinate follows W's own step.
+    g0s, g1s = [1, 0], [0, 1]
+    for _ in range(_BLOCK):
+        g0s.append(e0 * g0s[-2] + e1 * g0s[-1])
+        g1s.append(e0 * g1s[-2] + e1 * g1s[-1])
+    return g0s, g1s
+
+
+def _monomials(g0s: list[int], g1s: list[int], m: int) -> list[list[int]]:
+    # Row l holds C(m,l) g0_i^l g1_i^(m-l) for each basis row i: the binomial expansion of (g0_i v + g1_i v1)^m.
+    return [[math.comb(m, l) * g0**l * g1 ** (m - l) for g0, g1 in zip(g0s, g1s)] for l in range(m + 1)]
+
+
+def _expanded_sum(ws: list[int], table: list[list[int]], v: int, v1: int) -> int:
+    # sum_i w_i (g0_i v + g1_i v1)^m = sum_l c_l v^l v1^(m-l), whose coefficients c_l are dot products
+    # of the weights with the table's rows.  Horner's rule runs over the squares: the monomials pair
+    # from the top as (c_{l-1} v1 + c_l v) v^(l-1) v1^(m-l), and an even m leaves c_0 v1^m apart.
+    # (A helper, not inline: comprehensions in _integer_sum would turn its locals into cells.)
+    m = len(table) - 1
+    coeffs = [sum(map(int.__mul__, ws, row)) for row in table]
+    odd = m & 1
+    pairs = [c0 * v1 + c1 * v for c0, c1 in zip(coeffs[1 - odd :: 2], coeffs[2 - odd :: 2])]
+    block, power = (pairs or coeffs)[-1], 1
+    if m > 1:
+        square, square1 = v * v if m > 2 else 0, v1 * v1
+        for pair in reversed(pairs[:-1]):
+            power *= square1
+            block = block * square + pair * power
+        if not odd:
+            block = block * v + coeffs[0] * power * square1
+    return block
 
 
 def _integer_sum(
@@ -197,7 +239,7 @@ def _integer_sum(
     f0, f1 = fib(d - 1), fib(d)
     e0, e1 = 1 if d & 1 else -1, 2 * f0 + f1  # -(-1)^d and L_d
     v, v1 = w, f0 * w + f1 * w1
-    if n < _BLOCK:
+    if n < _HORNER:
         # Horner's rule in x, so no term divides
         total, zk = 0, 1
         for c in _ROWS[n]:
@@ -205,88 +247,37 @@ def _integer_sum(
             zk *= z
             v, v1 = v1, e0 * v + e1 * v1
         return total
-    if not _steps_powers(n, d, m):
-        return _split_sum(n, x, z, m, _terms, (v, v1), (e0, e1))[0]
-    # u_k = v_k^m follows its own recurrence from the seeds u_0..u_m.  The safeguard
-    # checks the stepped u_{n+1} against W_{a+D}^m = (F_{D-1} W_a + F_D W_{a+1})^m, D = (n+1)d.
+    table = None
+    total, t = 0, x**n
+    for lo in range(0, n + 1, _BLOCK):
+        hi = min(lo + _BLOCK, n + 1)
+        # the weights w_k = t_k Q / t_lo for Q = perm(hi, c) x^c, c = hi - lo, all small integers
+        tail = [1]
+        for k in range(hi, lo, -1):
+            tail.append(tail[-1] * k * x)
+        p, ws = 1, []
+        for k in range(lo, hi):
+            ws.append(p * tail[hi - k])
+            p *= (n - k) * z
+        if _expands(a + d * lo, d, m):
+            if table is None:
+                # built once, for no more rows than this block has: no later block is longer
+                g0s, g1s = _basis(e0, e1)
+                table = _monomials(g0s[: hi - lo], g1s[: hi - lo], m)
+            block = _expanded_sum(ws, table, v, v1)
+            c = hi - lo
+            v, v1 = g0s[c] * v + g1s[c] * v1, g0s[c + 1] * v + g1s[c + 1] * v1
+        else:
+            block = 0
+            for wk in ws:
+                block += wk * v**m
+                v, v1 = v1, e0 * v + e1 * v1
+        q = tail[-1]
+        total += t * block // q
+        t = t * p // q
+    # the walked pair must be (W_{a+D}, W_{a+D+d}), D = (n+1)d, read by fast doubling
     g0, g1 = _fib_pair_at((n + 1) * d)
-    last = g0 * w + g1 * w1
-    e, u = _power_recurrence(m, e0, e1), []
-    for _ in range(m + 1):
-        u.append(v**m)
-        v, v1 = v1, e0 * v + e1 * v1
-    total, u = _split_sum(n, x, z, m, _power_terms, tuple(u), e)
-    if u[0] != last**m:
-        raise RecurrenceError(f"stepped W^{m} disagrees with W_{a + (n + 1) * d}^{m}")
+    last, after = g0 * w + g1 * w1, g1 * w + (g0 + g1) * w1
+    if (v, v1) != (last, f0 * last + f1 * after):
+        raise RecurrenceError(f"walked W disagrees with W_{a + (n + 1) * d}")
     return total
-
-
-def _power_recurrence(m: int, e0: int, e1: int) -> tuple[int, ...]:
-    # (e_0, .., e_m) with u_{k+m+1} = sum_i e_i u_{k+i} for u_k = W_{a+dk}^m, from W's step
-    # (e0, e1) = (-(-1)^d, L_d) (Jarden, Recurring Sequences, 1958).  By Binet its characteristic
-    # polynomial is prod_{i=0..m} (X - alpha^(d(m-i)) beta^(di)), whose X^(m+1-i) coefficient
-    # is (-1)^i (-1)^(d i(i-1)/2) [m+1, i] (Knuth, TAOCP 1.2.8), for the Fibonomial [N, i] =
-    # prod_{t=1..i} U_{N+1-t} / U_t over U_t = F_{td} / F_d; d = 0 gives U_t = t and C(N, i).
-    us = [0, 1]  # U_t follows W's step: U_{t+1} = e1 U_t + e0 U_{t-1}
-    for _ in range(m):
-        us.append(e1 * us[-1] + e0 * us[-2])
-    e, c = [], 1
-    for i in range(1, m + 2):
-        c = c * us[m + 2 - i] // us[i]  # [m+1, i], an exact division
-        e.append((-1) ** (i - 1) * (-e0) ** (i * (i - 1) // 2) * c)  # e_{m+1-i}, with -e0 = (-1)^d
-    return tuple(reversed(e))
-
-
-def _terms(
-    lo: int, hi: int, t: int, n: int, x: int, z: int, m: int, vs: tuple[int, int], e: tuple[int, int]
-) -> tuple[int, tuple[int, int]]:
-    # The sum of t_k v_k^m over k in [lo, hi) from t = t_lo and vs = (v_lo, v_lo+1),
-    # and (v_hi, v_hi+1); e = (e_0, e_1) steps v by v_{k+2} = e_0 v_k + e_1 v_{k+1}.
-    # t_{k+1} = t_k (n-k) z / ((k+1) x), and the division is exact.
-    (v, v1), (e0, e1) = vs, e
-    total = 0
-    for k in range(lo, hi):
-        total += t * v**m
-        t = t * (n - k) * z // ((k + 1) * x)
-        v, v1 = v1, e0 * v + e1 * v1
-    return total, (v, v1)
-
-
-def _power_terms(
-    lo: int, hi: int, t: int, n: int, x: int, z: int, m: int, u: tuple[int, ...], e: tuple[int, ...]
-) -> tuple[int, tuple[int, ...]]:
-    # _terms over the powers u_k = W_k^m from u = u_lo..u_{lo+m}, stepped by their
-    # recurrence e: the sum of t_k u_k over k in [lo, hi), and u_hi..u_{hi+m}.
-    # m is unused: both loops take _split_sum's one signature.
-    total = 0
-    for k in range(lo, hi):
-        total += t * u[0]
-        t = t * (n - k) * z // ((k + 1) * x)
-        u = (*u[1:], sum(map(int.__mul__, e, u)))
-    return total, u
-
-
-def _split_sum(
-    n: int, x: int, z: int, m: int, terms: Callable, state: tuple[int, ...], coeffs: tuple[int, ...]
-) -> tuple[int, tuple[int, ...]]:
-    # Binary splitting (Haible and Papanikolaou, 1998).  Over the terms [lo, hi)
-    # with c = hi - lo, t_hi / t_lo = P / Q for P = perm(n-lo, c) z^c and
-    # Q = perm(hi, c) x^c, and T = (Q / t_lo) * (the block's sum) is the stepped
-    # loop's total from t = Q: Q holds every (k+1) x the loop divides by.
-    # Two halves merge as (P1 P2, Q1 Q2, Q2 T1 + P1 T2), and the sum is t_0 T / Q.
-    # `terms` (_terms or _power_terms) sums a block and carries the sequence state past it.
-    def split(lo: int, hi: int) -> tuple[int, int, int]:
-        nonlocal state
-        c = hi - lo
-        if c <= _BLOCK:
-            q = math.perm(hi, c) * x**c
-            t, state = terms(lo, hi, q, n, x, z, m, state, coeffs)
-            return math.perm(n - lo, c) * z**c, q, t
-        # whole blocks go left, so only the last block is short
-        mid = lo + (c + 2 * _BLOCK - 1) // (2 * _BLOCK) * _BLOCK
-        p1, q1, t1 = split(lo, mid)
-        p2, q2, t2 = split(mid, hi)
-        return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
-
-    _, q, t = split(0, n + 1)
-    return x**n * t // q, state

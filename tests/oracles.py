@@ -49,11 +49,14 @@ def frac_pow(base: Fraction, e: int) -> Fraction:
 
 def naive_weighted_sum(n, x, z, j, r, s, m, fibonacci: bool) -> Fraction:
     seq = naive_fib if fibonacci else naive_lucas
+    row = [1]  # Pascal's row n, built once so that n in the hundreds stays quick
+    for _ in range(n):
+        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
     total = Fraction(0)
     for k in range(n + 1):
         w = Fraction(seq(j * (r * k + s)))
         total += (
-            naive_binomial(n, k)
+            row[k]
             * frac_pow(Fraction(x), n - k)
             * frac_pow(Fraction(z), k)
             * frac_pow(w, m)

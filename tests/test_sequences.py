@@ -298,38 +298,20 @@ class TestDirectSum:
         assert imported <= {"__future__", "enum", "fractions", "functools", "math", "typing"}
 
 
-class TestSteppedPowers:
-    """Past the crossover a blocked sum steps u_k = W_{a+dk}^m by its order-(m+1) recurrence."""
+class TestBlocks:
+    """A sum of 16 or more terms walks blocks of _BLOCK terms, each per term or expanded over its first W pair."""
 
-    def test_coefficients_predict_the_next_power(self):
-        # the recurrence is a theorem about W^m alone; the expected powers come
-        # from fib/lucas at each index, with no stepping
+    def test_basis_rows_predict_the_walk(self):
+        # v_{k+i} = g0_i v_k + g1_i v_{k+1} is a theorem about W alone; the expected
+        # values come from fib/lucas at each index, with no stepping
         for d in range(-40, 41):
-            for m in range(13):
-                e = sequences._power_recurrence(m, 1 if d & 1 else -1, lucas(d))
-                assert len(e) == m + 1
-                for seq in (fib, lucas):
-                    for a in (-5, 0, 3):
-                        u = [seq(a + d * k) ** m for k in range(3 * m + 2)]
-                        for k in range(2 * m + 1):
-                            assert sum(map(int.__mul__, e, u[k : k + m + 1])) == u[k + m + 1], (d, m, a, k)
-
-    def test_order_two_step_is_the_first_power_recurrence(self, monkeypatch):
-        # W itself is stepped by (e_0, e_1) = (-(-1)^d, L_d); that must be the m = 1
-        # case of the coefficients that step W^m
-        stepped = []
-
-        def recording(lo, hi, t, n, x, z, m, vs, e):
-            stepped.append(e)
-            return real(lo, hi, t, n, x, z, m, vs, e)
-
-        real = sequences._terms
-        monkeypatch.setattr(sequences, "_terms", recording)
-        for d in range(-40, 41):
-            stepped.clear()
-            direct_sum(16, 1, 1, 1, d, 0, 1, F)
-            assert set(stepped) == {(-((-1) ** d), lucas(d))}
-            assert stepped[0] == sequences._power_recurrence(1, 1 if d & 1 else -1, lucas(d))
+            g0s, g1s = sequences._basis(1 if d & 1 else -1, lucas(d))
+            assert len(g0s) == len(g1s) == sequences._BLOCK + 2
+            assert (g0s[2], g1s[2]) == (-((-1) ** d), lucas(d))  # row 2 is W's own step
+            for seq in (fib, lucas):
+                for a in (-5, 0, 3):
+                    for i, (g0, g1) in enumerate(zip(g0s, g1s)):
+                        assert g0 * seq(a) + g1 * seq(a + d) == seq(a + d * i), (d, a, i)
 
     def test_safeguard_pair_is_a_power_of_q(self):
         # the safeguard reads (F_{D-1}, F_D) at D = de; it must be the first row of
@@ -341,66 +323,96 @@ class TestSteppedPowers:
                 assert sequences._fib_pair_at(d * e) == (g0, g1), (d, e)
                 g0, g1 = g0 * f0 + g1 * f1, g0 * f1 + g1 * (f0 + f1)
 
-    @settings(deadline=None, max_examples=40)
+    @settings(deadline=None, max_examples=60)
     @given(
-        n=st.sampled_from((16, 17, 31, 32, 33, 47, 48, 64, 65, 200)),
-        x=st.one_of(st.integers(-4, 4), st.fractions(max_denominator=6, min_value=-4, max_value=4)).filter(bool),
-        z=st.one_of(st.integers(-4, 4), st.fractions(max_denominator=6, min_value=-4, max_value=4)).filter(bool),
+        n=st.sampled_from((16, 31, 32, 33, 127, 128, 129, 160, 200, 600)),
+        x=st.one_of(st.integers(-4, 4), st.fractions(max_denominator=6, min_value=-4, max_value=4)),
+        z=st.one_of(st.integers(-4, 4), st.fractions(max_denominator=6, min_value=-4, max_value=4)),
         j=st.integers(1, 4),
-        r=st.integers(1, 3),
+        r=st.integers(0, 3),
         flip=st.booleans(),
         s=st.integers(-8, 8),
-        m=st.integers(2, 8),
+        m=st.integers(0, 8),
         fibonacci=st.booleans(),
     )
-    @example(n=16, x=1, z=1, j=1, r=1, flip=True, s=0, m=8, fibonacci=True)
-    @example(n=200, x=Fraction(-3, 2), z=Fraction(1, 4), j=4, r=3, flip=False, s=-8, m=8, fibonacci=False)
-    def test_stepped_sums_match_naive_summation(self, n, x, z, j, r, flip, s, m, fibonacci):
-        # The crossover only chooses the cheaper path, so the stepped path is
-        # forced here at every block boundary and every m up to 8; the pinned
-        # pairs below check where the crossover itself falls.
-        j, r = (-j, r) if flip else (j, -r)  # jr < 0
+    @example(n=127, x=2, z=-1, j=1, r=1, flip=False, s=0, m=8, fibonacci=True)  # 4B - 1
+    @example(n=128, x=-3, z=2, j=2, r=1, flip=True, s=5, m=3, fibonacci=False)  # 4B: a last block of one term
+    @example(n=129, x=Fraction(-3, 2), z=Fraction(1, 4), j=4, r=3, flip=False, s=-8, m=8, fibonacci=False)
+    @example(n=160, x=1, z=0, j=3, r=2, flip=True, s=1, m=2, fibonacci=True)  # 5B, z = 0
+    @example(n=600, x=Fraction(2, 3), z=-1, j=3, r=2, flip=True, s=1, m=8, fibonacci=True)
+    @example(n=600, x=-1, z=3, j=1, r=0, flip=False, s=7, m=4, fibonacci=False)  # jr = 0: W is constant
+    @example(n=200, x=0, z=Fraction(-5, 2), j=2, r=3, flip=False, s=-3, m=5, fibonacci=True)  # x = 0
+    def test_blocked_sums_match_naive_summation(self, n, x, z, j, r, flip, s, m, fibonacci):
+        # The rule only chooses the cheaper kind of block, so each kind is also forced
+        # for every block, at block edges and on both sides of the rule's switch
+        j, r = (-j, r) if flip else (j, r)  # both signs of jr
         kind = F if fibonacci else L
         expected = naive_weighted_sum(n, x, z, j, r, s, m, fibonacci)
         assert direct_sum(n, x, z, j, r, s, m, kind) == expected
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sequences, "_steps_powers", lambda n, d, m: True)
-            assert direct_sum(n, x, z, j, r, s, m, kind) == expected
+        for forced in (False, True):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sequences, "_expands", lambda k, d, m: forced)
+                assert direct_sum(n, x, z, j, r, s, m, kind) == expected
+
+    @staticmethod
+    def kinds(monkeypatch, n, d, m, s=1, kind=F):
+        # The kind of each block of direct_sum(n, 2, -1, 1, d, s, m, kind), checked against its literal sum
+        chosen, rule, seq = [], sequences._expands, fib if kind is F else lucas
+
+        def recording(k, d, m):
+            chosen.append(rule(k, d, m))
+            return chosen[-1]
+
+        monkeypatch.setattr(sequences, "_expands", recording)
+        literal = sum(math.comb(n, k) * 2 ** (n - k) * (-1) ** k * seq(d * k + s) ** m for k in range(n + 1))
+        assert direct_sum(n, 2, -1, 1, d, s, m, kind) == literal
+        assert len(chosen) == -(-(n + 1) // sequences._BLOCK)
+        return chosen
+
+    def test_rule_pins(self):
+        # a block expands when m >= 2 and its first index is long against m (|d| + 6) B / 2
+        b = sequences._BLOCK
+        for k, d, m in [(8 * b, 2, 2), (-8 * b, -2, 2), (39 * b, 20, 3), (-35 * b // 2, -1, 5)]:
+            assert not sequences._expands(k, d, m), (k, d, m)  # on the bound
+            assert sequences._expands(k + (1 if k > 0 else -1), d, m), (k, d, m)
+        assert not sequences._expands(10**9, 2, 1) and not sequences._expands(10**9, 0, 0)  # W^1 and W^0
 
     @pytest.mark.parametrize(
         "below,past",
         [
-            ((200, -3, 17, 1), (200, -3, 17, 2)),  # m >= 2
-            ((63, -4, 20, 2), (64, -4, 20, 2)),  # n >= 64
-            ((127, 5, -4, 4), (128, 5, -4, 4)),  # n >= 8 m^2
-            ((100, -3, 11, 3), (100, 2, -17, 3)),  # |jr| n m = 9900, then 10200 > _STEPPED_WORK
+            ((128, 2, 2, 0), (128, 2, 2, 1)),  # the last block's first index 256, then 257
+            ((128, -2, 2, 0), (128, -2, 2, -1)),  # -256, then -257
+            ((63, 130, 2, 1), (64, 130, 2, 1)),  # a block at lo = 64, whose index 8321 > 8704 / 2
+            ((128, 2, 1, 10**4), (128, 2, 2, 10**4)),  # m >= 2
         ],
     )
     @pytest.mark.parametrize("kind", [F, L])
-    def test_crossover_pairs(self, monkeypatch, below, past, kind):
-        seq = fib if kind is F else lucas
-        built = []
+    def test_switch_pairs(self, monkeypatch, below, past, kind):
+        n, d, m, s = below
+        assert not any(self.kinds(monkeypatch, n, d, m, s, kind))
+        monkeypatch.undo()
+        n, d, m, s = past
+        assert self.kinds(monkeypatch, n, d, m, s, kind)[-1]
 
-        def recording(m, f0, f1):
-            built.append(m)
-            return real(m, f0, f1)
+    def test_one_block_sums_with_a_huge_step_take_per_term_blocks(self, monkeypatch):
+        # Expanding these over the first pair builds a basis table that no later block
+        # reuses: with every block expanded, (20, 2500, 8) takes 13x as long
+        for n, d, m in [(20, 2500, 8), (16, -2500, 6), (32, 128, 2), (60, 3, 12), (40, 130, 8)]:
+            assert self.kinds(monkeypatch, n, d, m) == [False] * -(-(n + 1) // sequences._BLOCK)
 
-        real = sequences._power_recurrence
-        monkeypatch.setattr(sequences, "_power_recurrence", recording)
-        for (n, j, r, m), stepped in [(below, False), (past, True)]:
-            assert sequences._steps_powers(n, j * r, m) is stepped
-            built.clear()
-            literal = sum(math.comb(n, k) * 2 ** (n - k) * (-1) ** k * seq(j * (r * k + 1)) ** m for k in range(n + 1))
-            assert direct_sum(n, 2, -1, j, r, 1, m, kind) == literal
-            assert built == ([m] if stepped else [])
+    @pytest.mark.parametrize("d", [2, -2])
+    def test_long_sums_with_a_small_step_expand_their_later_blocks(self, monkeypatch, d):
+        chosen = self.kinds(monkeypatch, 1000, d, 2)
+        first = chosen.index(True)
+        assert first <= 16 and all(chosen[first:])
+        assert not chosen[0]  # the first block's W are short against its growth
 
     @pytest.mark.parametrize("kind", [F, L])
     @pytest.mark.parametrize("x", [2, Fraction(-3, 2)])
     def test_stepped_sum_makes_at_most_four_sequence_calls(self, monkeypatch, kind, x):
-        # the seeds u_0..u_m come from the four values, and the safeguard's last power from
-        # two of them and (F_{D-1}, F_D), which it reads from the private pair function, not fib
-        assert sequences._steps_powers(600, -6, 8)
-        calls = []
+        # both kinds of block walk W from the four seed values, and the safeguard reads
+        # (F_{D-1}, F_D) from the private pair function, not fib
+        calls, chosen, rule = [], [], sequences._expands
 
         def counting(seq):
             def wrapper(k):
@@ -411,33 +423,44 @@ class TestSteppedPowers:
 
         monkeypatch.setattr(sequences, "fib", counting(sequences.fib))
         monkeypatch.setattr(sequences, "lucas", counting(sequences.lucas))
+        monkeypatch.setattr(sequences, "_expands", lambda k, d, m: chosen.append(rule(k, d, m)) or chosen[-1])
         direct_sum(600, x, -1, 3, -2, 1, 8, kind)
         assert 0 < len(calls) <= 4
+        assert not chosen[0] and chosen[-1]  # both kinds of block ran
 
-    @pytest.mark.parametrize("position", [0, 4, 8])
-    def test_safeguard_raises_on_a_wrong_coefficient(self, monkeypatch, capsys, position):
-        real = sequences._power_recurrence
+    @staticmethod
+    def wrong_jump(monkeypatch):
+        # a basis row off by one: the rows that jump the pair past a full expanded block
+        real = sequences._basis
 
-        def off_by_one(m, f0, f1):
-            e = list(real(m, f0, f1))
-            e[position] += 1
-            return tuple(e)
+        def off_by_one(e0, e1):
+            g0s, g1s = real(e0, e1)
+            g1s[sequences._BLOCK] += 1
+            return g0s, g1s
 
-        monkeypatch.setattr(sequences, "_power_recurrence", off_by_one)
-        assert sequences._steps_powers(600, -6, 8)
+        monkeypatch.setattr(sequences, "_basis", off_by_one)
+
+    @staticmethod
+    def wrong_step(monkeypatch):
+        # F_d off by one at the step d = -6 only: the seed v_1 and L_d go wrong together
+        real = sequences.fib
+        monkeypatch.setattr(sequences, "fib", lambda k: real(k) + (k == -6))
+
+    @pytest.mark.parametrize("mutation", ["wrong_jump", "wrong_step"])
+    def test_safeguard_raises_on_a_wrong_walk(self, monkeypatch, capsys, mutation):
+        getattr(self, mutation)(monkeypatch)
         with pytest.raises(sequences.RecurrenceError):
             direct_sum(600, 1, 1, 3, -2, 1, 8, F)
         assert main(["sum", "--n", "600", "--j", "3", "--r=-2", "--s", "1", "--m", "8"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: stepped W^8 disagrees")
+        assert len(err.splitlines()) == 1 and err.startswith("error: walked W disagrees with W_")
 
-    def test_safeguard_fails_a_verify_point(self, monkeypatch, capsys):
-        real = sequences._power_recurrence
-        monkeypatch.setattr(sequences, "_power_recurrence", lambda m, f0, f1: (1,) + real(m, f0, f1)[1:])
-        # ODD_F's oracle is sum C(n,k) F_{j(2rk+s)}^(2m+1): W^5 with step 2jr = -12
-        assert sequences._steps_powers(200, -12, 5)
-        argv = ["verify", "--ids", "ODD_F", "--n", "200..200", "--j", "1..1", "--r=-6..-6", "--s", "0..0"]
+    @pytest.mark.parametrize("mutation", ["wrong_jump", "wrong_step"])
+    def test_safeguard_fails_a_verify_point(self, monkeypatch, capsys, mutation):
+        getattr(self, mutation)(monkeypatch)
+        # ODD_F's oracle is sum C(n,k) F_{j(2rk+s)}^(2m+1): W^5 with step 2jr = -6
+        argv = ["verify", "--ids", "ODD_F", "--n", "300..300", "--j", "1..1", "--r=-3..-3", "--s", "0..0"]
         assert main([*argv, "--m", "2..2", "--jobs", "1"]) == 1
         out = capsys.readouterr().out
         assert "FAIL ODD_F" in out and "RecurrenceError" in out
