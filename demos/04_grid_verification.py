@@ -1,12 +1,23 @@
 """Grid verification with deterministic reports.
 
 A GridSpec sweeps identities over inclusive parameter ranges; the verifier
-checks every point against the oracle and emits records in a canonical order
-that is independent of how many worker processes ran.
+checks every point against the oracle and streams one JSON line per point, in
+a canonical order that is independent of how many worker processes ran.
 """
 
-from fibsums import GridSpec, IdentityId, run_grid, run_grids, summarize
+import io
+
+from fibsums import GridSpec, IdentityId, run_grid, summarize
 from fibsums.verify import default_grid_specs
+
+
+def jsonl(spec, parallelism):
+    """The report and its bytes as `fibsums verify --format json` writes them:
+    each point's line, then the summary line."""
+    out = io.StringIO()
+    report = run_grid([spec], parallelism, out=out)
+    return report, out.getvalue() + report.to_jsonl()
+
 
 print("=== A small grid over two identities ===")
 spec = GridSpec(
@@ -17,23 +28,22 @@ spec = GridSpec(
     s_range=(-1, 1),
     p_range=(0, 1),
 )
-report = run_grid(spec)
+report, text = jsonl(spec, parallelism=1)
 print(summarize(report))
 print()
 print("Q13 skips its p=0 slice by contract; skips are visible, not silent.")
 
 print()
 print("=== The JSON-lines serialization ===")
-for line in report.to_jsonl().splitlines()[:4]:
+for line in text.splitlines()[:4]:
     print(line)
 print("...")
-print(report.to_jsonl().splitlines()[-1])
+print(text.splitlines()[-1])
 
 print()
 print("=== Determinism across parallelism ===")
-serial = run_grid(spec, parallelism=1).to_jsonl()
-parallel = run_grid(spec, parallelism=4).to_jsonl()
-print("byte-identical reports from 1 and 4 workers:", serial == parallel)
+parallel = jsonl(spec, parallelism=4)[1]
+print("byte-identical reports from 1 and 4 workers:", text == parallel)
 
 print()
 print("=== The default grid ===")
@@ -48,4 +58,4 @@ thin = [
     GridSpec(ids=spec_odd.ids, n_range=(0, 2), j_range=(-1, 1), r_range=(-1, 1),
              s_range=(-1, 1), p_range=(-1, 1), m_range=(0, 1)),
 ]
-print(summarize(run_grids(thin, parallelism=2)).splitlines()[-1])
+print(summarize(run_grid(thin, parallelism=2)).splitlines()[-1])

@@ -32,8 +32,6 @@ from .verify import (
     VerificationRecord,
     default_grid_specs,
     run_grid,
-    run_grids,
-    stream_grids,
     summarize,
 )
 
@@ -73,7 +71,5 @@ __all__ = [
     "lucas",
     "reduce_power",
     "run_grid",
-    "run_grids",
-    "stream_grids",
     "summarize",
 ]

@@ -33,7 +33,7 @@ from .verify import (
     default_grid_specs,
     dump_json,
     record_line,
-    stream_grids,
+    run_grid,
     summarize,
 )
 
@@ -174,11 +174,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             _admit_identity(f"{d.id.value} at " + ", ".join(f"{name}={getattr(q, name)}" for name in d.slots), d, q)
     # json: the points' lines stream out as their chunks complete, the summary line closes them
     out = sys.stdout if args.format == "json" else None
-    report = stream_grids(specs, args.jobs, out)
+    report = run_grid(specs, args.jobs, out)
     if out is None:
         print(summarize(report))
     else:
-        out.write(dump_json(report.summary_json()) + "\n")
+        out.write(report.to_jsonl())
     return 0 if report.passed else 1
 
 

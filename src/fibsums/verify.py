@@ -10,9 +10,9 @@ byte-for-byte reproducible regardless of parallelism.
 
 A chunk tallies its points and writes each point's JSONL line straight from
 its parameter values and the two sides; it builds a `VerificationRecord` only
-for a failed point, or for every point when `run_grid`/`run_grids` keep them.
-`stream_grids` keeps only the totals and the failures, writing each chunk's
-lines as the chunk completes, so its memory does not grow with the grid.
+for a failed point.  `run_grid` keeps only the totals and the failures,
+writing each chunk's lines as the chunk completes, so its memory does not
+grow with the grid.
 
 Reports are JSON lines, all from one line writer (`record_line` for a record):
 one object per point with keys id, params (object of ints), lhs, rhs (decimal
@@ -103,14 +103,14 @@ class IdTotals:
 
 @dataclass
 class Report:
-    records: list[VerificationRecord]
     totals: dict[IdentityId, IdTotals] = field(default_factory=dict)
     failures: list[VerificationRecord] = field(default_factory=list)
 
     @classmethod
     def from_records(cls, records: Iterable[VerificationRecord]) -> Report:
-        report = cls(sorted(records, key=_record_key))
-        for rec in report.records:
+        """The totals and failures of `records`, tallied in the order given."""
+        report = cls()
+        for rec in records:
             t = report.totals.setdefault(rec.id, IdTotals())
             if rec.skipped_reason is not None:
                 t.skipped += 1
@@ -124,7 +124,6 @@ class Report:
 
     def merge(self, part: Report) -> None:
         """Append a report whose points all follow this one's in canonical order."""
-        self.records.extend(part.records)
         for id, t in part.totals.items():
             mine = self.totals.setdefault(id, IdTotals())
             mine.checked += t.checked
@@ -157,7 +156,8 @@ class Report:
         }
 
     def to_jsonl(self) -> str:
-        return "".join(map(record_line, self.records)) + dump_json(self.summary_json()) + "\n"
+        """The report's trailing summary line, which follows the points' lines."""
+        return dump_json(self.summary_json()) + "\n"
 
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
@@ -239,11 +239,6 @@ def record_line(rec: VerificationRecord) -> str:
     return _line(head, rec.lhs, rec.rhs, rec.match, rec.skipped_reason, rec.error)
 
 
-def _record_key(rec: VerificationRecord) -> tuple:
-    q = rec.params
-    return (catalog_index(rec.id), q.n, q.j, q.r, q.s, q.p, q.m)
-
-
 # --- enumeration, chunk evaluation and scheduling ---------------------------
 
 _Combo = tuple[int, int, int, int, int, int]  # values in SLOT_ORDER
@@ -278,13 +273,13 @@ def _chunks(specs: Sequence[GridSpec], size: int) -> Iterator[_Chunk]:
             yield desc.id, batch
 
 
-def _check_chunk(chunk: _Chunk, keep: bool, render: bool) -> tuple[Report, str]:
-    """Check one chunk: its tallied report, with every record if `keep` and else
-    only the failures' records, and, if `render`, its JSONL lines."""
+def _check_chunk(chunk: _Chunk, render: bool) -> tuple[Report, str]:
+    """Check one chunk: its tallied report with the failures' records and, if
+    `render`, its JSONL lines."""
     id, combos = chunk
     desc = descriptor(id)
     head, values = _head_format(desc), itemgetter(*(SLOT_ORDER.index(slot) for slot in desc.slots))
-    records: list[VerificationRecord] = []
+    failures: list[VerificationRecord] = []
     lines: list[str] = []
     matched = skipped = 0
     make = IdentityParams._make  # positional from a combo, which is in SLOT_ORDER, the field order
@@ -304,11 +299,10 @@ def _check_chunk(chunk: _Chunk, keep: bool, render: bool) -> tuple[Report, str]:
             matched += outcome[2]
         if render:
             lines.append(_line(head % values(combo), *outcome))
-        if keep or outcome[2] is False:
-            records.append(VerificationRecord(id, params, *outcome))
+        if outcome[2] is False:
+            failures.append(VerificationRecord(id, params, *outcome))
     totals = {id: IdTotals(len(combos) - skipped, matched, skipped)}
-    failures = [rec for rec in records if rec.match is False]
-    return Report(records if keep else [], totals, failures), "".join(lines)
+    return Report(totals, failures), "".join(lines)
 
 
 def _in_order(fn: Callable, chunks: Iterable, workers: int) -> Iterator:
@@ -347,9 +341,7 @@ def available_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _checked_chunks(
-    specs: Sequence[GridSpec], parallelism: int, keep: bool, render: bool
-) -> Iterator[tuple[Report, str]]:
+def _checked_chunks(specs: Sequence[GridSpec], parallelism: int, render: bool) -> Iterator[tuple[Report, str]]:
     """Every point of `specs`, checked chunk by chunk: (part, text) in canonical order."""
     if parallelism < 1:
         raise ValueError(f"parallelism must be positive, got {parallelism}")
@@ -363,35 +355,20 @@ def _checked_chunks(
     workers = min(parallelism, available_cpus())
     size = min(_MAX_CHUNK, max(64, points // (workers * 16)))
     workers = min(workers, sum(-(-n // size) for n in sizes)) if points >= 64 else 1
-    fn = partial(_check_chunk, keep=keep, render=render)
+    fn = partial(_check_chunk, render=render)
     return _in_order(fn, _chunks(specs, size), workers)
 
 
-def run_grid(spec: GridSpec, parallelism: int = 1) -> Report:
-    """One record per grid point, in canonical order, identical on every run.
-
-    Points outside an identity's domain become skipped records.
-    """
-    return run_grids([spec], parallelism)
-
-
-def run_grids(specs: Sequence[GridSpec], parallelism: int = 1) -> Report:
-    """Run several grid specs as one canonical report."""
-    report = Report([])
-    for part, _ in _checked_chunks(specs, parallelism, keep=True, render=False):
-        report.merge(part)
-    return report
-
-
-def stream_grids(specs: Sequence[GridSpec], parallelism: int = 1, out: TextIO | None = None) -> Report:
+def run_grid(specs: Sequence[GridSpec], parallelism: int = 1, out: TextIO | None = None) -> Report:
     """Check every point of `specs`, keeping only the totals and the failures.
 
-    With `out`, the points' JSONL lines are written to it in canonical order,
-    one write per chunk, as the chunks complete; the trailing summary line is
-    `dump_json(report.summary_json())`, left to the caller.
+    Points outside an identity's domain are tallied as skipped.  With `out`,
+    the points' JSONL lines are written to it in canonical order, one write
+    per chunk, as the chunks complete; the trailing summary line is
+    `report.to_jsonl()`, left to the caller.
     """
-    report = Report([])
-    for part, text in _checked_chunks(specs, parallelism, keep=False, render=out is not None):
+    report = Report()
+    for part, text in _checked_chunks(specs, parallelism, render=out is not None):
         report.merge(part)
         if text:
             out.write(text)

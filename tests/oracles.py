@@ -6,8 +6,11 @@ term-by-term sums) so they share no code path with the package.
 
 from __future__ import annotations
 
+import json
 import sys
 from fractions import Fraction
+
+from fibsums.identities import catalog
 
 
 def naive_fib(n: int) -> int:
@@ -87,3 +90,15 @@ def record_json_oracle(rec, slots: tuple[str, ...]) -> dict:
         obj["rhs"] = exact_str(rec.rhs)
         obj["match"] = rec.match
     return obj
+
+
+# the catalog supplies only the order of the ids
+_POSITION = {desc.id.value: i for i, desc in enumerate(catalog())}
+# the value of each slot an identity does not read: IdentityParams' defaults, in slot order
+_SLOT_DEFAULTS = {"n": 0, "j": 1, "r": 1, "s": 0, "p": 1, "m": 1}
+
+
+def canonical_key(line: str) -> tuple:
+    """A report line's place in the canonical order: catalog position, then n, j, r, s, p, m."""
+    obj = json.loads(line)
+    return (_POSITION[obj["id"]], *(obj["params"].get(slot, default) for slot, default in _SLOT_DEFAULTS.items()))

@@ -8,6 +8,7 @@ tolerance anywhere is the soft 10x speedup floor of the benchmark criterion.
 from __future__ import annotations
 
 import hashlib
+import io
 import multiprocessing
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -31,7 +32,7 @@ from fibsums import (
     reduce_power,
 )
 from fibsums.cli import bench_identity
-from fibsums.verify import GridSpec, default_grid_specs, dump_json, run_grids, stream_grids
+from fibsums.verify import GridSpec, default_grid_specs, run_grid
 
 from oracles import frac_pow, naive_binomial, naive_fib, naive_lucas
 
@@ -60,8 +61,8 @@ class _HashingSink:
 def test_criterion_1_full_identity_grid():
     # the bytes of `fibsums verify --format json`: the streamed points, then the summary line
     sink = _HashingSink()
-    report = stream_grids(default_grid_specs(), 4, out=sink)
-    sink.write(dump_json(report.summary_json()) + "\n")
+    report = run_grid(default_grid_specs(), 4, out=sink)
+    sink.write(report.to_jsonl())
     checked, matched, skipped = report.counts()
     assert sink.lines == 1_024_219  # completeness: every point and the summary, no silent drops
     assert sink.sha.hexdigest() == "2c67dc688e7e9c0f2fc219c1f508eddd72e7bb8ca7005e4ee38ba9443c4f01c6"
@@ -249,8 +250,13 @@ def test_criterion_8_determinism():
             m_range=(0, 2),
         )
     ]
-    serial = run_grids(specs, parallelism=1).to_jsonl()
-    parallel = run_grids(specs, parallelism=4).to_jsonl()
+    # the bytes of `fibsums verify --format json`: the streamed points, then the summary line
+    reports = []
+    for parallelism in (1, 4):
+        out = io.StringIO()
+        summary = run_grid(specs, parallelism, out).to_jsonl()
+        reports.append(out.getvalue() + summary)
+    serial, parallel = reports
     # the serial report's bytes, pinned so they also stay identical across versions
     digest = hashlib.sha256(serial.encode()).hexdigest()
     assert digest == "072aa91ea4b6a5354c8015a735e571dcff3c6f0a96011003815426a3f3ee05a5"

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from fibsums import IdentityId, IntegralityError
 from fibsums import cli
 from fibsums.cli import MAX_BITS, bench_identity, main
 from fibsums.identities import IdentityParams, _BY_ID, IdentityDescriptor
-from fibsums.verify import default_grid_specs, run_grids
+from fibsums.verify import default_grid_specs, run_grid
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -303,7 +304,9 @@ class TestStreamedVerify:
             replace(spec, ids=tuple(i for i in spec.ids if i in wanted), **ranges)
             for spec in default_grid_specs()
         ]
-        assert serial.decode() == run_grids(specs).to_jsonl()
+        out = io.StringIO()
+        summary = run_grid(specs, out=out).to_jsonl()
+        assert serial.decode() == out.getvalue() + summary
 
 
 class TestSerialStartUp:
@@ -483,7 +486,7 @@ class TestSizeLimits:
     )
     def test_admitted_without_evaluating(self, monkeypatch, argv):
         # each evaluation is a stand-in here: this checks admission only
-        for name in ("fib", "lucas", "direct_sum", "eval_pair", "bench_identity", "stream_grids"):
+        for name in ("fib", "lucas", "direct_sum", "eval_pair", "bench_identity", "run_grid"):
             monkeypatch.setattr(cli, name, _admitted)
         with pytest.raises(_Admitted):
             main(argv.split())

@@ -1,3 +1,5 @@
+import io
+import json
 import pickle
 from fractions import Fraction
 from itertools import product
@@ -23,7 +25,7 @@ from fibsums import (
     eval_pair,
     fib,
     reduce_power,
-    run_grids,
+    run_grid,
 )
 from fibsums.identities import SLOT_ORDER, _root5_swap, _times_5pow
 from fibsums.quadfield import SQRT5, alpha_pow
@@ -77,15 +79,26 @@ class TestIdentityParams:
     def test_slot_order_is_the_field_order(self):
         assert P._fields == SLOT_ORDER == ("n", "j", "r", "s", "p", "m")
 
-    def test_verify_builds_params_positionally_in_slot_order(self):
+    def test_verify_builds_params_positionally_in_slot_order(self, monkeypatch):
         # one point per spec, every slot at a distinct value, so a permuted slot shows
         spec = GridSpec(
             ids=(IdentityId.E9, IdentityId.EVEN_F),
             n_range=(2, 2), j_range=(3, 3), r_range=(-1, -1), s_range=(4, 4), p_range=(-2, -2), m_range=(5, 5),
         )
-        params = [rec.params for rec in run_grids([spec]).records]
-        assert params == [P(n=2, j=3, r=-1, s=4, p=-2), P(n=2, j=3, r=-1, s=4, m=5)]
-        assert all(type(q) is P for q in params)
+        wanted = [P(n=2, j=3, r=-1, s=4, p=-2), P(n=2, j=3, r=-1, s=4, m=5)]
+        evaluated = []  # the params each closed side is called with
+        for id in spec.ids:
+            desc = descriptor(id)
+            monkeypatch.setitem(vars(desc), "rhs", lambda q, rhs=desc.rhs: evaluated.append(q) or rhs(q))
+        out = io.StringIO()
+        run_grid([spec], out=out)
+        assert evaluated == wanted
+        assert all(type(q) is P for q in evaluated)
+        objs = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert [P(**obj["params"]) for obj in objs] == wanted
+        for obj, q in zip(objs, wanted, strict=True):
+            outcome = eval_pair(IdentityId(obj["id"]), q)
+            assert (obj["lhs"], obj["rhs"], obj["match"]) == (str(outcome.lhs), str(outcome.rhs), True)
 
     def test_defaults_and_keyword_construction(self):
         assert P() == P(0, 1, 1, 0, 1, 1)

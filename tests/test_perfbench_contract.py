@@ -6,7 +6,10 @@ rename of a wrapped boundary fails here instead of breaking
 """
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 from fibsums import cli, identities, sequences, transform, verify
 from fibsums.identities import IdentityId, IdentityParams, catalog, descriptor
@@ -107,3 +110,31 @@ def test_trace_mode_counts_and_restores_the_memoized_sequences(capsys):
     assert sequences.fib is fib and sequences.lucas is lucas
     assert hasattr(sequences.fib, "cache_info") and hasattr(sequences.lucas, "cache_info")
     assert identities.fib is fib and identities.lucas is lucas
+
+
+@pytest.mark.parametrize("report_format", ["text", "json"])
+def test_trace_mode_times_the_verify_pipeline(capsys, report_format):
+    # `verify.run_grid.self_s` reads the "run_grid" span and the report writer
+    # the "serialize" span; if `verify` stopped going through the wrapped
+    # names (or the pipeline were renamed) they would read 0 silently
+    tracing, run = _load("tracing"), _load("run")
+    run_grid = verify.run_grid
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer, run.FAMILIES, True)
+    try:
+        argv = ["verify", "--ids", "C18", "--n", "0..2", "--s", "0..1", "--jobs", "1", "--format", report_format]
+        code = cli.main(argv)
+    finally:
+        tracer.restore()
+    assert code == 0
+    out = capsys.readouterr().out.splitlines()
+    if report_format == "json":
+        assert len(out) == 7 and json.loads(out[-1])["verdict"] == "PASS"
+    else:
+        assert out[-1] == "PASS (6 checks, 0 skipped)"
+    spans = [span for span in tracer.spans if span[0] == "run_grid"]
+    assert len(spans) == 1 and tracer.calls["run_grid"] == 1
+    assert tracer.total["run_grid"] > 0
+    assert tracer.spans[spans[0][3]][0] == "main"  # kept under the command's span
+    assert tracer.calls["serialize"] == 1
+    assert verify.run_grid is run_grid and cli.run_grid is run_grid

@@ -1,5 +1,7 @@
 import concurrent.futures
+import dataclasses
 import io
+import itertools
 import json
 import random
 import sys
@@ -13,17 +15,15 @@ from hypothesis import strategies as st
 import fibsums
 from fibsums import GridSpec, IdentityDescriptor, IdentityId, IdentityParams, Report, VerificationRecord, summarize
 from fibsums import cli, verify
-from fibsums.identities import IntegralityError, catalog, descriptor
+from fibsums.identities import InapplicableParamsError, IntegralityError, catalog, descriptor, eval_pair
 from fibsums.verify import (
     decimal_str,
     default_grid_specs,
     dump_json,
     record_line,
     run_grid,
-    run_grids,
-    stream_grids,
 )
-from oracles import exact_str, record_json_oracle
+from oracles import canonical_key, exact_str, record_json_oracle
 
 
 def small_spec(**kw):
@@ -40,6 +40,18 @@ def small_spec(**kw):
     return GridSpec(**defaults)
 
 
+def report_bytes(specs, parallelism=1):
+    """`run_grid`'s report and the bytes of `verify --format json`: the streamed points, then the summary line."""
+    out = io.StringIO()
+    report = run_grid(specs, parallelism, out)
+    return report, out.getvalue() + report.to_jsonl()
+
+
+def point_objects(text):
+    """The point lines of a report's bytes, parsed; the summary line is left out."""
+    return [json.loads(line) for line in text.splitlines()[:-1]]
+
+
 class TestGridSpec:
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError):
@@ -54,22 +66,24 @@ class TestGridSpec:
 
 class TestRunGrid:
     def test_c18_box(self):
-        report = run_grid(small_spec())
-        assert len(report.records) == 6
+        report, text = report_bytes([small_spec()])
+        objs = point_objects(text)
+        assert len(objs) == 6
         checked, matched, skipped = report.counts()
         assert (checked, matched, skipped) == (6, 6, 0)
         assert report.passed
         values = {
-            (rec.params.n, rec.params.s): rec.lhs for rec in report.records
+            (obj["params"]["n"], obj["params"]["s"]): obj["lhs"] for obj in objs
         }
-        assert values[(2, 1)] == 11
+        assert values[(2, 1)] == "11"
 
     def test_q13_p_zero_all_skipped(self):
-        report = run_grid(small_spec(ids=(IdentityId.Q13,), p_range=(0, 0)))
-        assert report.records
-        assert all(rec.skipped_reason == "p must be nonzero" for rec in report.records)
+        report, text = report_bytes([small_spec(ids=(IdentityId.Q13,), p_range=(0, 0))])
+        objs = point_objects(text)
+        assert objs
+        assert all(obj["skipped"] == "p must be nonzero" for obj in objs)
         checked, matched, skipped = report.counts()
-        assert checked == 0 and skipped == len(report.records)
+        assert checked == 0 and skipped == len(objs)
         assert report.passed  # skips are not failures
 
     def test_domain_decided_once(self, monkeypatch):
@@ -80,21 +94,20 @@ class TestRunGrid:
             IdentityDescriptor, "applicable", lambda desc, params: calls.append(desc.id) or applicable(desc, params)
         )
         spec = small_spec(ids=(IdentityId.Q13, IdentityId.C18), n_range=(0, 3), j_range=(-1, 1), p_range=(-1, 1))
-        report = run_grid(spec)
+        report = run_grid([spec])  # tallied, no lines written
         checked, _, skipped = report.counts()
         assert skipped == 4 * 3 * 2  # Q13 at p = 0
         assert len(calls) == checked + 2 * skipped
-        assert {rec.skipped_reason for rec in report.records if rec.match is None} == {"p must be nonzero"}
         calls.clear()
-        out = io.StringIO()
-        assert stream_grids([spec], out=out).counts() == report.counts()
+        streamed, text = report_bytes([spec])
+        assert streamed.counts() == report.counts()
         assert len(calls) == checked + 2 * skipped
-        lines = [json.loads(line) for line in out.getvalue().splitlines()]
-        assert [obj["skipped"] for obj in lines if "skipped" in obj] == ["p must be nonzero"] * skipped
+        objs = point_objects(text)
+        assert [obj["skipped"] for obj in objs if "skipped" in obj] == ["p must be nonzero"] * skipped
 
     def test_empty_ids(self):
-        report = run_grid(small_spec(ids=()))
-        assert report.records == []
+        report, text = report_bytes([small_spec(ids=())])
+        assert text == report.to_jsonl()  # the summary line alone
         assert summarize(report) == "PASS (0 checks)"
 
     def test_completeness_with_collapsed_slots(self):
@@ -102,12 +115,12 @@ class TestRunGrid:
         spec = small_spec(
             ids=(IdentityId.E9,), n_range=(0, 2), j_range=(-1, 1), s_range=(0, 1), p_range=(0, 1)
         )
-        report = run_grid(spec)
-        assert len(report.records) == 3 * 3 * 1 * 2 * 2
+        _, text = report_bytes([spec])
+        assert len(point_objects(text)) == 3 * 3 * 1 * 2 * 2
 
     def test_rejects_bad_parallelism(self):
         with pytest.raises(ValueError):
-            run_grid(small_spec(), parallelism=0)
+            run_grid([small_spec()], parallelism=0)
 
 
 class TestWorkerClamp:
@@ -140,28 +153,28 @@ class TestWorkerClamp:
         monkeypatch.delattr(verify.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
         spec = small_spec(n_range=(0, 40), s_range=(-10, 10))  # 861 points, 14 chunks
-        report = run_grid(spec, parallelism=100_000)
+        _, text = report_bytes([spec], parallelism=100_000)
         assert pools == [3]
-        assert report.to_jsonl() == run_grid(spec).to_jsonl()
+        assert text == report_bytes([spec])[1]
 
     def test_clamped_to_affinity(self, pools, monkeypatch):
         # under taskset or a cpuset the process may use fewer CPUs than the machine has
         monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 5, 6}, raising=False)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
-        run_grid(small_spec(n_range=(0, 40), s_range=(-10, 10)), parallelism=100_000)
+        run_grid([small_spec(n_range=(0, 40), s_range=(-10, 10))], parallelism=100_000)
         assert pools == [3]
         assert verify.available_cpus() == 3
 
     def test_clamped_to_chunk_count(self, pools, monkeypatch):
         monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
-        run_grid(small_spec(n_range=(0, 63), s_range=(0, 1)), parallelism=100_000)  # 2 chunks of 64
+        run_grid([small_spec(n_range=(0, 63), s_range=(0, 1))], parallelism=100_000)  # 2 chunks of 64
         assert pools == [2]
 
     def test_unknown_cpu_count_runs_serially(self, pools, monkeypatch):
         monkeypatch.delattr(verify.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
-        report = run_grid(small_spec(n_range=(0, 40), s_range=(-10, 10)), parallelism=100_000)
+        report = run_grid([small_spec(n_range=(0, 40), s_range=(-10, 10))], parallelism=100_000)
         assert pools == []
         assert report.passed
 
@@ -215,23 +228,58 @@ class TestInOrder:
         assert max(in_flight) == verify._WINDOW_PER_WORKER * 3
 
 
+def tally(objs):
+    """Per-identity totals counted from parsed point lines, as the summary line states them."""
+    totals = {}
+    for obj in objs:
+        t = totals.setdefault(obj["id"], {"checked": 0, "matched": 0, "skipped": 0})
+        if "skipped" in obj:
+            t["skipped"] += 1
+        else:
+            t["checked"] += 1
+            t["matched"] += obj["match"]
+    return totals
+
+
+def walked_records(spec):
+    """Each point of `spec` from its own `eval_pair` call, walked identity by identity in catalog order."""
+    records = []
+    for desc in catalog():
+        if desc.id not in spec.ids:
+            continue
+        ranges = [range(lo, hi + 1) for lo, hi in map(spec.range_for, desc.slots)]
+        for values in itertools.product(*ranges):
+            params = IdentityParams(**dict(zip(desc.slots, values)))
+            try:
+                rec = VerificationRecord(desc.id, params, *eval_pair(desc.id, params))
+            except InapplicableParamsError:
+                rec = VerificationRecord(desc.id, params, None, None, None, desc.applicable(params)[1])
+            except ArithmeticError as exc:
+                rec = VerificationRecord(desc.id, params, None, None, False, error=f"{type(exc).__name__}: {exc}")
+            records.append(rec)
+    return records
+
+
 class TestStreaming:
     def test_specs_sharing_an_identity_keep_sorted_order(self):
         a = small_spec(ids=(IdentityId.C18, IdentityId.F1), n_range=(0, 3), s_range=(-1, 1))
         b = small_spec(ids=(IdentityId.C18,), n_range=(2, 5), s_range=(0, 2))
-        expected = Report.from_records(run_grid(a).records + run_grid(b).records)
-        merged = run_grids([a, b])
-        assert merged.records == expected.records
-        assert merged.to_jsonl() == expected.to_jsonl()
-        out = io.StringIO()
-        streamed = stream_grids([a, b], out=out)
-        assert out.getvalue() + dump_json(streamed.summary_json()) + "\n" == expected.to_jsonl()
+        # each spec's points, concatenated, then stably sorted: equal points keep spec order
+        points = [line for spec in (a, b) for line in report_bytes([spec])[1].splitlines(keepends=True)[:-1]]
+        report, text = report_bytes([a, b])
+        lines = text.splitlines(keepends=True)
+        assert lines[:-1] == sorted(points, key=canonical_key)
+        summary = json.loads(lines[-1])
+        assert summary["totals"] == tally(map(json.loads, points))
+        assert summary["checked"] == report.counts()[0] == len(points)
 
     def test_stream_keeps_totals_and_failures_only(self):
-        report = stream_grids([small_spec(n_range=(0, 40), s_range=(-1, 1))], parallelism=2)
-        assert report.records == []
+        spec = small_spec(n_range=(0, 40), s_range=(-1, 1))
+        report = run_grid([spec], parallelism=2)
+        assert [f.name for f in dataclasses.fields(report)] == ["totals", "failures"]
+        assert report.failures == []
         assert report.counts() == (123, 123, 0)
-        assert summarize(report) == summarize(run_grid(small_spec(n_range=(0, 40), s_range=(-1, 1))))
+        assert summarize(report) == summarize(report_bytes([spec])[0])
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_failures_and_errors_stream_as_collected(self, parallelism, monkeypatch, capsys):
@@ -248,27 +296,26 @@ class TestStreaming:
 
         monkeypatch.setitem(vars(c18), "closed", faulty)
         spec = small_spec(ids=(IdentityId.C18, IdentityId.Q13), n_range=(0, 40), s_range=(-1, 1), p_range=(-1, 1))
-        collected = run_grids([spec], parallelism)
-        out = io.StringIO()
-        streamed = stream_grids([spec], parallelism, out)
-        assert out.getvalue() + dump_json(streamed.summary_json()) + "\n" == collected.to_jsonl()
-        assert streamed.failures == collected.failures
+        walked = walked_records(spec)
+        expected = "".join(dump_json(record_json_oracle(rec, descriptor(rec.id).slots)) + "\n" for rec in walked)
+        expected += Report.from_records(walked).to_jsonl()
+        streamed, text = report_bytes([spec], parallelism)
+        assert text == expected
+        assert streamed.failures == [rec for rec in walked if rec.match is False]
         assert {rec.match for rec in streamed.failures} == {False}
         assert {rec.error for rec in streamed.failures} == {None, 'IntegralityError: 5^-1 \\ "é"\x01'}
-        assert summarize(streamed) == summarize(collected)
-        for line, rec in zip(out.getvalue().splitlines(), collected.records, strict=True):
-            assert line == dump_json(record_json_oracle(rec, descriptor(rec.id).slots))
+        assert summarize(streamed) == summarize(Report.from_records(walked))
         ranges = ["--n", "0..40", "--j", "1..1", "--r", "1..1", "--s", "-1..1", "--p", "-1..1"]
         argv = ["verify", "--ids", "C18,Q13", *ranges, "--jobs", str(parallelism)]
         capsys.readouterr()
         assert cli.main([*argv, "--format", "json"]) == 1
-        assert capsys.readouterr().out == collected.to_jsonl()
+        assert capsys.readouterr().out == text
         assert cli.main(argv) == 1
-        assert capsys.readouterr().out == summarize(collected) + "\n"
+        assert capsys.readouterr().out == summarize(streamed) + "\n"
 
     def test_empty_stream(self):
         out = io.StringIO()
-        report = stream_grids([small_spec(ids=())], out=out)
+        report = run_grid([small_spec(ids=())], out=out)
         assert out.getvalue() == ""
         assert summarize(report) == "PASS (0 checks)"
 
@@ -319,27 +366,28 @@ class TestDeterminism:
                 m_range=(0, 2),
             )
         ]
-        serial = run_grids(specs, parallelism=1)
-        parallel = run_grids(specs, parallelism=2)
-        assert serial.to_jsonl() == parallel.to_jsonl()
+        assert report_bytes(specs, parallelism=1)[1] == report_bytes(specs, parallelism=2)[1]
 
     def test_canonical_ordering_restored(self):
-        report = run_grid(small_spec(ids=(IdentityId.C18, IdentityId.F1), n_range=(0, 1)))
-        shuffled = list(report.records)
+        # the points stream in canonical order, so sorting a shuffle of them by the key gives them back
+        _, text = report_bytes([small_spec(ids=(IdentityId.C18, IdentityId.F1), n_range=(0, 1))])
+        lines = text.splitlines()[:-1]
+        assert len(set(map(canonical_key, lines))) == len(lines) == 2 * 2 + 2 * 2
+        shuffled = list(lines)
         random.Random(7).shuffle(shuffled)
-        assert Report.from_records(shuffled).to_jsonl() == report.to_jsonl()
+        assert sorted(shuffled, key=canonical_key) == lines
 
 
 class TestSerialization:
     def test_record_objects(self):
-        report = run_grid(small_spec())
-        obj = json.loads(record_line(report.records[-1]))
+        _, text = report_bytes([small_spec()])
+        obj = point_objects(text)[-1]
         assert obj == {"id": "C18", "params": {"n": 2, "s": 1}, "lhs": "11", "rhs": "11", "match": True}
 
     def test_jsonl_shape_and_roundtrip(self):
-        report = run_grid(small_spec())
-        lines = report.to_jsonl().splitlines()
-        assert len(lines) == 7  # 6 records + summary
+        _, text = report_bytes([small_spec()])
+        lines = text.splitlines()
+        assert len(lines) == 7  # 6 points + summary
         for line in lines:
             assert dump_json(json.loads(line)) == line
         summary = json.loads(lines[-1])
@@ -348,14 +396,14 @@ class TestSerialization:
 
     def test_big_values_stay_strings(self):
         spec = small_spec(ids=(IdentityId.C19,), n_range=(40, 41), s_range=(3, 3))
-        report = run_grid(spec)
-        obj = json.loads(record_line(report.records[0]))
+        _, text = report_bytes([spec])
+        obj = point_objects(text)[0]
         assert isinstance(obj["lhs"], str)
-        assert int(obj["lhs"]) == report.records[0].lhs
+        assert int(obj["lhs"]) == descriptor(IdentityId.C19).lhs(IdentityParams(**obj["params"]))
 
     def test_skipped_record_shape(self):
-        report = run_grid(small_spec(ids=(IdentityId.Q13,), p_range=(0, 0), n_range=(1, 1), s_range=(0, 0)))
-        obj = json.loads(record_line(report.records[0]))
+        _, text = report_bytes([small_spec(ids=(IdentityId.Q13,), p_range=(0, 0), n_range=(1, 1), s_range=(0, 0))])
+        obj = point_objects(text)[0]
         assert obj == {
             "id": "Q13",
             "params": {"n": 1, "j": 1, "r": 1, "s": 0, "p": 0},
@@ -440,7 +488,7 @@ class TestSummarize:
         assert f"error={error}\n" in summarize(Report.from_records([rec]))
 
     def test_pass_rendering(self):
-        report = run_grid(small_spec())
+        report = run_grid([small_spec()])
         text = summarize(report)
         assert "PASS (6 checks, 0 skipped)" in text
         assert text.splitlines()[0].startswith("C18")
