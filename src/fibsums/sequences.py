@@ -12,7 +12,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 class SequenceKind(Enum):
     """Which of the two companion sequences a sum is taken over."""
@@ -78,15 +78,15 @@ _MEMOS = (fib, lucas, _fib_pair)
 
 
 def clear_caches() -> None:
-    """Empty all three sequence memos: `fib`, `lucas` and `_fib_pair`.
+    """Empty all four sequence memos: `fib`, `lucas`, `_fib_pair` and `_POWER_ROWS`.
 
-    Used by cold-start benchmarks, so that a timed evaluation recomputes
-    every Fibonacci and Lucas value it needs.  The memos are reached through
-    `_MEMOS`, not the module names, so this also works while those names are
-    rebound (perfbench's trace mode wraps `fib` and `lucas`).
+    Used by cold-start benchmarks.  The memos are reached through `_MEMOS`,
+    not the module names, so this also works while perfbench's trace mode
+    has rebound `fib` and `lucas`.
     """
     for memo in _MEMOS:
         memo.cache_clear()
+    _POWER_ROWS.clear()
 
 
 def as_exact(q: int | Fraction) -> int | Fraction:
@@ -114,7 +114,8 @@ def direct_sum(
 
     W_{j(rk+s)} is walked by its order-2 recurrence from four seed values.
     Up to 16 terms the sum is Horner's rule in x over a precomputed row of
-    C(n,k), with no division.  A longer sum is walked in blocks of 32 terms.
+    C(n,k) and a row of W^m, memoized while short (`_POWER_ROWS`), with no
+    division.  A longer sum is walked in blocks of 32 terms.
     Block [lo, hi) weighs its terms by small integers w_k = t_k Q / t_lo, Q
     holding every (k+1)x of the block, and adds t_lo (its weighted sum) / Q,
     one exact division; t_lo steps once per block.  A block whose first W is
@@ -150,6 +151,10 @@ def direct_sum(
 # A sum of at most _HORNER terms is Horner's rule over one of the binomial rows C(n, 0..n), n < _HORNER.
 _HORNER = 16
 _ROWS = tuple(tuple(math.comb(n, k) for k in range(n + 1)) for n in range(_HORNER))
+# The rows (W_{a+kd}^m for k < _HORNER) of short sums by (a, d, m, seq), kept only when m (|a| + 15|d|)
+# <= 3000, so a value has at most about 2,100 bits (the full default grid keeps up to 1,722), and emptied
+# at 1,024 rows, so at most about 5 MB.  A row that is not kept is built to n + 1 terms only.
+_POWER_ROWS: dict[tuple[int, int, int, Callable[[int], int]], tuple[int, ...]] = {}
 # Terms per block of a longer sum, whose weights are products of 32 factors (l+1)x or (n-l)z.
 _BLOCK = 32
 
@@ -223,6 +228,27 @@ def _expanded_sum(ws: list[int], table: list[list[int]], v: int, v1: int) -> int
     return block
 
 
+def _seeds(a: int, d: int, seq: Callable[[int], int]) -> tuple[int, ...]:
+    # (W_a, W_{a+1}, F_{d-1}, F_d, -(-1)^d, L_d, v_0, v_1): v_k = W_{a+kd} follows v_{k+2} = L_d v_{k+1}
+    # - (-1)^d v_k (Cayley-Hamilton on Q^d), from v_0 = W_a and v_1 = W_{a+d} = F_{d-1} W_a + F_d W_{a+1}.
+    w, w1, f0, f1 = seq(a), seq(a + 1), fib(d - 1), fib(d)
+    return w, w1, f0, f1, 1 if d & 1 else -1, 2 * f0 + f1, w, f0 * w + f1 * w1
+
+
+def _power_row(a: int, d: int, m: int, seq: Callable[[int], int], n: int) -> Sequence[int]:
+    keep = m * (abs(a) + (_HORNER - 1) * abs(d)) <= 3000
+    *_, e0, e1, v, v1 = _seeds(a, d, seq)
+    row = []
+    for _ in range(_HORNER if keep else n + 1):
+        row.append(v**m)
+        v, v1 = v1, e0 * v + e1 * v1
+    if keep:
+        if len(_POWER_ROWS) >= 1024:
+            _POWER_ROWS.clear()
+        _POWER_ROWS[a, d, m, seq] = row = tuple(row)
+    return row
+
+
 def _integer_sum(
     n: int, x: int, z: int, j: int, r: int, s: int, m: int, seq: Callable[[int], int]
 ) -> int:
@@ -232,21 +258,15 @@ def _integer_sum(
     if x == 0:
         # only k = n survives, since 0^0 = 1
         return z**n * seq(j * (r * n + s)) ** m
-    # v follows v_{k+2} = L_d v_{k+1} - (-1)^d v_k (Cayley-Hamilton on Q^d, of trace L_d
-    # and determinant (-1)^d), from v_0 = W_a and v_1 = W_{a+d} = F_{d-1} W_a + F_d W_{a+1}.
     a, d = j * s, j * r
-    w, w1 = seq(a), seq(a + 1)
-    f0, f1 = fib(d - 1), fib(d)
-    e0, e1 = 1 if d & 1 else -1, 2 * f0 + f1  # -(-1)^d and L_d
-    v, v1 = w, f0 * w + f1 * w1
     if n < _HORNER:
-        # Horner's rule in x, so no term divides
+        # Horner's rule in x over the row of W^m, so no term divides
         total, zk = 0, 1
-        for c in _ROWS[n]:
-            total = total * x + c * zk * v**m
+        for c, u in zip(_ROWS[n], _POWER_ROWS.get((a, d, m, seq)) or _power_row(a, d, m, seq, n)):
+            total = total * x + c * zk * u
             zk *= z
-            v, v1 = v1, e0 * v + e1 * v1
         return total
+    w, w1, f0, f1, e0, e1, v, v1 = _seeds(a, d, seq)
     table = None
     total, t = 0, x**n
     for lo in range(0, n + 1, _BLOCK):

@@ -244,7 +244,8 @@ class TestDirectSum:
     @pytest.mark.parametrize("kind", [F, L])
     @pytest.mark.parametrize("x", [2, 0, Fraction(-3, 2)])
     def test_at_most_four_sequence_calls_per_sum(self, monkeypatch, n, kind, x):
-        # the index is stepped from four seed values, never read term by term
+        # the index is stepped from four seed values, never read term by term, and a short
+        # sum's row of W^m is memoized (the wrappers key a new row), so repeating it reads none
         calls = []
 
         def counting(seq):
@@ -256,8 +257,11 @@ class TestDirectSum:
 
         monkeypatch.setattr(sequences, "fib", counting(sequences.fib))
         monkeypatch.setattr(sequences, "lucas", counting(sequences.lucas))
-        direct_sum(n, x, -1, 3, -2, 1, 2, kind)
+        value = direct_sum(n, x, -1, 3, -2, 1, 2, kind)
         assert 0 < len(calls) <= 4
+        calls.clear()
+        assert direct_sum(n, x, -1, 3, -2, 1, 2, kind) == value
+        assert len(calls) <= 4 and (calls == []) == (n < 16 and x != 0)
 
     def test_rational_weights_exact(self):
         got = direct_sum(2, Fraction(1, 2), Fraction(1, 3), 1, 1, 0, 1, F)
@@ -296,6 +300,64 @@ class TestDirectSum:
         imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
         imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
         assert imported <= {"__future__", "enum", "fractions", "functools", "math", "typing"}
+
+
+class TestPowerRows:
+    """A sum of at most 16 terms reads its row of W^m from a memo bounded in entries and in bytes."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        sequences.clear_caches()
+        yield
+        sequences.clear_caches()
+
+    @pytest.mark.parametrize("first", [15, 0])
+    @pytest.mark.parametrize("s", [-1, 700])  # a short row, and one past the byte bound from m = 3 on
+    @pytest.mark.parametrize("r", [3, -3])
+    @pytest.mark.parametrize("m", range(5))
+    @pytest.mark.parametrize("fibonacci", [True, False])
+    def test_every_short_sum_matches_naive_cold_and_warm(self, first, s, r, m, fibonacci):
+        kind, args = F if fibonacci else L, (3, -2, 2, r, s, m)
+        expected = [naive_weighted_sum(n, *args, fibonacci) for n in range(16)]
+        for n in range(16):
+            sequences.clear_caches()
+            assert direct_sum(n, *args, kind) == expected[n], n
+        sequences.clear_caches()
+        assert direct_sum(first, *args, kind) == expected[first]
+        kept = m * (2 * abs(s) + 15 * 6) <= 3000
+        assert len(sequences._POWER_ROWS) == kept
+        for n in [*range(16), *range(15, -1, -1)]:
+            assert direct_sum(n, *args, kind) == expected[n], n
+        assert len(sequences._POWER_ROWS) == kept
+
+    def test_rows_are_kept_exactly_up_to_the_byte_bound(self):
+        # m (|a| + 15|d|) <= 3000 keeps a row: here a = 3000 - 15d and a = -3000 + 15d
+        for s, r, m, kept in [(3000, 0, 1, 1), (3001, 0, 1, 0), (-2985, 1, 1, 1), (-2986, 1, 1, 0), (1350, 10, 2, 1)]:
+            sequences.clear_caches()
+            assert direct_sum(4, 1, 1, 1, r, s, m, F) == naive_weighted_sum(4, 1, 1, 1, r, s, m, True)
+            assert len(sequences._POWER_ROWS) == kept, (s, r, m)
+
+    def test_huge_indices_are_exact_and_not_kept(self):
+        s, m = 200000, 3
+        f0, f1 = naive_fib(s - 1), naive_fib(s)
+        fs = [f0, f1]  # F_{s-1} .. F_{s+4}
+        for _ in range(4):
+            fs.append(fs[-2] + fs[-1])
+        ls = [fs[k] + fs[k + 2] for k in range(4)]  # L_{s+k} = F_{s+k-1} + F_{s+k+1}
+        direct_sum(2, 1, 1, 1, 1, 0, 2, F)
+        size = len(sequences._POWER_ROWS)
+        for kind, w in [(F, fs[1:]), (L, ls)]:
+            expected = sum(math.comb(3, k) * 2 ** (3 - k) * (-1) ** k * w[k] ** m for k in range(4))
+            assert direct_sum(3, 2, -1, 1, 1, s, m, kind) == expected
+            assert len(sequences._POWER_ROWS) == size == 1
+
+    def test_memo_empties_when_full(self):
+        for s in range(1100):
+            assert direct_sum(3, 1, 1, 1, 1, s, 1, F) == naive_weighted_sum(3, 1, 1, 1, 1, s, 1, True), s
+            assert len(sequences._POWER_ROWS) <= 1024
+        assert len(sequences._POWER_ROWS) == 1100 - 1024
+        sequences.clear_caches()
+        assert sequences._POWER_ROWS == {}
 
 
 class TestBlocks:
