@@ -69,7 +69,11 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _parse_rational(text: str) -> Fraction:
+    # the decimal exponent is checked first: Fraction builds its power of ten, which at 1e20000000 takes over a minute
+    exponent = re.search(r"e([-+]?[\d_]+)\s*$", text, re.IGNORECASE)
     try:
+        if exponent and abs(int(exponent.group(1))) * 3322 // 1000 > MAX_BITS:  # 3322/1000 is log2(10) to 0.003%
+            raise argparse.ArgumentTypeError(f"{text!r}: its power of ten has over 2^{math.log2(MAX_BITS):g} bits")
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"expected an exact rational like 3 or -2/7, got {text!r}")

@@ -12,7 +12,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 class SequenceKind(Enum):
     """Which of the two companion sequences a sum is taken over."""
@@ -74,11 +74,8 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-_MEMOS = (fib, lucas, _fib_pair)
-
-
 def clear_caches() -> None:
-    """Empty all four sequence memos: `fib`, `lucas`, `_fib_pair` and `_POWER_ROWS`.
+    """Empty all four sequence memos: `fib`, `lucas`, `_fib_pair` and `_power_row`.
 
     Used by cold-start benchmarks.  The memos are reached through `_MEMOS`,
     not the module names, so this also works while perfbench's trace mode
@@ -86,7 +83,6 @@ def clear_caches() -> None:
     """
     for memo in _MEMOS:
         memo.cache_clear()
-    _POWER_ROWS.clear()
 
 
 def as_exact(q: int | Fraction) -> int | Fraction:
@@ -113,9 +109,10 @@ def direct_sum(
     every closed form is checked against; it never consults any identity.
 
     W_{j(rk+s)} is walked by its order-2 recurrence from four seed values.
-    Up to 16 terms the sum is Horner's rule in x over a precomputed row of
-    C(n,k) and a row of W^m, memoized while short (`_POWER_ROWS`), with no
-    division.  A longer sum is walked in blocks of 32 terms.
+    A sum of at most 16 terms with short values, m (|js| + 15|jr|) <= 3000,
+    is Horner's rule in x over a precomputed row of C(n,k) and a memoized
+    row of 16 W^m (`_power_row`), with no division.  Every other sum is
+    walked in blocks of 32 terms.
     Block [lo, hi) weighs its terms by small integers w_k = t_k Q / t_lo, Q
     holding every (k+1)x of the block, and adds t_lo (its weighted sum) / Q,
     one exact division; t_lo steps once per block.  A block whose first W is
@@ -126,10 +123,10 @@ def direct_sum(
     pair then jumps past the block (see `_expands`).  Both reassociate the
     same exact sum.
 
-    As a safeguard the final walked pair is compared with
-    (W_{js+D}, W_{js+D+d}), W_{js+D} = F_{D-1} W_{js} + F_D W_{js+1} for
-    D = (n+1)d, whose Fibonacci pair comes by fast doubling, not by walking;
-    a mismatch raises RecurrenceError, an internal fault and never a value.
+    As a safeguard each walk's final pair, at D = (n+1)d or a row's 16d, is
+    compared with (W_{js+D}, W_{js+D+d}), W_{js+D} = F_{D-1} W_{js} + F_D
+    W_{js+1}, whose Fibonacci pair comes by fast doubling, not by walking; a
+    mismatch raises RecurrenceError, an internal fault and never a value.
 
     The sum is an int when it is integral, as it always is for integral
     weights, and a Fraction only when it has a denominator.  Rational
@@ -148,13 +145,9 @@ def direct_sum(
     return as_exact(Fraction(_integer_sum(n, int(x * den), int(z * den), j, r, s, m, seq), den**n))
 
 
-# A sum of at most _HORNER terms is Horner's rule over one of the binomial rows C(n, 0..n), n < _HORNER.
+# A sum of at most _HORNER terms with short values is Horner's rule over a binomial row C(n, 0..n), n < _HORNER.
 _HORNER = 16
 _ROWS = tuple(tuple(math.comb(n, k) for k in range(n + 1)) for n in range(_HORNER))
-# The rows (W_{a+kd}^m for k < _HORNER) of short sums by (a, d, m, seq), kept only when m (|a| + 15|d|)
-# <= 3000, so a value has at most about 2,100 bits (the full default grid keeps up to 1,722), and emptied
-# at 1,024 rows, so at most about 5 MB.  A row that is not kept is built to n + 1 terms only.
-_POWER_ROWS: dict[tuple[int, int, int, Callable[[int], int]], tuple[int, ...]] = {}
 # Terms per block of a longer sum, whose weights are products of 32 factors (l+1)x or (n-l)z.
 _BLOCK = 32
 
@@ -186,6 +179,10 @@ class RecurrenceError(ArithmeticError):
 #                (5000, 1, 3)     68.9 ms    16.9 ms    15.8 ms   146 of 157
 #                (391, 15, 7)     25.1 ms    5.68 ms    6.96 ms     8 of 13
 #                (60, 3, 12)      0.08 ms    0.48 ms    0.09 ms     0 of 2
+#                (12, 150, 5)     0.09 ms    0.39 ms    0.09 ms     0 of 1
+#                (15, 300, 2)     0.08 ms    0.25 ms    0.09 ms     0 of 1
+#                (3, 100000, 1)   38.2 ms    1.54 s     39.2 ms     0 of 1
+# The last three have at most 16 terms but values past the rows' byte bound, so they take one block.
 # Over 1,549 sums (126 pairs of 1 <= jr <= 2500 and 1 <= m <= 12, 16 <= n <= 2000), timed block by
 # block, the rule is within 7% of the best first expanded block in geometric mean, at most 3% slower
 # than every block per term where that takes over 1 ms, and at most 0.12 ms slower below it.
@@ -235,18 +232,30 @@ def _seeds(a: int, d: int, seq: Callable[[int], int]) -> tuple[int, ...]:
     return w, w1, f0, f1, 1 if d & 1 else -1, 2 * f0 + f1, w, f0 * w + f1 * w1
 
 
-def _power_row(a: int, d: int, m: int, seq: Callable[[int], int], n: int) -> Sequence[int]:
-    keep = m * (abs(a) + (_HORNER - 1) * abs(d)) <= 3000
-    *_, e0, e1, v, v1 = _seeds(a, d, seq)
+def _check_walk(a: int, k: int, seeds: tuple[int, ...], v: int, v1: int) -> None:
+    # the walked pair (v, v1) must be (W_{a+k}, W_{a+k+d}), read from the seeds by fast doubling
+    w, w1, f0, f1, *_ = seeds
+    g0, g1 = _fib_pair_at(k)
+    last, after = g0 * w + g1 * w1, g1 * w + (g0 + g1) * w1
+    if (v, v1) != (last, f0 * last + f1 * after):
+        raise RecurrenceError(f"walked W disagrees with W_{a + k}")
+
+
+# The row (W_{a+kd}^m for k < _HORNER) of a short sum, read only when m (|a| + 15|d|) <= 3000, so a value has
+# at most about 2,100 bits (the full default grid reads up to 1,722) and 1,024 rows hold at most about 5 MB.
+@lru_cache(maxsize=1024)
+def _power_row(a: int, d: int, m: int, seq: Callable[[int], int]) -> tuple[int, ...]:
+    seeds = _seeds(a, d, seq)
+    *_, e0, e1, v, v1 = seeds
     row = []
-    for _ in range(_HORNER if keep else n + 1):
+    for _ in range(_HORNER):
         row.append(v**m)
         v, v1 = v1, e0 * v + e1 * v1
-    if keep:
-        if len(_POWER_ROWS) >= 1024:
-            _POWER_ROWS.clear()
-        _POWER_ROWS[a, d, m, seq] = row = tuple(row)
-    return row
+    _check_walk(a, _HORNER * d, seeds, v, v1)
+    return tuple(row)
+
+
+_MEMOS = (fib, lucas, _fib_pair, _power_row)
 
 
 def _integer_sum(
@@ -259,14 +268,15 @@ def _integer_sum(
         # only k = n survives, since 0^0 = 1
         return z**n * seq(j * (r * n + s)) ** m
     a, d = j * s, j * r
-    if n < _HORNER:
-        # Horner's rule in x over the row of W^m, so no term divides
+    if n < _HORNER and m * (abs(a) + 15 * abs(d)) <= 3000:
+        # Horner's rule in x over the memoized row of W^m, so no term divides
         total, zk = 0, 1
-        for c, u in zip(_ROWS[n], _POWER_ROWS.get((a, d, m, seq)) or _power_row(a, d, m, seq, n)):
+        for c, u in zip(_ROWS[n], _power_row(a, d, m, seq)):
             total = total * x + c * zk * u
             zk *= z
         return total
-    w, w1, f0, f1, e0, e1, v, v1 = _seeds(a, d, seq)
+    seeds = _seeds(a, d, seq)
+    *_, e0, e1, v, v1 = seeds
     table = None
     total, t = 0, x**n
     for lo in range(0, n + 1, _BLOCK):
@@ -295,9 +305,5 @@ def _integer_sum(
         q = tail[-1]
         total += t * block // q
         t = t * p // q
-    # the walked pair must be (W_{a+D}, W_{a+D+d}), D = (n+1)d, read by fast doubling
-    g0, g1 = _fib_pair_at((n + 1) * d)
-    last, after = g0 * w + g1 * w1, g1 * w + (g0 + g1) * w1
-    if (v, v1) != (last, f0 * last + f1 * after):
-        raise RecurrenceError(f"walked W disagrees with W_{a + (n + 1) * d}")
+    _check_walk(a, (n + 1) * d, seeds, v, v1)
     return total

@@ -446,6 +446,23 @@ class TestSizeLimits:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and " is above the limit of 2^" in err
 
+    @pytest.mark.parametrize("argv", ["--x 1e999999999", "--z=-1e-999999999", "--x 2.5E+1_000_000"])
+    def test_weight_with_a_huge_exponent_exits_at_once(self, capsys, argv):
+        # refused before Fraction builds the power of ten, which alone takes seconds from 1e5000000 on
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "sum", "--n", "1", *argv.split())
+        assert time.perf_counter() - t0 < 1
+        assert (code, out) == (2, "")
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].endswith(": its power of ten has over 2^20 bits")
+
+    def test_weight_exponent_bound_is_the_integer_size_bound(self, capsys):
+        # 10^315646 has 1,048,554 bits and is admitted at n = 0; 10^315653 would have 1,048,577
+        code, out, _ = run_cli(capsys, "sum", "--n", "0", "--x", "1e-315646", "--s", "7")
+        assert (code, out) == (0, "13\n")
+        code, out, err = run_cli(capsys, "sum", "--n", "0", "--x", "1e315653")
+        assert (code, out) == (2, "") and err.endswith("'1e315653': its power of ten has over 2^20 bits\n")
+
     @pytest.mark.parametrize(
         "argv,err",
         [

@@ -214,10 +214,15 @@ class TestDirectSum:
             (3, -2, -2, 3, 1, 2, True),  # negative step
             (Fraction(-3, 2), Fraction(1, 4), -1, 2, -1, 2, False),  # rational weights
             (Fraction(2, 3), -1, 1, 3, -2, 1, True),  # rational x, int z
+            # past the byte bound m (|js| + 15|jr|) <= 3000: every n takes the block loop
+            (-1, 3, 1, 300, 1, 2, True),  # x = -1
+            (3, 0, 2, -150, 1, 2, False),  # z = 0, negative step
+            (Fraction(-3, 2), Fraction(1, 4), -1, 300, -1, 2, True),  # rational weights, negative step
+            (Fraction(2, 3), -1, 1, -300, 2, 1, False),  # rational x, negative step, m = 1
         ],
     )
     def test_every_small_size_matches_naive_summation(self, n, x, z, j, r, s, m, fibonacci):
-        # n <= 15 is the Horner loop over one binomial row; n = 16 is the first blocked sum
+        # n <= 15 within the byte bound is the Horner loop over one binomial row; n = 16 is the first blocked sum
         kind = F if fibonacci else L
         assert direct_sum(n, x, z, j, r, s, m, kind) == naive_weighted_sum(
             n, x, z, j, r, s, m, fibonacci
@@ -303,13 +308,17 @@ class TestDirectSum:
 
 
 class TestPowerRows:
-    """A sum of at most 16 terms reads its row of W^m from a memo bounded in entries and in bytes."""
+    """A sum of at most 16 terms within the byte bound reads its row of W^m from an LRU memo of 1,024 rows."""
 
     @pytest.fixture(autouse=True)
     def cold(self):
         sequences.clear_caches()
         yield
         sequences.clear_caches()
+
+    @staticmethod
+    def rows():
+        return sequences._power_row.cache_info().currsize
 
     @pytest.mark.parametrize("first", [15, 0])
     @pytest.mark.parametrize("s", [-1, 700])  # a short row, and one past the byte bound from m = 3 on
@@ -325,17 +334,17 @@ class TestPowerRows:
         sequences.clear_caches()
         assert direct_sum(first, *args, kind) == expected[first]
         kept = m * (2 * abs(s) + 15 * 6) <= 3000
-        assert len(sequences._POWER_ROWS) == kept
+        assert self.rows() == kept
         for n in [*range(16), *range(15, -1, -1)]:
             assert direct_sum(n, *args, kind) == expected[n], n
-        assert len(sequences._POWER_ROWS) == kept
+        assert self.rows() == kept
 
     def test_rows_are_kept_exactly_up_to_the_byte_bound(self):
         # m (|a| + 15|d|) <= 3000 keeps a row: here a = 3000 - 15d and a = -3000 + 15d
         for s, r, m, kept in [(3000, 0, 1, 1), (3001, 0, 1, 0), (-2985, 1, 1, 1), (-2986, 1, 1, 0), (1350, 10, 2, 1)]:
             sequences.clear_caches()
             assert direct_sum(4, 1, 1, 1, r, s, m, F) == naive_weighted_sum(4, 1, 1, 1, r, s, m, True)
-            assert len(sequences._POWER_ROWS) == kept, (s, r, m)
+            assert self.rows() == kept, (s, r, m)
 
     def test_huge_indices_are_exact_and_not_kept(self):
         s, m = 200000, 3
@@ -345,19 +354,24 @@ class TestPowerRows:
             fs.append(fs[-2] + fs[-1])
         ls = [fs[k] + fs[k + 2] for k in range(4)]  # L_{s+k} = F_{s+k-1} + F_{s+k+1}
         direct_sum(2, 1, 1, 1, 1, 0, 2, F)
-        size = len(sequences._POWER_ROWS)
+        size = self.rows()
         for kind, w in [(F, fs[1:]), (L, ls)]:
             expected = sum(math.comb(3, k) * 2 ** (3 - k) * (-1) ** k * w[k] ** m for k in range(4))
             assert direct_sum(3, 2, -1, 1, 1, s, m, kind) == expected
-            assert len(sequences._POWER_ROWS) == size == 1
+            assert self.rows() == size == 1
 
-    def test_memo_empties_when_full(self):
+    def test_memo_keeps_the_newest_rows(self):
         for s in range(1100):
             assert direct_sum(3, 1, 1, 1, 1, s, 1, F) == naive_weighted_sum(3, 1, 1, 1, 1, s, 1, True), s
-            assert len(sequences._POWER_ROWS) <= 1024
-        assert len(sequences._POWER_ROWS) == 1100 - 1024
+            assert self.rows() <= 1024
+        assert self.rows() == 1024
+        # the 1,024 rows read last are all still held, so reading them again builds none
+        misses = sequences._power_row.cache_info().misses
+        for s in range(1100 - 1024, 1100):
+            assert direct_sum(3, 1, 1, 1, 1, s, 1, F) == naive_weighted_sum(3, 1, 1, 1, 1, s, 1, True), s
+        assert sequences._power_row.cache_info().misses == misses
         sequences.clear_caches()
-        assert sequences._POWER_ROWS == {}
+        assert self.rows() == 0
 
 
 class TestBlocks:
@@ -523,6 +537,25 @@ class TestBlocks:
         getattr(self, mutation)(monkeypatch)
         # ODD_F's oracle is sum C(n,k) F_{j(2rk+s)}^(2m+1): W^5 with step 2jr = -6
         argv = ["verify", "--ids", "ODD_F", "--n", "300..300", "--j", "1..1", "--r=-3..-3", "--s", "0..0"]
+        assert main([*argv, "--m", "2..2", "--jobs", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL ODD_F" in out and "RecurrenceError" in out
+
+    @pytest.mark.parametrize("kind", [F, L])
+    def test_safeguard_checks_a_memoized_row(self, monkeypatch, capsys, kind):
+        # a sum of at most 16 terms within the byte bound walks W once, to build its row of W^m
+        self.wrong_step(monkeypatch)
+        sequences.clear_caches()
+        with pytest.raises(sequences.RecurrenceError):
+            direct_sum(12, 1, 1, 3, -2, 1, 8, kind)
+        assert sequences._power_row.cache_info().currsize == 0
+        argv = ["sum", "--n", "12", "--j", "3", "--r=-2", "--s", "1", "--m", "8", "--seq", kind.value]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: walked W disagrees with W_-93\n"
+        # ODD_F's oracle at n = 12 is a row of W^5 with step 2jr = -6
+        argv = ["verify", "--ids", "ODD_F", "--n", "12..12", "--j", "1..1", "--r=-3..-3", "--s", "0..0"]
         assert main([*argv, "--m", "2..2", "--jobs", "1"]) == 1
         out = capsys.readouterr().out
         assert "FAIL ODD_F" in out and "RecurrenceError" in out

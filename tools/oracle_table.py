@@ -22,6 +22,8 @@ POINTS = (
     (2000, 21, 3), (1000, 15, 6), (418, -430, 7), (600, -6, 8), (200, 2500, 2),
     (20, 2500, 8), (16, -2500, 6), (200, -6, 8), (1000, 2, 2), (32, 128, 2),
     (100, 1, 0), (2000, 50, 0), (5000, 1, 3), (391, 15, 7), (60, 3, 12),
+    # sums of at most 16 terms past the byte bound of the memoized rows, which take the block loop
+    (12, 150, 5), (15, 300, 2), (3, 100000, 1),
 )
 REPS = 5
 
