@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import transform
-from .sequences import SequenceKind, direct_sum, fib, lucas
+from .sequences import _FIB, SequenceKind, direct_sum, fib, lucas
 
 
 class IntegralityError(ArithmeticError):
@@ -131,8 +131,8 @@ def _root5_swap(n: int, kind: SequenceKind, i: int) -> int:
     5^((n+1)/2) F_i (L) for odd n.
     """
     if n % 2 == 0:
-        return 5 ** (n // 2) * (fib(i) if kind is SequenceKind.FIB else lucas(i))
-    if kind is SequenceKind.FIB:
+        return 5 ** (n // 2) * (fib(i) if kind is _FIB else lucas(i))
+    if kind is _FIB:
         return 5 ** (n // 2) * lucas(i)
     return 5 ** (n // 2 + 1) * fib(i)
 
@@ -157,7 +157,7 @@ def _power_rhs(
     C(big, big/2) (1 +/- (-1)^(h_0))^n, 2^n or 0^n, kept exact so that its
     0^0 = 1 survives at n = 0.
     """
-    is_fib = kind is SequenceKind.FIB
+    is_fib = kind is _FIB
     fib_first = (big * d // 2) % 2 != alternating
     fib_second = (is_fib and big % 2 == 1) != (fib_first and n % 2 == 1)
     first = fib if fib_first else lucas

@@ -1,12 +1,14 @@
 """Exact arithmetic in Q(alpha), alpha the golden ratio, in the basis (1, alpha).
 
 u + v*alpha is the pair (u, v) of ints or Fractions, and alpha^2 = alpha + 1.
-The arithmetic is `mul`, `power` and `inverse` on plain pairs: integer pairs
-stay in Z[alpha], and so do the inverses of its units (norm +/-1), such as
-every power of alpha, whose coordinates are (F_{n-1}, F_n).  `QuadNum`, the
-public element type, is a pair with the field operators built on them.
-beta = 1 - alpha and sqrt5 = 2*alpha - 1 are derived constants, and
-beta^n is `alpha_pow(n).conj()`.
+The arithmetic is `mul` (three products of coordinates), `power` and
+`inverse` on plain pairs: integer pairs stay in Z[alpha], and so do the
+inverses of its units (norm +/-1), such as every power of alpha, whose
+coordinates are (F_{n-1}, F_n).  `QuadNum`, the public element type, is a
+pair with the field operators built on them.  beta = 1 - alpha and
+sqrt5 = 2*alpha - 1 are derived constants, and beta^n is
+`alpha_pow(n).conj()`.  `alpha_to` is alpha^n through the memo `alpha_pow`,
+bounded in bytes: powers past a stated index are computed on each call.
 """
 
 from __future__ import annotations
@@ -21,11 +23,15 @@ class NonInvertibleError(ZeroDivisionError):
 
 
 def mul(a: tuple, b: tuple) -> tuple:
-    """(u1 + v1*alpha)(u2 + v2*alpha) as a pair."""
+    """(u1 + v1*alpha)(u2 + v2*alpha) as a pair, in three products.
+
+    The pair is (u1 u2 + v1 v2, u1 v2 + u2 v1 + v1 v2), and its alpha part is
+    (u1 + v1)(u2 + v2) - u1 u2 (Karatsuba's trick).
+    """
     u1, v1 = a
     u2, v2 = b
-    vv = v1 * v2
-    return u1 * u2 + vv, u1 * v2 + u2 * v1 + vv
+    uu = u1 * u2
+    return uu + v1 * v2, (u1 + v1) * (u2 + v2) - uu
 
 
 def inverse(a: tuple) -> tuple:
@@ -40,16 +46,20 @@ def inverse(a: tuple) -> tuple:
 
 
 def power(a: tuple, n: int) -> tuple:
-    """a^n for any integer n by binary exponentiation, with 0^0 = 1."""
+    """a^n for any integer n by binary exponentiation, with 0^0 = 1.
+
+    The bits run from the top, so each product that is not a square is by a
+    itself: a shift of the coordinates when a = alpha, and small whenever a is.
+    """
     if n < 0:
         a, n = inverse(a), -n
-    out = (1, 0)
-    while n:
-        if n & 1:
+    if not n:
+        return 1, 0
+    out = a
+    for bit in bin(n)[3:]:
+        out = mul(out, out)
+        if bit == "1":
             out = mul(out, a)
-        n >>= 1
-        if n:
-            a = mul(a, a)
     return out
 
 
@@ -119,10 +129,20 @@ BETA = QuadNum(1, -1)  # 1 - alpha
 SQRT5 = QuadNum(-1, 2)  # 2*alpha - 1
 
 
-@lru_cache(maxsize=256)  # the full default grid needs 13 entries
+# alpha^n has coordinates of about 0.69|n| bits, so the engine memoizes only the powers with
+# |n| <= ALPHA_MEMO_INDEX: the 256 entries of `alpha_pow` then hold at most about 0.9 MB.
+ALPHA_MEMO_INDEX = 20_000
+
+
+@lru_cache(maxsize=256)
 def alpha_pow(n: int) -> QuadNum:
     """alpha^n for any integer n; alpha^-1 = alpha - 1, so the coordinates are (F_{n-1}, F_n)."""
     return QuadNum._make(power(ALPHA, n))
+
+
+def alpha_to(n: int) -> tuple:
+    """alpha^n as a pair: from the memo `alpha_pow` when |n| <= ALPHA_MEMO_INDEX, else computed on each call."""
+    return alpha_pow(n) if -ALPHA_MEMO_INDEX <= n <= ALPHA_MEMO_INDEX else power(ALPHA, n)
 
 
 def clear_caches() -> None:

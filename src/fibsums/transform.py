@@ -4,13 +4,17 @@ The power-reduction lemma: sum_k g_k z^(f_k) W_{j f_k}^m equals
 sum_{i=0..m} (-1)^i C(m,i) h(p_i) / sqrt5^m for W = F (for L unsigned and
 without sqrt5), with the kernel h(w) = sum_k g_k w^(f_k) and the lemma points
 p_i = beta^(ij) alpha^((m-i)j) z = (-1)^(ij) alpha^((m-2i)j) z.
-`reduce_power` is that one loop and `kernel_eval` its one evaluator, for
-either kernel: both answer `terms`, and a `BinomialKernel` at a nonzero point
-is evaluated in closed form as h(w) = w^s (x + z w^r)^n.  `binomial_rhs` runs
-it at z = 1, where the points are units of Z[alpha]: with x, z scaled to
-integers by their common denominator d, every contribution is an integer pair
-of `quadfield` arithmetic, and the sum is divided by d^n once.  Results
-follow `sequences.as_exact`: an int when integral, a Fraction otherwise.
+`reduce_power` is that one loop, for either kernel: both answer `terms`, and
+a `BinomialKernel` at a nonzero point is evaluated in closed form as
+h(w) = w^s (x + z w^r)^n, by one helper that `kernel_eval` (at any point) and
+the loop share.  A lemma point is c alpha^e with c = +-z, so the loop reads
+p^r and p^s from alpha's powers (`quadfield.alpha_to`), and (x + z p^r)^n is
+the one power of a pair per point.  `binomial_rhs` runs it at z = 1, where
+the points are units of Z[alpha]: with x, z scaled to integers by their
+common denominator d, every contribution is an integer pair of `quadfield`
+arithmetic, and the sum is divided by d^n once (`sequences.over_power`).
+Results follow `sequences.as_exact`: an int when integral, a Fraction
+otherwise.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quadfield import SQRT5, QuadNum, alpha_pow, mul, power
-from .sequences import SequenceKind, as_exact, binomial
+from .quadfield import SQRT5, QuadNum, alpha_to, mul, power
+from .sequences import _FIB, SequenceKind, as_exact, binomial, over_power
 
 
 class IrrationalResultError(ArithmeticError):
@@ -66,12 +70,21 @@ def rationalize_root5(q: tuple, m: int) -> int | Fraction:
     """q / sqrt5^m as an exact rational, for a pair q: an int when integral.
 
     For odd m the value is multiplied by sqrt5 first, then the rational part
-    is divided by 5^ceil(m/2); the alpha-part must vanish at that point.
+    is divided by 5^ceil(m/2); the alpha-part must vanish at that point.  An
+    integral quotient is read from `divmod`, with no Fraction built.
     """
     u, v = mul(q, SQRT5) if m % 2 else q
     if v != 0:
         raise IrrationalResultError(f"non-rational after sqrt5 rationalization: {u} + {v}*alpha")
-    return as_exact(Fraction(u, 5 ** ((m + 1) // 2)))
+    den = 5 ** ((m + 1) // 2)
+    quotient, rem = divmod(u, den)
+    return Fraction(u, den) if rem else quotient
+
+
+def _binomial_at(h: BinomialKernel, ps: tuple, pr: tuple) -> tuple:
+    # h(p) = p^s (x + z p^r)^n from the point's powers p^s and p^r: the one closed form of a BinomialKernel
+    pu, pv = pr
+    return mul(ps, power((h.x + h.z * pu, h.z * pv), h.n))
 
 
 def kernel_eval(h: Kernel | BinomialKernel, point: tuple) -> QuadNum:
@@ -82,8 +95,7 @@ def kernel_eval(h: Kernel | BinomialKernel, point: tuple) -> QuadNum:
     """
     # the closed form would invert a zero point for r < 0 even when every rk+s >= 0
     if isinstance(h, BinomialKernel) and any(point):
-        wu, wv = power(point, h.r)
-        return QuadNum._make(mul(power(point, h.s), power((h.x + h.z * wu, h.z * wv), h.n)))
+        return QuadNum._make(_binomial_at(h, power(point, h.s), power(point, h.r)))
     u = v = 0
     for g, f in h.terms:
         pu, pv = power(point, f)
@@ -92,9 +104,44 @@ def kernel_eval(h: Kernel | BinomialKernel, point: tuple) -> QuadNum:
     return QuadNum._make((u, v))
 
 
-def _lemma_points(j: int, m: int, z: int | Fraction) -> list[tuple]:
-    # The points (-1)^(ij) alpha^((m-2i)j) z for i = 0..m, as pairs.
-    return [mul(alpha_pow((m - 2 * i) * j), (-z if i * j % 2 else z, 0)) for i in range(m + 1)]
+def _rational_pow(q: int | Fraction, k: int) -> int | Fraction:
+    # q^k for a nonzero rational q, exactly (a negative power of an int would be a float); q = +-1 at z = 1
+    if q == 1 or q == -1:
+        return q if k & 1 else 1
+    return q**k if k >= 0 else Fraction(1, q) ** -k
+
+
+# Reading p^r and p^s from alpha's powers saves the two binary powers of the point wherever
+# `alpha_pow` already holds them, as it does on a grid; cold, computing alpha^(er) and alpha^(es)
+# costs about what the point's powers did.  Min-of-5 timings of binomial_rhs(BinomialKernel(n, 1,
+# 1, r, s), j, m, F) (2-vCPU VM, Python 3.11; `tools/engine_table.py`), with p^r and p^s taken
+# by `power` of the point, and as the engine runs:
+#                                    cold                      warm
+#   (n, j, r, s, m)       point powers      engine  point powers      engine
+#   (3, 1, 1, 0, 1)            7.15 us     6.68 us       5.23 us     4.67 us
+#   (12, 4, -4, 3, 2)          17.7 us     17.1 us       14.4 us     9.77 us
+#   (12, -3, 2, -4, 1)         10.9 us     12.1 us       8.29 us     6.34 us
+#   (8, 2, -1, 1, 2)           11.6 us     9.69 us       8.58 us        7 us
+#   (1000, 2, 1, 3, 2)         38.6 us     39.5 us       35.7 us       33 us
+#   (1200, 1, 2, -2, 1)        25.6 us     24.4 us         24 us     22.4 us
+#   (1800, -1, -1, 4, 1)       26.9 us     26.9 us       25.4 us     23.3 us
+#   (1000, -2, -1, 0, 2)         37 us     36.2 us       34.2 us     32.6 us
+#   (3, 2, 1, 200000, 2)       71.9 ms     74.8 ms       74.7 ms     73.8 ms
+# At large n the one power left, (x + z p^r)^n, is most of the time; at s = 200,000 the powers
+# alpha^(es) are past the memo's bound and are computed on each call, either way.
+def _lemma_value(h: Kernel | BinomialKernel, c: int | Fraction, e: int) -> tuple:
+    """h(c alpha^e) as a pair, for a nonzero rational c: the value at one lemma point.
+
+    A BinomialKernel takes p^r = c^r alpha^(er) and p^s = c^s alpha^(es) from
+    `alpha_to`, so (x + z p^r)^n is the only power of a pair left to take.
+    """
+    if not isinstance(h, BinomialKernel):
+        u, v = alpha_to(e)
+        return kernel_eval(h, (c * u, c * v))
+    cr, cs = _rational_pow(c, h.r), _rational_pow(c, h.s)
+    ru, rv = alpha_to(e * h.r)
+    su, sv = alpha_to(e * h.s)
+    return _binomial_at(h, (cs * su, cs * sv), (cr * ru, cr * rv))
 
 
 def reduce_power(h: Kernel | BinomialKernel, j: int, m: int, z: int | Fraction, kind: SequenceKind) -> int | Fraction:
@@ -109,13 +156,16 @@ def reduce_power(h: Kernel | BinomialKernel, j: int, m: int, z: int | Fraction, 
     if z == 0:
         # Only f = 0 terms survive at z = 0; W_0 is 0 (F) or 2 (L).
         h0 = sum(Fraction(g) for g, f in h.terms if f == 0)
-        w0 = 0 if kind is SequenceKind.FIB else 2
+        w0 = 0 if kind is _FIB else 2
         return as_exact(h0 * w0**m)
-    is_fib = kind is SequenceKind.FIB
+    is_fib = kind is _FIB
     u = v = 0
-    for i, point in enumerate(_lemma_points(j, m, z)):
-        c = -binomial(m, i) if is_fib and i % 2 else binomial(m, i)
-        hu, hv = kernel_eval(h, point)
+    # Every point is evaluated on its own.  h(p_(m-i)) = conj h(p_i) would halve the work, but
+    # the alpha part would then cancel by construction, and IrrationalResultError, which
+    # catches a wrong contribution at any single point, could never fire.
+    for i in range(m + 1):
+        c = -math.comb(m, i) if is_fib and i % 2 else math.comb(m, i)
+        hu, hv = _lemma_value(h, -z if i * j % 2 else z, (m - 2 * i) * j)
         u += c * hu
         v += c * hv
     return rationalize_root5((u, v), m if is_fib else 0)
@@ -130,4 +180,4 @@ def binomial_rhs(bk: BinomialKernel, j: int, m: int, kind: SequenceKind) -> int 
     if d == 1:
         return reduce_power(bk, j, m, 1, kind)
     scaled = BinomialKernel(bk.n, int(bk.x * d), int(bk.z * d), bk.r, bk.s)
-    return as_exact(Fraction(reduce_power(scaled, j, m, 1, kind), d**bk.n))
+    return over_power(reduce_power(scaled, j, m, 1, kind), d, bk.n)

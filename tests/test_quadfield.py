@@ -16,11 +16,53 @@ from fibsums import (
     fib,
     lucas,
 )
+from fibsums.quadfield import inverse, mul, power
 
 from oracles import naive_fib, naive_lucas
 
 rationals = st.fractions(max_denominator=8, min_value=-6, max_value=6)
 quads = st.builds(QuadNum, rationals, rationals)
+coords = (
+    st.sampled_from((0, 1, -1))
+    | st.integers(-(10**25), 10**25)
+    | st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
+)
+pairs = st.tuples(coords, coords)
+
+
+def four_products(a, b):
+    # (u1 + v1 alpha)(u2 + v2 alpha) with alpha^2 = alpha + 1, term by term
+    u1, v1 = a
+    u2, v2 = b
+    return u1 * u2 + v1 * v2, u1 * v2 + u2 * v1 + v1 * v2
+
+
+class TestThreeProducts:
+    @settings(deadline=None, max_examples=200)
+    @given(a=pairs, b=pairs)
+    def test_mul_is_the_four_product_formula(self, a, b):
+        assert mul(a, b) == four_products(a, b)
+        assert mul(a, a) == four_products(a, a)
+
+    @settings(deadline=None, max_examples=150)
+    @given(a=pairs, n=st.integers(-6, 40))
+    def test_power_is_repeated_four_products(self, a, n):
+        if n < 0 and a[0] * (a[0] + a[1]) - a[1] ** 2 == 0:
+            with pytest.raises(NonInvertibleError):
+                power(a, n)
+            return
+        expected = (1, 0)
+        for _ in range(abs(n)):
+            expected = four_products(expected, a)
+        if n >= 0:
+            assert power(a, n) == expected
+        else:
+            assert four_products(power(a, n), expected) == (1, 0)
+            assert power(a, n) == power(inverse(a), -n)
+
+    def test_large_alpha_powers(self):
+        for n in (20_001, -20_001, 65_537):
+            assert power(ALPHA, n) == (fib(n - 1), fib(n))
 
 
 class TestRingStructure:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fibsums import SequenceKind, binomial, direct_sum, fib, lucas, sequences
+from fibsums import BinomialKernel, SequenceKind, binomial, binomial_rhs, direct_sum, fib, lucas, sequences
 from fibsums.cli import main
 from fibsums.quadfield import alpha_pow
 
@@ -111,6 +111,44 @@ class TestBinomial:
     def test_row_sums(self):
         for n in range(65):
             assert sum(binomial(n, k) for k in range(n + 1)) == 2**n
+
+
+class TestOverPower:
+    """`over_power(total, den, n)` is as_exact(Fraction(total, den**n)), type included."""
+
+    @staticmethod
+    def check(total, den, n):
+        got = sequences.over_power(total, den, n)
+        expected = sequences.as_exact(Fraction(total, den**n))
+        assert got == expected and type(got) is type(expected), (total, den, n)
+        if isinstance(got, Fraction):
+            assert got.denominator > 1 and math.gcd(got.numerator, got.denominator) == 1
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        t=st.integers(-(10**40), 10**40),
+        den=st.sampled_from((1, 2, 4, 12, 18, 72, 1000, 3**7, 2**5 * 7**3)) | st.integers(1, 10**6),
+        k=st.integers(0, 40),
+        p=st.sampled_from((1, 2, 3, 5, 7)),
+        b=st.integers(0, 60),
+        n=st.integers(0, 30),
+    )
+    @example(t=0, den=12, k=0, p=1, b=0, n=5)
+    @example(t=-7, den=1, k=0, p=2, b=9, n=9)
+    @example(t=-1, den=2**5 * 7**3, k=31, p=1, b=0, n=30)
+    @example(t=5, den=72, k=3, p=2, b=60, n=12)
+    @example(t=-3, den=18, k=0, p=3, b=2 * 30 - 1, n=30)
+    def test_matches_fraction(self, t, den, k, p, b, n):
+        # total = t den^k p^b: a common factor below, at and past den^n, in some primes of den or all
+        self.check(t * den**k * p**b, den, n)
+        self.check(t * den**k * p**b + 1, den, n)
+
+    def test_sum_of_huge_rational_weights(self):
+        # the rational path of direct_sum and binomial_rhs: n = 60, x = 10^-500
+        x = Fraction(1, 10**500)
+        expected = sequences.as_exact(Fraction(sequences._integer_sum(60, 1, 10**500, 1, 1, 0, 1, fib), 10**30000))
+        assert direct_sum(60, x, 1, 1, 1, 0, 1, SequenceKind.FIB) == expected
+        assert binomial_rhs(BinomialKernel(60, x, 1, 1, 0), 1, 1, SequenceKind.FIB) == expected
 
 
 class TestDirectSum:

@@ -27,7 +27,8 @@ from fibsums import (
 )
 from fibsums import transform
 from fibsums.cli import main
-from fibsums.transform import _lemma_points, rationalize_root5
+from fibsums.quadfield import ALPHA_MEMO_INDEX, mul
+from fibsums.transform import _lemma_value, rationalize_root5
 
 from oracles import frac_pow, naive_fib
 
@@ -165,28 +166,66 @@ class TestReduce:
             assert reduce_power(h, j, m, z, F) == _term_sum(h, j, m, z, True), (terms, j, m, z)
             assert reduce_power(h, j, m, z, L) == _term_sum(h, j, m, z, False), (terms, j, m, z)
 
-    def test_primed_points_agree(self):
+    @staticmethod
+    def _evaluated_points(monkeypatch, j, m, z):
+        # the points (c, e), p = c alpha^e, at which reduce_power evaluates its kernel, in order
+        seen = []
+        real = transform._lemma_value
+
+        def recording(h, c, e):
+            seen.append((c, e))
+            return real(h, c, e)
+
+        monkeypatch.setattr(transform, "_lemma_value", recording)
+        reduce_power(Kernel(((1, 0),)), j, m, z, L)
+        monkeypatch.undo()
+        return seen
+
+    def test_primed_points_agree(self, monkeypatch):
         # beta^(ij) a^((m-i)j) z and (-1)^(ij) a^((m-2i)j) z are the same points,
         # so the two printed forms of the reduction are identical before
         # rationalization.
         for m in range(5):
             for j in range(-3, 4):
                 for z in (1, -2, Fraction(3, 2)):
-                    assert _lemma_points(j, m, z) == _primed_points(j, m, z)
+                    points = [QuadNum(*mul(alpha_pow(e), (c, 0))) for c, e in self._evaluated_points(monkeypatch, j, m, z)]
+                    assert points == _primed_points(j, m, z)
 
-    def test_primed_sum_agrees_on_kernel(self):
+    def test_primed_sum_agrees_on_kernel(self, monkeypatch):
         h = Kernel(((1, 3), (2, -1), (Fraction(1, 2), 0)))
         for m in range(5):
             for j in range(-3, 4):
                 acc_plain = QuadNum(0, 0)
                 acc_primed = QuadNum(0, 0)
-                for i, (pt_plain, pt_primed) in enumerate(
-                    zip(_lemma_points(j, m, 2), _primed_points(j, m, 2))
+                for i, ((c, e), pt_primed) in enumerate(
+                    zip(self._evaluated_points(monkeypatch, j, m, 2), _primed_points(j, m, 2))
                 ):
                     sign = -1 if i % 2 else 1
-                    acc_plain = acc_plain + sign * binomial(m, i) * kernel_eval(h, pt_plain)
+                    acc_plain = acc_plain + sign * binomial(m, i) * QuadNum(*_lemma_value(h, c, e))
                     acc_primed = acc_primed + sign * binomial(m, i) * kernel_eval(h, pt_primed)
                 assert acc_plain == acc_primed
+
+    @seed(20251020)
+    @settings(deadline=None, max_examples=150)
+    @given(
+        n=st.integers(0, 20),
+        x=weights,
+        z=weights,
+        r=st.integers(-6, 6),
+        s=st.integers(-6, 6),
+        c=st.sampled_from((1, -1, Fraction(1, 2), Fraction(-3, 2))),
+        e=st.integers(-8, 8),
+    )
+    @example(n=20, x=1, z=1, r=-6, s=-6, c=-1, e=-8)
+    @example(n=7, x=Fraction(-4, 9), z=Fraction(1, 2), r=-1, s=5, c=Fraction(-3, 2), e=3)
+    @example(n=0, x=0, z=0, r=-2, s=-3, c=Fraction(1, 2), e=0)
+    def test_lemma_value_is_the_kernel_at_the_point(self, n, x, z, r, s, c, e):
+        # one evaluator: reading p^r and p^s from alpha powers gives the expansion's value at p = c alpha^e
+        bk = BinomialKernel(n, x, z, r, s)
+        point = mul(alpha_pow(e), (c, 0))
+        expected = kernel_eval(Kernel(bk.terms), point)
+        assert _lemma_value(bk, c, e) == expected
+        assert kernel_eval(bk, point) == expected
 
     def test_rejects_negative_m(self):
         with pytest.raises(ValueError):
@@ -258,20 +297,28 @@ class TestBinomialRhs:
 class TestIrrationalResultStaysLive:
     """A wrong lemma contribution leaves an alpha-part, which must raise, never pass as a value."""
 
-    @pytest.fixture(autouse=True)
-    def perturbed(self, monkeypatch):
-        # at j = 1, m = 1 the point alpha is lemma point i = 0 alone; alpha added to its value
-        real = transform.kernel_eval
-        monkeypatch.setattr(
-            transform, "kernel_eval", lambda h, point: real(h, point) + ALPHA if point == ALPHA else real(h, point)
-        )
+    @staticmethod
+    def perturb(monkeypatch, point):
+        # alpha added to the value at one lemma point (c, e), p = c alpha^e, and no other
+        real = transform._lemma_value
 
-    def test_binomial_rhs_raises(self):
+        def perturbed(h, c, e):
+            value = real(h, c, e)
+            return QuadNum(*value) + ALPHA if (c, e) == point else value
+
+        monkeypatch.setattr(transform, "_lemma_value", perturbed)
+
+    @pytest.fixture()
+    def perturbed(self, monkeypatch):
+        # at j = 1, m = 1 the point alpha is lemma point i = 0 alone
+        self.perturb(monkeypatch, (1, 1))
+
+    def test_binomial_rhs_raises(self, perturbed):
         for kind in (F, L):
             with pytest.raises(IrrationalResultError):
                 binomial_rhs(BinomialKernel(3, 1, 1, 1, 0), 1, 1, kind)
 
-    def test_verify_reports_a_failed_check(self, capsys):
+    def test_verify_reports_a_failed_check(self, perturbed, capsys):
         code = main(["verify", "--ids", "F1", "--n", "0..1", "--j", "1", "--r", "1", "--s", "0", "--jobs", "1"])
         lines = capsys.readouterr().out.splitlines()
         assert code == 1
@@ -280,3 +327,33 @@ class TestIrrationalResultStaysLive:
             "error=IrrationalResultError: non-rational after sqrt5 rationalization: 2 + 1*alpha"
         )
         assert lines[-1] == "FAIL (2 mismatches of 2 checks)"
+
+    @pytest.mark.parametrize("kind", (F, L))
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    def test_each_point_is_checked_on_its_own(self, monkeypatch, m, kind):
+        # A point whose value were derived from another's (h(p_(m-i)) = conj h(p_i)) would carry
+        # the perturbation to its conjugate, cancel it, and let a wrong sum through.
+        bk = BinomialKernel(3, 2, -1, 2, -1)
+        for j in (1, 3):
+            assert binomial_rhs(bk, j, m, kind) == direct_sum(3, 2, -1, j, 2, -1, m, kind)
+            for i in range(m + 1):
+                self.perturb(monkeypatch, (-1 if i * j % 2 else 1, (m - 2 * i) * j))
+                with pytest.raises(IrrationalResultError):
+                    binomial_rhs(bk, j, m, kind)
+                monkeypatch.undo()
+
+
+class TestAlphaPowMemo:
+    def test_large_powers_are_not_kept(self):
+        # F1 at 300 distinct s near 200,000: the points' s-th powers are computed on each call
+        alpha_pow.cache_clear()
+        try:
+            for s in range(200_000, 200_300):
+                assert binomial_rhs(BinomialKernel(1, 1, 1, 1, s), 1, 1, F) == fib(s) + fib(s + 1)
+            # the memo holds alpha^1 and alpha^-1 alone, the points' r-th powers, read again as hits
+            assert alpha_pow.cache_info().currsize == 2
+            hits = alpha_pow.cache_info().hits
+            alpha_pow(1), alpha_pow(-1)
+            assert alpha_pow.cache_info()[:2] == (hits + 2, 2) and ALPHA_MEMO_INDEX < 200_000
+        finally:
+            alpha_pow.cache_clear()
