@@ -7,8 +7,7 @@ inverses of its units (norm +/-1), such as every power of alpha, whose
 coordinates are (F_{n-1}, F_n).  `QuadNum`, the public element type, is a
 pair with the field operators built on them.  beta = 1 - alpha and
 sqrt5 = 2*alpha - 1 are derived constants, and beta^n is
-`alpha_pow(n).conj()`.  `alpha_to` is alpha^n through the memo `alpha_pow`,
-bounded in bytes: powers past a stated index are computed on each call.
+`alpha_pow(n).conj()`, from a memo of binary powers.
 """
 
 from __future__ import annotations
@@ -129,22 +128,12 @@ BETA = QuadNum(1, -1)  # 1 - alpha
 SQRT5 = QuadNum(-1, 2)  # 2*alpha - 1
 
 
-# alpha^n has coordinates of about 0.69|n| bits, so the engine memoizes only the powers with
-# |n| <= ALPHA_MEMO_INDEX: the 256 entries of `alpha_pow` then hold at most about 0.9 MB.
-ALPHA_MEMO_INDEX = 20_000
-
-
 @lru_cache(maxsize=256)
 def alpha_pow(n: int) -> QuadNum:
     """alpha^n for any integer n; alpha^-1 = alpha - 1, so the coordinates are (F_{n-1}, F_n)."""
     return QuadNum._make(power(ALPHA, n))
 
 
-def alpha_to(n: int) -> tuple:
-    """alpha^n as a pair: from the memo `alpha_pow` when |n| <= ALPHA_MEMO_INDEX, else computed on each call."""
-    return alpha_pow(n) if -ALPHA_MEMO_INDEX <= n <= ALPHA_MEMO_INDEX else power(ALPHA, n)
-
-
 def clear_caches() -> None:
-    """Drop memoized alpha powers.  Used by cold-start benchmarks."""
+    """Empty the memo `alpha_pow`.  Used by cold-start benchmarks."""
     alpha_pow.cache_clear()

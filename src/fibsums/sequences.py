@@ -44,7 +44,8 @@ def _fib_pair(n: int) -> tuple[int, int]:
 def _fib_pair_at(n: int) -> tuple[int, int]:
     # (F_{n-1}, F_n) for any integer n, from (F_k, F_{k+1}) = _fib_pair(k), k = |n|, by
     # F_{k-1} = F_{k+1} - F_k and the one reflection rule F_{-k} = (-1)^(k-1) F_k.
-    # fib, lucas and the oracle's safeguard all read it.
+    # It is alpha^n = F_{n-1} + F_n alpha: fib, lucas, the oracle's safeguard and the
+    # power-reduction engine's lemma points all read it.
     a, b = _fib_pair(abs(n))
     if n >= 0:
         return b - a, a
@@ -106,25 +107,36 @@ def over_power(total: int, den: int, n: int) -> int | Fraction:
     """total / den^n by the value rule, for den >= 1 and n >= 0: as_exact(Fraction(total, den**n)).
 
     The rational paths of `direct_sum` and `binomial_rhs` end here.  Fraction's
-    own gcd of total and den^n is quadratic in their size, but every prime of
-    den^n is one of den's, so the common factor is gcd(total, den^k) at the
-    first k = 1, 2, 4, ... (capped at n) past which it stops growing: if
-    den^2k adds nothing, no prime of den divides total more often than den^k
-    holds it.  A total coprime to den costs one gcd against den alone; the
-    cost grows with the common factor, and when den^n divides all or most of
-    a huge total, Fraction's one gcd is faster.
+    own gcd of total and den^n is quadratic in their size.  Here a multiple of
+    den^n costs one division.  Otherwise the common factor of the remainder
+    and den^n, all of whose primes are den's, is divided out as it is found,
+    in steps den^k for k = 1, 2, 4, ... summing to at most n: a step that
+    den^k divides is one division, and any other divides out gcd(den^k,
+    remainder), which leaves the remainder no prime that den^k holds more
+    often.  The steps stop at a gcd of 1 or when the k's reach n, so each
+    runs on the reduced remainder, and a remainder coprime to den costs one
+    division by den.
     """
-    if not total:
-        return 0
-    common, k = 1, 0
-    while k < n:
-        k = min(2 * k or 1, n)
-        g = math.gcd(total, den**k)
-        if g == common:
-            break
-        common = g
-    rest = den**n // common
-    return total // common if rest == 1 else _coprime_fraction(total // common, rest)
+    den_n = den**n
+    whole, part = divmod(total, den_n)
+    if not part:
+        return whole
+    # total / den^n = (whole rest + part / common) / rest, for the common factor common = den^n / rest
+    rest, k, done = 1, 1, 0
+    while done < n:
+        k = min(k, n - done)
+        step = den**k
+        q, r = divmod(part, step)
+        if r:
+            g = math.gcd(step, r)
+            if g == 1:
+                break
+            q, rest = part // g, rest * (step // g)
+        part = q
+        done += k
+        k *= 2
+    rest *= den ** (n - done) if done else den_n
+    return _coprime_fraction(whole * rest + part, rest)
 
 
 def direct_sum(

@@ -8,13 +8,13 @@ p_i = beta^(ij) alpha^((m-i)j) z = (-1)^(ij) alpha^((m-2i)j) z.
 a `BinomialKernel` at a nonzero point is evaluated in closed form as
 h(w) = w^s (x + z w^r)^n, by one helper that `kernel_eval` (at any point) and
 the loop share.  A lemma point is c alpha^e with c = +-z, so the loop reads
-p^r and p^s from alpha's powers (`quadfield.alpha_to`), and (x + z p^r)^n is
-the one power of a pair per point.  `binomial_rhs` runs it at z = 1, where
-the points are units of Z[alpha]: with x, z scaled to integers by their
-common denominator d, every contribution is an integer pair of `quadfield`
-arithmetic, and the sum is divided by d^n once (`sequences.over_power`).
-Results follow `sequences.as_exact`: an int when integral, a Fraction
-otherwise.
+p^r and p^s from alpha's powers, the Fibonacci pairs alpha^k = F_{k-1} +
+F_k alpha (`sequences._fib_pair_at`), and (x + z p^r)^n is the one power of
+a pair per point.  `binomial_rhs` runs it at z = 1, where the points are
+units of Z[alpha]: with x, z scaled to integers by their common denominator
+d, every contribution is an integer pair of `quadfield` arithmetic, and the
+sum is divided by d^n once (`sequences.over_power`).  Results follow
+`sequences.as_exact`: an int when integral, a Fraction otherwise.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quadfield import SQRT5, QuadNum, alpha_to, mul, power
-from .sequences import _FIB, SequenceKind, as_exact, binomial, over_power
+from .quadfield import SQRT5, QuadNum, mul, power
+from .sequences import _FIB, SequenceKind, _fib_pair_at, as_exact, binomial, over_power
 
 
 class IrrationalResultError(ArithmeticError):
@@ -111,36 +111,22 @@ def _rational_pow(q: int | Fraction, k: int) -> int | Fraction:
     return q**k if k >= 0 else Fraction(1, q) ** -k
 
 
-# Reading p^r and p^s from alpha's powers saves the two binary powers of the point wherever
-# `alpha_pow` already holds them, as it does on a grid; cold, computing alpha^(er) and alpha^(es)
-# costs about what the point's powers did.  Min-of-5 timings of binomial_rhs(BinomialKernel(n, 1,
-# 1, r, s), j, m, F) (2-vCPU VM, Python 3.11; `tools/engine_table.py`), with p^r and p^s taken
-# by `power` of the point, and as the engine runs:
-#                                    cold                      warm
-#   (n, j, r, s, m)       point powers      engine  point powers      engine
-#   (3, 1, 1, 0, 1)            7.15 us     6.68 us       5.23 us     4.67 us
-#   (12, 4, -4, 3, 2)          17.7 us     17.1 us       14.4 us     9.77 us
-#   (12, -3, 2, -4, 1)         10.9 us     12.1 us       8.29 us     6.34 us
-#   (8, 2, -1, 1, 2)           11.6 us     9.69 us       8.58 us        7 us
-#   (1000, 2, 1, 3, 2)         38.6 us     39.5 us       35.7 us       33 us
-#   (1200, 1, 2, -2, 1)        25.6 us     24.4 us         24 us     22.4 us
-#   (1800, -1, -1, 4, 1)       26.9 us     26.9 us       25.4 us     23.3 us
-#   (1000, -2, -1, 0, 2)         37 us     36.2 us       34.2 us     32.6 us
-#   (3, 2, 1, 200000, 2)       71.9 ms     74.8 ms       74.7 ms     73.8 ms
-# At large n the one power left, (x + z p^r)^n, is most of the time; at s = 200,000 the powers
-# alpha^(es) are past the memo's bound and are computed on each call, either way.
+# alpha^k = F_{k-1} + F_k alpha, so alpha's powers are the Fibonacci pairs that fib, lucas and the
+# oracle's safeguard read, through the one bounded fast-doubling memo: an index the oracle or an
+# earlier point reached, however large, is one lookup.  `PYTHONPATH=src python3 tools/engine_table.py`
+# times the engine against taking the point's powers by `power`, cold and warm.
 def _lemma_value(h: Kernel | BinomialKernel, c: int | Fraction, e: int) -> tuple:
     """h(c alpha^e) as a pair, for a nonzero rational c: the value at one lemma point.
 
-    A BinomialKernel takes p^r = c^r alpha^(er) and p^s = c^s alpha^(es) from
-    `alpha_to`, so (x + z p^r)^n is the only power of a pair left to take.
+    A BinomialKernel takes p^r = c^r alpha^(er) and p^s = c^s alpha^(es) as
+    Fibonacci pairs, so (x + z p^r)^n is the only power of a pair left to take.
     """
     if not isinstance(h, BinomialKernel):
-        u, v = alpha_to(e)
+        u, v = _fib_pair_at(e)
         return kernel_eval(h, (c * u, c * v))
     cr, cs = _rational_pow(c, h.r), _rational_pow(c, h.s)
-    ru, rv = alpha_to(e * h.r)
-    su, sv = alpha_to(e * h.s)
+    ru, rv = _fib_pair_at(e * h.r)
+    su, sv = _fib_pair_at(e * h.s)
     return _binomial_at(h, (cs * su, cs * sv), (cr * ru, cr * rv))
 
 

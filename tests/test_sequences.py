@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fibsums import BinomialKernel, SequenceKind, binomial, binomial_rhs, direct_sum, fib, lucas, sequences
 from fibsums.cli import main
-from fibsums.quadfield import alpha_pow
+from fibsums.quadfield import ALPHA, alpha_pow, power
 
 from oracles import naive_binomial, naive_fib, naive_lucas, naive_weighted_sum
 
@@ -28,11 +28,18 @@ class TestFib:
         for n in range(-300, 301):
             assert fib(n) == naive_fib(n), n
 
-    def test_pair_matches_naive_iteration_and_alpha_powers(self):
-        # (F_{n-1}, F_n) against plain iteration, and against the coordinates of
-        # alpha^n from binary exponentiation in Q(alpha), an independent algorithm
-        for n in range(-300, 301):
-            assert sequences._fib_pair_at(n) == (naive_fib(n - 1), naive_fib(n)) == alpha_pow(n), n
+    @settings(deadline=None, max_examples=5)
+    @given(n=st.integers(-(10**6), 10**6))
+    @example(n=200_001)
+    @example(n=-200_001)
+    @example(n=600_000)
+    def test_pair_matches_naive_iteration_and_alpha_powers(self, n):
+        # (F_{i-1}, F_i) against plain iteration for |i| <= 300, and against the coordinates of
+        # alpha^i from binary exponentiation in Q(alpha), an independent algorithm, there and at
+        # a huge or negative i = n: the power-reduction engine reads alpha's powers from this pair
+        for i in range(-300, 301):
+            assert sequences._fib_pair_at(i) == (naive_fib(i - 1), naive_fib(i)) == alpha_pow(i), i
+        assert sequences._fib_pair_at(n) == power(ALPHA, n), n
 
     def test_cassini(self):
         for n in range(-200, 201):
@@ -138,10 +145,21 @@ class TestOverPower:
     @example(t=-1, den=2**5 * 7**3, k=31, p=1, b=0, n=30)
     @example(t=5, den=72, k=3, p=2, b=60, n=12)
     @example(t=-3, den=18, k=0, p=3, b=2 * 30 - 1, n=30)
+    # den = 10^200, n = 100, with den^n dividing most or all of the total: the reduction's costliest shapes
+    @example(t=3**20_000, den=10**200, k=50, p=1, b=0, n=100)
+    @example(t=7, den=10**200, k=100, p=1, b=0, n=100)
+    @example(t=-7, den=10**200, k=99, p=2, b=1, n=100)
     def test_matches_fraction(self, t, den, k, p, b, n):
         # total = t den^k p^b: a common factor below, at and past den^n, in some primes of den or all
         self.check(t * den**k * p**b, den, n)
         self.check(t * den**k * p**b + 1, den, n)
+
+    @pytest.mark.parametrize("den,n", [(12, 24), (2**5 * 7**3, 10), (10**20, 6)])
+    def test_every_power_of_den_in_the_total(self, den, n):
+        # totals den^k t for k in 0..n, with t coprime to den or holding some of den's primes unevenly
+        for k in range(n + 1):
+            for t in (1, -7, 2**45 * 3, -(3**30) * 7**11 + 2, 7**80 + 10):
+                self.check(den**k * t, den, n)
 
     def test_sum_of_huge_rational_weights(self):
         # the rational path of direct_sum and binomial_rhs: n = 60, x = 10^-500

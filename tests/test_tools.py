@@ -1,0 +1,30 @@
+"""The timing tools under tools/ still run: each one's `timings` on one small point.
+
+The tools patch private names of the package (`transform._lemma_value`,
+`sequences._expands`) and read others, so a renamed name fails here rather
+than in the next run of a tool.
+"""
+
+import importlib.util
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_engine_table_times_one_grid_point():
+    times = load("engine_table").timings((3, 1, 1, 0, 1))
+    assert len(times) == 4 and all(0 < t < 1 for t in times)
+
+
+def test_oracle_table_times_one_block_sum():
+    # 41 terms: two blocks of the block loop, each asking the rule
+    *times, expanded, blocks = load("oracle_table").timings(40, 3, 2)
+    assert len(times) == 3 and all(0 < t < 1 for t in times)
+    assert (expanded, blocks) == (0, 2)

@@ -25,9 +25,9 @@ from fibsums import (
     lucas,
     reduce_power,
 )
-from fibsums import transform
+from fibsums import sequences, transform
 from fibsums.cli import main
-from fibsums.quadfield import ALPHA_MEMO_INDEX, mul
+from fibsums.quadfield import mul
 from fibsums.transform import _lemma_value, rationalize_root5
 
 from oracles import frac_pow, naive_fib
@@ -343,17 +343,22 @@ class TestIrrationalResultStaysLive:
                 monkeypatch.undo()
 
 
-class TestAlphaPowMemo:
-    def test_large_powers_are_not_kept(self):
-        # F1 at 300 distinct s near 200,000: the points' s-th powers are computed on each call
+class TestAlphaPowers:
+    def test_huge_powers_add_no_memo_entries(self):
+        # F1 at 300 distinct s from 200,000: the points' s-th powers are the Fibonacci pairs that fib(s)
+        # and fib(s+1) have memoized, so the closed side adds no entry and no miss to that bounded memo,
+        # and leaves the public memo alpha_pow empty
+        pairs = sequences._fib_pair
+        sequences.clear_caches()
         alpha_pow.cache_clear()
         try:
             for s in range(200_000, 200_300):
-                assert binomial_rhs(BinomialKernel(1, 1, 1, 1, s), 1, 1, F) == fib(s) + fib(s + 1)
-            # the memo holds alpha^1 and alpha^-1 alone, the points' r-th powers, read again as hits
-            assert alpha_pow.cache_info().currsize == 2
-            hits = alpha_pow.cache_info().hits
-            alpha_pow(1), alpha_pow(-1)
-            assert alpha_pow.cache_info()[:2] == (hits + 2, 2) and ALPHA_MEMO_INDEX < 200_000
+                expected = fib(s) + fib(s + 1)
+                before = pairs.cache_info()
+                assert binomial_rhs(BinomialKernel(1, 1, 1, 1, s), 1, 1, F) == expected
+                after = pairs.cache_info()
+                assert (after.misses, after.currsize) == (before.misses, before.currsize), s
+            assert after.currsize <= after.maxsize
+            assert alpha_pow.cache_info().currsize == 0
         finally:
-            alpha_pow.cache_clear()
+            sequences.clear_caches()

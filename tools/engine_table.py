@@ -5,12 +5,12 @@
 Each point is `binomial_rhs(BinomialKernel(n, 1, 1, r, s), j, m, F)`, the
 closed side of F1 (m = 1) or T1 (m = 2), timed two ways: with each lemma
 point p built as a pair and its powers p^r and p^s taken by `power`, and as
-the engine runs, with p^r and p^s read from alpha's powers.  Each time is the
-minimum of 5 runs, cold (the sequence and alpha-power memos are cleared
-first) and warm (after one untimed run has filled them), and the two ways
-alternate within each round.  The points are grid
-points, large-n points like perfbench's large-n workload, and one huge-s
-point.  Standard library only.
+the engine runs, with p^r and p^s read from alpha's powers, the Fibonacci
+pairs of `sequences._fib_pair_at`.  Each time is the minimum of 5 runs, cold
+(the sequence and alpha-power memos are cleared first) and warm (after one
+untimed run has filled them), and the two ways alternate within each round.
+The points are grid points, large-n points like perfbench's large-n
+workload, and one huge-s point.  Standard library only.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import time
 
 from fibsums import BinomialKernel, SequenceKind, binomial_rhs, kernel_eval, quadfield, sequences, transform
 
-# (n, j, r, s, m): the points the engine's comment quotes
+# (n, j, r, s, m): grid points, large-n points and one huge-s point
 POINTS = (
     (3, 1, 1, 0, 1), (12, 4, -4, 3, 2), (12, -3, 2, -4, 1), (8, 2, -1, 1, 2),
     (1000, 2, 1, 3, 2), (1200, 1, 2, -2, 1), (1800, -1, -1, 4, 1), (1000, -2, -1, 0, 2),
@@ -30,7 +30,7 @@ REPS = 5
 
 def point_powers(h, c: int, e: int) -> tuple:
     # the kernel at the point c alpha^e built as a pair, whose r-th and s-th powers `kernel_eval` takes
-    u, v = quadfield.alpha_to(e)
+    u, v = sequences._fib_pair_at(e)
     return kernel_eval(h, (c * u, c * v))
 
 
