@@ -15,7 +15,7 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
-from . import quadfield, sequences
+from . import sequences
 from .identities import (
     SLOT_ORDER,
     IdentityDescriptor,
@@ -202,8 +202,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def bench_identity(id: IdentityId, params: IdentityParams, reps: int) -> dict:
     """Median cold-start wall times of oracle vs closed form, equality verified first.
 
-    Memoized sequence and alpha-power values are dropped before every timed
-    call so each rep measures a cold evaluation.
+    The sequence memos are dropped before every timed call so each rep
+    measures a cold evaluation.
     """
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
@@ -218,7 +218,6 @@ def bench_identity(id: IdentityId, params: IdentityParams, reps: int) -> dict:
         samples = []
         for _ in range(reps):
             sequences.clear_caches()
-            quadfield.clear_caches()
             t0 = time.perf_counter()
             fn(params)
             samples.append(time.perf_counter() - t0)

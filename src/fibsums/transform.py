@@ -14,13 +14,15 @@ a pair per point.  `binomial_rhs` runs it at z = 1, where the points are
 units of Z[alpha]: with x, z scaled to integers by their common denominator
 d, every contribution is an integer pair of `quadfield` arithmetic, and the
 sum is divided by d^n once (`sequences.over_power`).  Results follow
-`sequences.as_exact`: an int when integral, a Fraction otherwise.
+`sequences.as_exact`: an int when integral, a Fraction otherwise.  Both
+kernels are checked namedtuples, as `QuadNum` is: a `BinomialKernel` refuses
+n < 0 (`_make` and `_replace` skip that check).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .quadfield import SQRT5, QuadNum, mul, power
@@ -35,34 +37,29 @@ class IrrationalResultError(ArithmeticError):
     """
 
 
-@dataclass(frozen=True)
-class Kernel:
+class Kernel(namedtuple("Kernel", "terms")):
     """Finite kernel h(z) = sum of g * z^f over (g, f) terms.
 
     Coefficients are exact rationals (ints allowed), exponents are integers.
     """
 
-    terms: tuple[tuple[int | Fraction, int], ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BinomialKernel:
+class BinomialKernel(namedtuple("BinomialKernel", "n x z r s")):
     """h(w) = w^s (x + z w^r)^n, the kernel of sum_k C(n,k) x^(n-k) z^k W_{j(rk+s)}^m."""
 
-    n: int
-    x: int | Fraction
-    z: int | Fraction
-    r: int
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"BinomialKernel requires n >= 0, got n={self.n}")
+    def __new__(cls, n: int, x: int | Fraction, z: int | Fraction, r: int, s: int) -> BinomialKernel:
+        if n < 0:
+            raise ValueError(f"BinomialKernel requires n >= 0, got n={n}")
+        return cls._make((n, x, z, r, s))
 
     @property
     def terms(self) -> tuple[tuple[int | Fraction, int], ...]:
         """The expansion: coefficients C(n,k) x^(n-k) z^k at exponents rk+s."""
-        n, x, z, r, s = self.n, self.x, self.z, self.r, self.s
+        n, x, z, r, s = self
         return tuple((binomial(n, k) * x ** (n - k) * z**k, r * k + s) for k in range(n + 1))
 
 
@@ -95,13 +92,13 @@ def kernel_eval(h: Kernel | BinomialKernel, point: tuple) -> QuadNum:
     """
     # the closed form would invert a zero point for r < 0 even when every rk+s >= 0
     if isinstance(h, BinomialKernel) and any(point):
-        return QuadNum._make(_binomial_at(h, power(point, h.s), power(point, h.r)))
+        return QuadNum(*_binomial_at(h, power(point, h.s), power(point, h.r)))
     u = v = 0
     for g, f in h.terms:
         pu, pv = power(point, f)
         u += g * pu
         v += g * pv
-    return QuadNum._make((u, v))
+    return QuadNum(u, v)
 
 
 def _rational_pow(q: int | Fraction, k: int) -> int | Fraction:
@@ -134,8 +131,9 @@ def reduce_power(h: Kernel | BinomialKernel, j: int, m: int, z: int | Fraction, 
     """sum of g_k z^(f_k) W_{j f_k}^m over h's terms, W = F or L per `kind`.
 
     For F it is (1/sqrt5^m) sum_{i=0..m} (-1)^i C(m,i) h(beta^(ij) alpha^((m-i)j) z),
-    rationalized; for L the same sum unsigned and without 1/sqrt5^m.  Kernels
-    with negative exponents need z != 0.
+    rationalized; for L the same sum unsigned and without 1/sqrt5^m.  At
+    z = 0 the exponent-0 terms are kept and every other term is dropped,
+    one with a negative exponent included.
     """
     if m < 0:
         raise ValueError(f"power reduction requires m >= 0, got m={m}")
@@ -165,5 +163,5 @@ def binomial_rhs(bk: BinomialKernel, j: int, m: int, kind: SequenceKind) -> int 
     d = math.lcm(bk.x.denominator, bk.z.denominator)  # a float weight raises AttributeError
     if d == 1:
         return reduce_power(bk, j, m, 1, kind)
-    scaled = BinomialKernel(bk.n, int(bk.x * d), int(bk.z * d), bk.r, bk.s)
+    scaled = bk._replace(x=int(bk.x * d), z=int(bk.z * d))
     return over_power(reduce_power(scaled, j, m, 1, kind), d, bk.n)

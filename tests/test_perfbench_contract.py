@@ -7,11 +7,12 @@ rename of a wrapped boundary fails here instead of breaking
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from fibsums import cli, identities, sequences, transform, verify
+from fibsums import cli, identities, quadfield, sequences, transform, verify
 from fibsums.identities import IdentityId, IdentityParams, catalog, descriptor
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -45,6 +46,40 @@ def test_trace_mode_wraps_and_restores(capsys):
     # the wrappers were instance attributes over the class's methods; none may outlive restore()
     for desc in catalog():
         assert "lhs" not in vars(desc) and "rhs" not in vars(desc), desc.id
+
+
+def test_child_reads_and_clears_the_two_memos(monkeypatch):
+    # every cold repetition of `python3 perfbench/run.py` runs child.py's `_clear`, which calls
+    # both modules' `clear_caches`, and traced ones read `sequences._fib_pair` and
+    # `quadfield.alpha_pow` through `MemoStats`; a rename or removal of any of the four would
+    # break the benchmark with no other test failing
+    monkeypatch.setattr(sys, "argv", ["child.py", str(PERFBENCH.parent / "src")])
+    monkeypatch.setattr(sys, "path", list(sys.path))  # child.py prepends its source directory
+    monkeypatch.setitem(sys.modules, "tracing", _load("tracing"))
+    child = _load("child")
+
+    def fill() -> None:
+        sequences.fib(300)
+        quadfield.alpha_pow(7)
+        assert sequences._fib_pair.cache_info().currsize > 0 and quadfield.alpha_pow.cache_info().currsize > 0
+
+    def sizes() -> tuple:
+        return sequences._fib_pair.cache_info().currsize, quadfield.alpha_pow.cache_info().currsize
+
+    fill()
+    sequences.clear_caches()
+    assert sizes()[0] == 0
+    quadfield.clear_caches()
+    assert sizes() == (0, 0)
+    fill()
+    child._clear(None)  # untraced: no statistics kept
+    assert sizes() == (0, 0)
+    fill()
+    memo = child.MemoStats()
+    assert memo.caches == {"fib": sequences._fib_pair, "alpha_pow": quadfield.alpha_pow}
+    child._clear(memo)
+    assert sizes() == (0, 0)
+    assert memo.stats["fib"][2] > 0 and memo.stats["alpha_pow"][2] > 0
 
 
 def test_trace_mode_times_the_oracle():

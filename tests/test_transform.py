@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -71,6 +72,13 @@ class TestKernelEval:
     def test_rational_coefficients(self):
         h = Kernel(((Fraction(1, 2), 1),))
         assert kernel_eval(h, ALPHA) == QuadNum(0, Fraction(1, 2))
+        # a float anywhere is refused as QuadNum refuses it, never returned as a float pair
+        with pytest.raises(TypeError):
+            kernel_eval(BinomialKernel(3, 0.5, 1, 1, 0), ALPHA)  # float weight
+        with pytest.raises(TypeError):
+            kernel_eval(Kernel(((0.5, 2),)), ALPHA)  # float coefficient
+        with pytest.raises(TypeError):
+            kernel_eval(Kernel(((1, 2),)), (0.5, 0))  # float point
 
     def test_binomial_kernel_closed_form_is_its_expansion(self):
         # one evaluator for both kernel types: w^s (x + z w^r)^n equals its term list
@@ -247,6 +255,21 @@ class TestBinomialRhs:
     def test_kernel_requires_nonnegative_n(self):
         with pytest.raises(ValueError):
             BinomialKernel(-1, 1, 1, 1, 0)
+
+    def test_kernels_are_values(self):
+        bk = BinomialKernel(n=4, x=1, z=1, r=1, s=0)  # keyword construction, as demo 02 builds it
+        h = Kernel(terms=((1, 4),))
+        assert repr(bk) == "BinomialKernel(n=4, x=1, z=1, r=1, s=0)"
+        assert repr(h) == "Kernel(terms=((1, 4),))"
+        for kernel, field in ((bk, "x"), (h, "terms")):
+            with pytest.raises(AttributeError):
+                setattr(kernel, field, 2)
+        assert bk == BinomialKernel(4, 1, 1, 1, 0) and hash(bk) == hash(BinomialKernel(4, 1, 1, 1, 0))
+        assert h == Kernel(((1, 4),)) and hash(h) == hash(Kernel(((1, 4),)))
+        assert bk != BinomialKernel(4, 1, 1, 1, 1)
+        for kernel in (bk, h, BinomialKernel(3, Fraction(-3, 2), Fraction(1, 4), -2, 3)):
+            copy = pickle.loads(pickle.dumps(kernel))
+            assert copy == kernel and type(copy) is type(kernel)
 
     def test_expand(self):
         # coefficients C(n,k) x^(n-k) z^k at exponents rk+s: 3^2, 2*3*9, 9^2
