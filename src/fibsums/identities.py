@@ -388,7 +388,6 @@ def _build_catalog() -> tuple[IdentityDescriptor, ...]:
 
 _CATALOG = _build_catalog()
 _BY_ID = {d.id: d for d in _CATALOG}
-_CATALOG_INDEX = {d.id: i for i, d in enumerate(_CATALOG)}
 
 
 def catalog() -> tuple[IdentityDescriptor, ...]:
@@ -401,11 +400,6 @@ def descriptor(id: IdentityId) -> IdentityDescriptor:
         return _BY_ID[id]
     except KeyError:
         raise ValueError(f"unknown identity id: {id!r}") from None
-
-
-def catalog_index(id: IdentityId) -> int:
-    """Position of an identity in the catalog order (the canonical sort key)."""
-    return _CATALOG_INDEX[id]
 
 
 def eval_pair(id: IdentityId, params: IdentityParams) -> EvalOutcome:

@@ -102,10 +102,11 @@ def kernel_eval(h: Kernel | BinomialKernel, point: tuple) -> QuadNum:
 
 
 def _rational_pow(q: int | Fraction, k: int) -> int | Fraction:
-    # q^k for a nonzero rational q, exactly (a negative power of an int would be a float); q = +-1 at z = 1
+    # q^k for a nonzero rational q, exactly (a negative power of an int would be a float); q = +-1 at z = 1.
+    # `Fraction(1) / q` keeps a float q a float, for `reduce_power` to refuse, where `Fraction(1, q)` raises.
     if q == 1 or q == -1:
         return q if k & 1 else 1
-    return q**k if k >= 0 else Fraction(1, q) ** -k
+    return q**k if k >= 0 else (Fraction(1) / q) ** -k
 
 
 # alpha^k = F_{k-1} + F_k alpha, so alpha's powers are the Fibonacci pairs that fib, lucas and the
@@ -133,17 +134,20 @@ def reduce_power(h: Kernel | BinomialKernel, j: int, m: int, z: int | Fraction, 
     For F it is (1/sqrt5^m) sum_{i=0..m} (-1)^i C(m,i) h(beta^(ij) alpha^((m-i)j) z),
     rationalized; for L the same sum unsigned and without 1/sqrt5^m.  At
     z = 0 the exponent-0 terms are kept and every other term is dropped,
-    one with a negative exponent included.
+    one with a negative exponent included.  A float z, weight or coefficient
+    raises TypeError.
     """
     if m < 0:
         raise ValueError(f"power reduction requires m >= 0, got m={m}")
-    if z == 0:
-        # Only f = 0 terms survive at z = 0; W_0 is 0 (F) or 2 (L).
-        h0 = sum(Fraction(g) for g, f in h.terms if f == 0)
-        w0 = 0 if kind is _FIB else 2
-        return as_exact(h0 * w0**m)
     is_fib = kind is _FIB
-    u = v = 0
+    if z == 0:
+        # Only f = 0 terms survive at z = 0; W_0 is 0 (F) or 2 (L).  The sum starts at z, which
+        # adds nothing but makes it a float for a float z, as a float coefficient does.
+        h0 = sum((g for g, f in h.terms if f == 0), z)
+        if not isinstance(h0, (int, Fraction)):
+            raise _inexact(h, z)
+        return as_exact(h0 * (0 if is_fib else 2) ** m)
+    u, v = z * 0, 0  # z's zero, so that a float z makes u a float, as a float weight or coefficient does
     # Every point is evaluated on its own.  h(p_(m-i)) = conj h(p_i) would halve the work, but
     # the alpha part would then cancel by construction, and IrrationalResultError, which
     # catches a wrong contribution at any single point, could never fire.
@@ -152,7 +156,13 @@ def reduce_power(h: Kernel | BinomialKernel, j: int, m: int, z: int | Fraction, 
         hu, hv = _lemma_value(h, -z if i * j % 2 else z, (m - 2 * i) * j)
         u += c * hu
         v += c * hv
+    if not isinstance(u, (int, Fraction)):
+        raise _inexact(h, z)
     return rationalize_root5((u, v), m if is_fib else 0)
+
+
+def _inexact(h: Kernel | BinomialKernel, z: object) -> TypeError:
+    return TypeError(f"power reduction takes int or Fraction inputs, got z={z!r} and {h!r}")
 
 
 def binomial_rhs(bk: BinomialKernel, j: int, m: int, kind: SequenceKind) -> int | Fraction:

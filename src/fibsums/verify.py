@@ -10,9 +10,10 @@ byte-for-byte reproducible regardless of parallelism.
 
 A chunk tallies its points and writes each point's JSONL line straight from
 its parameter values and the two sides; it builds a `VerificationRecord` only
-for a failed point.  `run_grid` keeps only the totals and the failures,
-writing each chunk's lines as the chunk completes, so its memory does not
-grow with the grid.
+for a failed point, and hands back plain data: (id, checked, matched, skipped,
+failures, text).  `run_grid` adds each into the one `Report` it returns, in
+catalog order, so the totals need no sort, and writes each chunk's lines as
+the chunk completes, so its memory does not grow with the grid.
 
 Reports are JSON lines, all from one line writer (`record_line` for a record):
 one object per point with keys id, params (object of ints), lhs, rhs (decimal
@@ -42,7 +43,6 @@ from .identities import (
     IdentityParams,
     InapplicableParamsError,
     catalog,
-    catalog_index,
     descriptor,
 )
 
@@ -103,6 +103,8 @@ class IdTotals:
 
 @dataclass
 class Report:
+    """Per-identity totals, rendered in insertion order, and the failed points' records."""
+
     totals: dict[IdentityId, IdTotals] = field(default_factory=dict)
     failures: list[VerificationRecord] = field(default_factory=list)
 
@@ -122,15 +124,6 @@ class Report:
                 report.failures.append(rec)
         return report
 
-    def merge(self, part: Report) -> None:
-        """Append a report whose points all follow this one's in canonical order."""
-        for id, t in part.totals.items():
-            mine = self.totals.setdefault(id, IdTotals())
-            mine.checked += t.checked
-            mine.matched += t.matched
-            mine.skipped += t.skipped
-        self.failures.extend(part.failures)
-
     @property
     def passed(self) -> bool:
         return not self.failures
@@ -146,7 +139,7 @@ class Report:
         return {
             "totals": {
                 id.value: {"checked": t.checked, "matched": t.matched, "skipped": t.skipped}
-                for id, t in sorted(self.totals.items(), key=lambda kv: catalog_index(kv[0]))
+                for id, t in self.totals.items()
             },
             "checked": checked,
             "matched": matched,
@@ -273,9 +266,9 @@ def _chunks(specs: Sequence[GridSpec], size: int) -> Iterator[_Chunk]:
             yield desc.id, batch
 
 
-def _check_chunk(chunk: _Chunk, render: bool) -> tuple[Report, str]:
-    """Check one chunk: its tallied report with the failures' records and, if
-    `render`, its JSONL lines."""
+def _check_chunk(chunk: _Chunk, render: bool) -> tuple[IdentityId, int, int, int, list[VerificationRecord], str]:
+    """Check one chunk: (id, checked, matched, skipped, failures, text), with the
+    failed points' records and, if `render`, the chunk's JSONL lines."""
     id, combos = chunk
     desc = descriptor(id)
     head, values = _head_format(desc), itemgetter(*(SLOT_ORDER.index(slot) for slot in desc.slots))
@@ -301,8 +294,7 @@ def _check_chunk(chunk: _Chunk, render: bool) -> tuple[Report, str]:
             lines.append(_line(head % values(combo), *outcome))
         if outcome[2] is False:
             failures.append(VerificationRecord(id, params, *outcome))
-    totals = {id: IdTotals(len(combos) - skipped, matched, skipped)}
-    return Report(totals, failures), "".join(lines)
+    return id, len(combos) - skipped, matched, skipped, failures, "".join(lines)
 
 
 def _in_order(fn: Callable, chunks: Iterable, workers: int) -> Iterator:
@@ -341,8 +333,15 @@ def available_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _checked_chunks(specs: Sequence[GridSpec], parallelism: int, render: bool) -> Iterator[tuple[Report, str]]:
-    """Every point of `specs`, checked chunk by chunk: (part, text) in canonical order."""
+def run_grid(specs: Sequence[GridSpec], parallelism: int = 1, out: TextIO | None = None) -> Report:
+    """Check every point of `specs`, keeping only the totals and the failures.
+
+    Points outside an identity's domain are tallied as skipped.  Each chunk's
+    plain tallies are added into the one report as the chunk completes, in
+    catalog order, so the totals are canonical by construction.  With `out`,
+    the points' JSONL lines are written to it in canonical order, one write
+    per chunk; the trailing summary line is `report.to_jsonl()`, left to the caller.
+    """
     if parallelism < 1:
         raise ValueError(f"parallelism must be positive, got {parallelism}")
     # points per identity, from the range sizes
@@ -355,21 +354,14 @@ def _checked_chunks(specs: Sequence[GridSpec], parallelism: int, render: bool) -
     workers = min(parallelism, available_cpus())
     size = min(_MAX_CHUNK, max(64, points // (workers * 16)))
     workers = min(workers, sum(-(-n // size) for n in sizes)) if points >= 64 else 1
-    fn = partial(_check_chunk, render=render)
-    return _in_order(fn, _chunks(specs, size), workers)
-
-
-def run_grid(specs: Sequence[GridSpec], parallelism: int = 1, out: TextIO | None = None) -> Report:
-    """Check every point of `specs`, keeping only the totals and the failures.
-
-    Points outside an identity's domain are tallied as skipped.  With `out`,
-    the points' JSONL lines are written to it in canonical order, one write
-    per chunk, as the chunks complete; the trailing summary line is
-    `report.to_jsonl()`, left to the caller.
-    """
     report = Report()
-    for part, text in _checked_chunks(specs, parallelism, render=out is not None):
-        report.merge(part)
+    fn = partial(_check_chunk, render=out is not None)
+    for id, checked, matched, skipped, failures, text in _in_order(fn, _chunks(specs, size), workers):
+        t = report.totals.setdefault(id, IdTotals())
+        t.checked += checked
+        t.matched += matched
+        t.skipped += skipped
+        report.failures += failures
         if text:
             out.write(text)
     return report
@@ -404,7 +396,7 @@ def summarize(report: Report) -> str:
     if not report.totals:
         return "PASS (0 checks)"
     lines = []
-    for id, t in sorted(report.totals.items(), key=lambda kv: catalog_index(kv[0])):
+    for id, t in report.totals.items():
         lines.append(
             f"{id.value:<12} checked={t.checked:<8} matched={t.matched:<8} skipped={t.skipped}"
         )

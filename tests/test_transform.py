@@ -239,6 +239,28 @@ class TestReduce:
         with pytest.raises(ValueError):
             reduce_power(Kernel(((1, 0),)), 1, -1, 1, F)
 
+    @pytest.mark.parametrize(
+        "h, j, m, z, kind",
+        [
+            (BinomialKernel(2, 1, 1, 1, 0), 1, 1, 1.0, F),  # a float z
+            (BinomialKernel(3, 1, 1, 1, 0), 1, 2, -1.0, L),
+            (BinomialKernel(2, 1, 1, 2, 2), 1, 1, 1.0, F),  # every power of the float z is even
+            (BinomialKernel(2, 1, 1, 1, 0), 1, 1, 0.5, F),
+            (BinomialKernel(2, 1, 1, -1, -2), 1, 1, 0.5, F),  # negative powers of a float z
+            (BinomialKernel(2, 1.0, 1, 1, 0), 1, 1, 1, F),  # a float weight
+            (BinomialKernel(2, 1, 1.0, 1, 0), 2, 3, Fraction(1, 2), L),
+            (Kernel(((1, 0),)), 1, 0, 1.0, L),  # a float z, with no power taken
+            (Kernel(((1, 2),)), 1, 1, 1.0, F),
+            (Kernel(((0.1, 0),)), 1, 0, 0, L),  # z = 0: a float coefficient
+            (Kernel(((1, 0),)), 1, 0, 0.0, L),  # z = 0: a float z
+            (BinomialKernel(2, 0.5, 1, 1, 0), 1, 2, 0, F),
+        ],
+    )
+    def test_rejects_inexact_inputs(self, h, j, m, z, kind):
+        # an exact engine: a float anywhere is refused, as QuadNum refuses it, never returned as a float
+        with pytest.raises(TypeError, match="int or Fraction"):
+            reduce_power(h, j, m, z, kind)
+
     def test_binomial_rhs_is_the_reduction_of_its_kernel(self):
         for bk in (BinomialKernel(5, 2, -3, 2, -1), BinomialKernel(4, Fraction(-1, 2), Fraction(2, 3), -1, 3)):
             for j, m in product((-2, 1, 3), range(4)):

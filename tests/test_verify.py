@@ -368,6 +368,40 @@ class TestDeterminism:
         ]
         assert report_bytes(specs, parallelism=1)[1] == report_bytes(specs, parallelism=2)[1]
 
+    def test_totals_in_catalog_order_whatever_the_ids_order(self):
+        # the totals are inserted as the chunks arrive, in catalog order, and rendered as inserted
+        spec = small_spec(ids=(IdentityId.C18, IdentityId.Q13, IdentityId.F1), n_range=(0, 12))
+        texts = []
+        for parallelism in (1, 2):
+            report, text = report_bytes([spec], parallelism)
+            assert list(report.summary_json()["totals"]) == ["F1", "Q13", "C18"]
+            assert [line.split()[0] for line in summarize(report).splitlines()[:-1]] == ["F1", "Q13", "C18"]
+            texts.append(text)
+        assert texts[0] == texts[1]
+
+    def test_start_method_fallback_without_fork(self, monkeypatch):
+        # where the platform has no fork the pool takes the default context, spawn here, so each
+        # chunk's function and plain-data result cross a fresh interpreter's pickle boundary
+        import multiprocessing
+
+        get_context, asked = multiprocessing.get_context, []
+
+        def without_fork(method=None):
+            asked.append(method)
+            if method == "fork":
+                raise ValueError("cannot find context for 'fork'")
+            return get_context("spawn")
+
+        monkeypatch.setattr(multiprocessing, "get_context", without_fork)
+        monkeypatch.setattr(verify, "available_cpus", lambda: 2)
+        spec = small_spec(ids=(IdentityId.C18, IdentityId.Q13), n_range=(0, 40), s_range=(-1, 1), p_range=(-1, 1))
+        serial, serial_text = report_bytes([spec], 1)
+        assert asked == []
+        spawned, spawned_text = report_bytes([spec], 2)
+        assert asked == ["fork", None]
+        assert spawned_text == serial_text
+        assert spawned.counts() == serial.counts() == (492 - 123, 492 - 123, 123)  # Q13 skips p = 0
+
     def test_canonical_ordering_restored(self):
         # the points stream in canonical order, so sorting a shuffle of them by the key gives them back
         _, text = report_bytes([small_spec(ids=(IdentityId.C18, IdentityId.F1), n_range=(0, 1))])
