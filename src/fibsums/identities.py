@@ -5,7 +5,9 @@ The paper states its sums in F/L pairs whose members share the left side.
 The catalog is written as one row per pair: the two ids, the parameter slots
 both read, the one direct_sum call computing the shared left side term by
 term, and each member's anchor with its closed form, a lambda next to it.
-The rows expand into one `IdentityDescriptor` per identity, F member first.
+The row is an identity's one declaration: `IdentityId` is built from the
+rows' ids, and the rows expand into one `IdentityDescriptor` per identity,
+F member first.
 The catalog is the one table; no closed form takes an identity id.  An
 identity's domain is stated once, in `IdentityDescriptor.applicable`: `rhs`
 checks it and then calls the bound closed form, which checks nothing itself.
@@ -52,39 +54,6 @@ class IntegralityError(ArithmeticError):
 
 class InapplicableParamsError(ValueError):
     """Parameters outside an identity's stated domain."""
-
-
-class IdentityId(Enum):
-    F1 = "F1"
-    L1 = "L1"
-    E5 = "E5"
-    E6 = "E6"
-    E7 = "E7"
-    E8 = "E8"
-    E9 = "E9"
-    E10 = "E10"
-    E11 = "E11"
-    E12 = "E12"
-    T1_F2RHS = "T1_F2RHS"
-    T1_L2RHS = "T1_L2RHS"
-    Q13 = "Q13"
-    Q14 = "Q14"
-    Q15 = "Q15"
-    Q16 = "Q16"
-    C18 = "C18"
-    C19 = "C19"
-    C20 = "C20"
-    C21 = "C21"
-    C22 = "C22"
-    C23 = "C23"
-    EVEN_F = "EVEN_F"
-    EVEN_L = "EVEN_L"
-    ALT_EVEN_F = "ALT_EVEN_F"
-    ALT_EVEN_L = "ALT_EVEN_L"
-    ODD_F = "ODD_F"
-    ODD_L = "ODD_L"
-    ALT_ODD_F = "ALT_ODD_F"
-    ALT_ODD_L = "ALT_ODD_L"
 
 
 class IdentityParams(NamedTuple):
@@ -240,7 +209,7 @@ def _nonzero_p(params: IdentityParams) -> str | None:
     return None
 
 
-def _build_catalog() -> tuple[IdentityDescriptor, ...]:
+def _build_catalog() -> tuple[type[Enum], tuple[IdentityDescriptor, ...]]:
     F, L = SequenceKind.FIB, SequenceKind.LUCAS
     nj = ("n", "j", "r", "s")
     njp = ("n", "j", "r", "s", "p")
@@ -249,19 +218,19 @@ def _build_catalog() -> tuple[IdentityDescriptor, ...]:
     # One row per F/L pair, which shares its slots, oracle embedding and domain:
     # (F id, L id, slots, lhs_args, F anchor, F closed, L anchor, L closed[, domain_error])
     pairs = [
-        (IdentityId.F1, IdentityId.L1, nj,
+        ("F1", "L1", nj,
          lambda q: (q.n, 1, 1, q.j, q.r, q.s, 1),
          "sum_k C(n,k) F[j(rk+s)] = (a^(js)(1+a^(jr))^n - b^(js)(1+b^(jr))^n)/sqrt5",
          lambda q: transform.binomial_rhs(transform.BinomialKernel(q.n, 1, 1, q.r, q.s), q.j, 1, F),
          "sum_k C(n,k) L[j(rk+s)] = a^(js)(1+a^(jr))^n + b^(js)(1+b^(jr))^n",
          lambda q: transform.binomial_rhs(transform.BinomialKernel(q.n, 1, 1, q.r, q.s), q.j, 1, L)),
-        (IdentityId.E5, IdentityId.E6, nj,
+        ("E5", "E6", nj,
          lambda q: (q.n, 1, _sgn(q.j * q.r), q.j, 2 * q.r, q.s, 1),
          "sum_k (-1)^(jrk) C(n,k) F[j(2rk+s)] = (-1)^(jrn) L[jr]^n F[j(rn+s)]",
          lambda q: _sgn(q.j * q.r * q.n) * lucas(q.j * q.r) ** q.n * fib(q.j * (q.r * q.n + q.s)),
          "sum_k (-1)^(jrk) C(n,k) L[j(2rk+s)] = (-1)^(jrn) L[jr]^n L[j(rn+s)]",
          lambda q: _sgn(q.j * q.r * q.n) * lucas(q.j * q.r) ** q.n * lucas(q.j * (q.r * q.n + q.s))),
-        (IdentityId.E7, IdentityId.E8, nj,
+        ("E7", "E8", nj,
          lambda q: (q.n, 1, _sgn(q.j * q.r + 1), q.j, 2 * q.r, q.s, 1),
          "sum_k (-1)^((jr+1)k) C(n,k) F[j(2rk+s)] = 5^(n/2) F[jr]^n F[j(rn+s)]"
          " (n even) | (-1)^(jr+1) 5^((n-1)/2) F[jr]^n L[j(rn+s)] (n odd)",
@@ -269,7 +238,7 @@ def _build_catalog() -> tuple[IdentityDescriptor, ...]:
          "sum_k (-1)^((jr+1)k) C(n,k) L[j(2rk+s)] = 5^(n/2) F[jr]^n L[j(rn+s)]"
          " (n even) | (-1)^(jr+1) 5^((n+1)/2) F[jr]^n F[j(rn+s)] (n odd)",
          lambda q: _sgn((q.j * q.r + 1) * q.n) * fib(q.j * q.r) ** q.n * _root5_swap(q.n, L, q.j * (q.r * q.n + q.s))),
-        (IdentityId.E9, IdentityId.E10, njp,
+        ("E9", "E10", njp,
          lambda q: (q.n, fib(q.p + q.j * q.r), -fib(q.p), q.j, q.r, q.s, 1),
          "sum_k (-1)^k C(n,k) F[p+jr]^(n-k) F[p]^k F[j(rk+s)]"
          " = (-1)^(js+1) F[jr]^n F[pn-js]",
@@ -279,7 +248,7 @@ def _build_catalog() -> tuple[IdentityDescriptor, ...]:
          # the Lucas pairing alpha^(js) beta^(pn) + beta^(js) alpha^(pn) = (-1)^(js) L[pn-js]
          # carries no extra sign flip
          lambda q: _sgn(q.j * q.s) * fib(q.j * q.r) ** q.n * lucas(q.p * q.n - q.j * q.s)),
-        (IdentityId.E11, IdentityId.E12, njp,
+        ("E11", "E12", njp,
          lambda q: (q.n, lucas(q.p + q.j * q.r), -lucas(q.p), q.j, q.r, q.s, 1),
          "sum_k (-1)^k C(n,k) L[p+jr]^(n-k) L[p]^k F[j(rk+s)]"
          " = (-1)^(js+1) 5^(n/2) F[jr]^n F[pn-js] (n even)"
@@ -289,7 +258,7 @@ def _build_catalog() -> tuple[IdentityDescriptor, ...]:
          " = (-1)^(js) 5^(n/2) F[jr]^n L[pn-js] (n even)"
          " | (-1)^(js) 5^((n+1)/2) F[jr]^n F[pn-js] (n odd)",
          lambda q: _sgn(q.j * q.s) * fib(q.j * q.r) ** q.n * _root5_swap(q.n, L, q.p * q.n - q.j * q.s)),
-        (IdentityId.T1_F2RHS, IdentityId.T1_L2RHS, nj,
+        ("T1_F2RHS", "T1_L2RHS", nj,
          lambda q: (q.n, 1, 1, q.j, q.r, q.s, 2),
          "5 sum_k C(n,k) F[j(rk+s)]^2 = a^(2js)(1+a^(2jr))^n"
          " + b^(2js)(1+b^(2jr))^n - 2(-1)^(js)(1+(-1)^(jr))^n",
@@ -297,7 +266,7 @@ def _build_catalog() -> tuple[IdentityDescriptor, ...]:
          "sum_k C(n,k) L[j(rk+s)]^2 = a^(2js)(1+a^(2jr))^n"
          " + b^(2js)(1+b^(2jr))^n + 2(-1)^(js)(1+(-1)^(jr))^n",
          lambda q: transform.binomial_rhs(transform.BinomialKernel(q.n, 1, 1, q.r, q.s), q.j, 2, L)),
-        (IdentityId.Q13, IdentityId.Q14, njp,
+        ("Q13", "Q14", njp,
          lambda q: (q.n, fib(2 * q.j * q.r + q.p), -fib(q.p), q.j, q.r, q.s, 2),
          "sum_k (-1)^k C(n,k) F[2jr+p]^(n-k) F[p]^k F[j(rk+s)]^2"
          " = (F[2jr]^n L[pn-2js] - (-1)^(js) 2 F[jr]^n L[jr+p]^n)/5, p != 0",
@@ -313,7 +282,7 @@ def _build_catalog() -> tuple[IdentityDescriptor, ...]:
              + _sgn(q.j * q.s) * 2 * fib(q.j * q.r) ** q.n * lucas(q.j * q.r + q.p) ** q.n
          ),
          _nonzero_p),
-        (IdentityId.Q15, IdentityId.Q16, njp,
+        ("Q15", "Q16", njp,
          lambda q: (q.n, lucas(2 * q.j * q.r + q.p), -lucas(q.p), q.j, q.r, q.s, 2),
          "sum_k (-1)^k C(n,k) L[2jr+p]^(n-k) L[p]^k F[j(rk+s)]^2"
          " = 5^(n/2-1) F[2jr]^n L[pn-2js] - (-1)^(js) 5^(n-1) 2 F[jr]^n F[jr+p]^n (n even)"
@@ -330,13 +299,13 @@ def _build_catalog() -> tuple[IdentityDescriptor, ...]:
              fib(2 * q.j * q.r) ** q.n * _root5_swap(q.n, L, q.p * q.n - 2 * q.j * q.s)
              + _sgn(q.j * q.s) * 2 * 5**q.n * fib(q.j * q.r) ** q.n * fib(q.j * q.r + q.p) ** q.n
          )),
-        (IdentityId.C18, IdentityId.C19, ns,
+        ("C18", "C19", ns,
          lambda q: (q.n, 1, 1, 1, 1, q.s, 3),
          "sum_k C(n,k) F[k+s]^3 = (2^n F[2n+3s] + 3 F[n-s])/5",
          lambda q: _times_5pow(2**q.n * fib(2 * q.n + 3 * q.s) + 3 * fib(q.n - q.s), -1),
          "sum_k C(n,k) L[k+s]^3 = 2^n L[2n+3s] + 3 L[n-s]",
          lambda q: 2**q.n * lucas(2 * q.n + 3 * q.s) + 3 * lucas(q.n - q.s)),
-        (IdentityId.C20, IdentityId.C21, ns,
+        ("C20", "C21", ns,
          lambda q: (q.n, 1, -1, 1, 1, q.s, 3),
          "sum_k (-1)^k C(n,k) F[k+s]^3 = ((-1)^n 2^n F[n+3s] - (-1)^s 3 F[2n+s])/5",
          lambda q: _times_5pow(
@@ -344,7 +313,7 @@ def _build_catalog() -> tuple[IdentityDescriptor, ...]:
          ),
          "sum_k (-1)^k C(n,k) L[k+s]^3 = (-1)^n 2^n L[n+3s] + (-1)^s 3 L[2n+s]",
          lambda q: _sgn(q.n) * 2**q.n * lucas(q.n + 3 * q.s) + _sgn(q.s) * 3 * lucas(2 * q.n + q.s)),
-        (IdentityId.C22, IdentityId.C23, ns,
+        ("C22", "C23", ns,
          lambda q: (q.n, 1, 2, 1, 1, q.s, 3),
          "sum_k C(n,k) 2^k F[k+s]^3 = 5^(n/2-1)(F[3n+3s] - (-1)^s 3 F[s]) (n even)"
          " | 5^((n-3)/2)(L[3n+3s] + (-1)^s 3 L[s]) (n odd)",
@@ -354,39 +323,41 @@ def _build_catalog() -> tuple[IdentityDescriptor, ...]:
          "sum_k C(n,k) 2^k L[k+s]^3 = 5^(n/2)(L[3n+3s] + (-1)^s 3 L[s]) (n even)"
          " | 5^((n+1)/2)(F[3n+3s] - (-1)^s 3 F[s]) (n odd)",
          lambda q: _root5_swap(q.n, L, 3 * q.n + 3 * q.s) + _sgn(q.n + q.s) * 3 * _root5_swap(q.n, L, q.s)),
-        (IdentityId.EVEN_F, IdentityId.EVEN_L, njm,
+        ("EVEN_F", "EVEN_L", njm,
          lambda q: (q.n, 1, 1, q.j, q.r, q.s, 2 * q.m),
          "sum_k C(n,k) F[j(rk+s)]^(2m): closed form branched on parity of jmr and n",
          lambda q: _power_rhs(q.n, q.j * q.s, q.j * q.r, 2 * q.m, False, F),
          "sum_k C(n,k) L[j(rk+s)]^(2m): closed form branched on parity of jmr and n",
          lambda q: _power_rhs(q.n, q.j * q.s, q.j * q.r, 2 * q.m, False, L)),
-        (IdentityId.ALT_EVEN_F, IdentityId.ALT_EVEN_L, njm,
+        ("ALT_EVEN_F", "ALT_EVEN_L", njm,
          lambda q: (q.n, 1, -1, q.j, q.r, q.s, 2 * q.m),
          "sum_k (-1)^k C(n,k) F[j(rk+s)]^(2m): closed form branched on parity of jmr and n",
          lambda q: _power_rhs(q.n, q.j * q.s, q.j * q.r, 2 * q.m, True, F),
          "sum_k (-1)^k C(n,k) L[j(rk+s)]^(2m): closed form branched on parity of jmr and n",
          lambda q: _power_rhs(q.n, q.j * q.s, q.j * q.r, 2 * q.m, True, L)),
-        (IdentityId.ODD_F, IdentityId.ODD_L, njm,
+        ("ODD_F", "ODD_L", njm,
          lambda q: (q.n, 1, 1, q.j, 2 * q.r, q.s, 2 * q.m + 1),
          "sum_k C(n,k) F[j(2rk+s)]^(2m+1): closed form branched on parity of jr and n",
          lambda q: _power_rhs(q.n, q.j * q.s, 2 * q.j * q.r, 2 * q.m + 1, False, F),
          "sum_k C(n,k) L[j(2rk+s)]^(2m+1): closed form branched on parity of jr and n",
          lambda q: _power_rhs(q.n, q.j * q.s, 2 * q.j * q.r, 2 * q.m + 1, False, L)),
-        (IdentityId.ALT_ODD_F, IdentityId.ALT_ODD_L, njm,
+        ("ALT_ODD_F", "ALT_ODD_L", njm,
          lambda q: (q.n, 1, -1, q.j, 2 * q.r, q.s, 2 * q.m + 1),
          "sum_k (-1)^k C(n,k) F[j(2rk+s)]^(2m+1): closed form branched on parity of jr and n",
          lambda q: _power_rhs(q.n, q.j * q.s, 2 * q.j * q.r, 2 * q.m + 1, True, F),
          "sum_k (-1)^k C(n,k) L[j(2rk+s)]^(2m+1): closed form branched on parity of jr and n",
          lambda q: _power_rhs(q.n, q.j * q.s, 2 * q.j * q.r, 2 * q.m + 1, True, L)),
     ]
+    # IdentityId: its members are the rows' ids in catalog order, F member first
+    ids = Enum("IdentityId", [(id, id) for row in pairs for id in row[:2]], module=__name__, qualname="IdentityId")
     entries = []
     for f_id, l_id, slots, lhs_args, f_anchor, f_closed, l_anchor, l_closed, *domain in pairs:
-        entries.append(IdentityDescriptor(f_id, F, slots, f_anchor, lhs_args, f_closed, *domain))
-        entries.append(IdentityDescriptor(l_id, L, slots, l_anchor, lhs_args, l_closed, *domain))
-    return tuple(entries)
+        entries.append(IdentityDescriptor(ids(f_id), F, slots, f_anchor, lhs_args, f_closed, *domain))
+        entries.append(IdentityDescriptor(ids(l_id), L, slots, l_anchor, lhs_args, l_closed, *domain))
+    return ids, tuple(entries)
 
 
-_CATALOG = _build_catalog()
+IdentityId, _CATALOG = _build_catalog()
 _BY_ID = {d.id: d for d in _CATALOG}
 
 

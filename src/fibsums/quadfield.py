@@ -106,10 +106,6 @@ class QuadNum(namedtuple("QuadNum", "u v")):
         """The field automorphism swapping alpha and beta; fixes rationals."""
         return self._make((self.u + self.v, -self.v))
 
-    def norm(self) -> int | Fraction:
-        # self * conj(self) is rational: u^2 + uv - v^2.
-        return self.u * (self.u + self.v) - self.v * self.v
-
     def inv(self) -> QuadNum:
         return self._make(inverse(self))
 

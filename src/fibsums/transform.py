@@ -26,7 +26,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .quadfield import SQRT5, QuadNum, mul, power
-from .sequences import _FIB, SequenceKind, _fib_pair_at, as_exact, binomial, over_power
+from .sequences import _FIB, _LUCAS, SequenceKind, _fib_pair_at, as_exact, binomial, over_power
 
 
 class IrrationalResultError(ArithmeticError):
@@ -135,11 +135,13 @@ def reduce_power(h: Kernel | BinomialKernel, j: int, m: int, z: int | Fraction, 
     rationalized; for L the same sum unsigned and without 1/sqrt5^m.  At
     z = 0 the exponent-0 terms are kept and every other term is dropped,
     one with a negative exponent included.  A float z, weight or coefficient
-    raises TypeError.
+    raises TypeError, and a `kind` that is not a `SequenceKind` member ValueError.
     """
     if m < 0:
         raise ValueError(f"power reduction requires m >= 0, got m={m}")
     is_fib = kind is _FIB
+    if not is_fib and kind is not _LUCAS:
+        raise ValueError(f"power reduction requires a SequenceKind, got kind={kind!r}")
     if z == 0:
         # Only f = 0 terms survive at z = 0; W_0 is 0 (F) or 2 (L).  The sum starts at z, which
         # adds nothing but makes it a float for a float z, as a float coefficient does.

@@ -70,6 +70,9 @@ class GridSpec:
     m_range: Range = (0, 3)
 
     def __post_init__(self) -> None:
+        for id in self.ids:
+            if not isinstance(id, IdentityId):
+                raise ValueError(f"unknown identity id: {id!r}")
         _check_range("n", self.n_range, nonneg=True)
         _check_range("j", self.j_range)
         _check_range("r", self.r_range)

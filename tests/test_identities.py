@@ -43,6 +43,15 @@ class TestCatalog:
         assert cat[0].id is IdentityId.F1
         assert [d.id for d in cat] == list(IdentityId)
 
+    def test_ids_are_values_across_processes(self):
+        # IdentityId is built from the catalog rows; a worker's result crosses the pool pickled
+        for id in IdentityId:
+            assert pickle.loads(pickle.dumps(id)) is id
+            assert IdentityId(id.value) is id
+            assert repr(id) == f"<IdentityId.{id.value}: {id.value!r}>"
+        assert IdentityId.__module__ == "fibsums.identities"
+        assert IdentityId.__qualname__ == "IdentityId"
+
     def test_ids_unique(self):
         ids = [d.id for d in catalog()]
         assert len(set(ids)) == len(ids)

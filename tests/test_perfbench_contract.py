@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from fibsums import cli, identities, quadfield, sequences, transform, verify
-from fibsums.identities import IdentityId, IdentityParams, catalog, descriptor
+from fibsums.identities import SLOT_ORDER, IdentityId, IdentityParams, catalog, descriptor
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -23,6 +23,15 @@ def _load(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_hand_catalog_matches_the_rows():
+    # run.py derives each workload's expected totals from its own copy of the catalog
+    run = _load("run")
+    assert [(pid, slots) for pid, _, slots in run.CATALOG] == [(d.id.value, d.slots) for d in catalog()]
+    assert run.NONZERO_P == tuple(d.id.value for d in catalog() if d.domain_error is not None)
+    assert run.SLOT_ORDER == SLOT_ORDER
+    assert run.SLOT_DEFAULTS == IdentityParams()._asdict()
 
 
 def test_trace_mode_wraps_and_restores(capsys):

@@ -188,6 +188,12 @@ class TestDirectSum:
         with pytest.raises(ValueError):
             direct_sum(2, 1, 1, 1, 1, 0, -1, F)
 
+    @pytest.mark.parametrize("kind", ["F", "L", None])
+    def test_rejects_a_kind_that_is_not_a_member(self, kind):
+        # a kind that is not a member must not fall through to Lucas (125 here, where FIB gives 25)
+        with pytest.raises(ValueError, match="requires a SequenceKind"):
+            direct_sum(3, 1, 1, 1, 1, 1, 2, kind)
+
     def test_zero_weight_conventions(self):
         # 0^0 = 1 for the weights: only the k=n (resp. k=0) term survives
         assert direct_sum(3, 0, 1, 1, 1, 0, 1, F) == fib(3)

@@ -239,6 +239,15 @@ class TestReduce:
         with pytest.raises(ValueError):
             reduce_power(Kernel(((1, 0),)), 1, -1, 1, F)
 
+    @pytest.mark.parametrize("kind", ["F", "L", None])
+    def test_rejects_a_kind_that_is_not_a_member(self, kind):
+        # a kind that is not a member must not fall through to Lucas, at z = 0 either
+        for z in (1, 0):
+            with pytest.raises(ValueError, match="requires a SequenceKind"):
+                reduce_power(Kernel(((1, 3),)), 1, 2, z, kind)
+        with pytest.raises(ValueError, match="requires a SequenceKind"):
+            binomial_rhs(BinomialKernel(3, 1, 1, 1, 1), 1, 2, kind)
+
     @pytest.mark.parametrize(
         "h, j, m, z, kind",
         [

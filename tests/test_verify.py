@@ -57,6 +57,13 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             small_spec(s_range=(2, 1))
 
+    def test_rejects_ids_that_are_not_members(self):
+        # a string matches no descriptor, so such a spec would check nothing and report PASS
+        with pytest.raises(ValueError, match="unknown identity id: 'C18'"):
+            GridSpec(ids=("C18", IdentityId.F1))
+        with pytest.raises(ValueError, match="unknown identity id: 'F1'"):
+            small_spec(ids=(IdentityId.C18, "F1"))
+
     def test_rejects_negative_n_or_m(self):
         with pytest.raises(ValueError):
             small_spec(n_range=(-1, 3))
