@@ -12,7 +12,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 from . import sequences
@@ -170,7 +169,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for spec in default_grid_specs():
         sel = [d for d in selected if d.id in spec.ids]
         if sel:
-            spec = replace(spec, ids=tuple(d.id for d in sel), **overrides)
+            spec = spec._replace(ids=tuple(d.id for d in sel), **overrides)
             specs.append(spec)
         # an identity at the spec's largest point bounds each of its points in the spec
         for d in sel:

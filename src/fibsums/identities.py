@@ -7,7 +7,7 @@ both read, the one direct_sum call computing the shared left side term by
 term, and each member's anchor with its closed form, a lambda next to it.
 The row is an identity's one declaration: `IdentityId` is built from the
 rows' ids, and the rows expand into one `IdentityDescriptor` per identity,
-F member first.
+F member first.  A descriptor is a namedtuple with read-only fields.
 The catalog is the one table; no closed form takes an identity id.  An
 identity's domain is stated once, in `IdentityDescriptor.applicable`: `rhs`
 checks it and then calls the bound closed form, which checks nothing itself.
@@ -35,10 +35,10 @@ n and the kind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from . import transform
 from .sequences import _FIB, SequenceKind, direct_sum, fib, lucas
@@ -156,35 +156,33 @@ class EvalOutcome(NamedTuple):
     match: bool
 
 
-DirectSumArgs = tuple[int, int, int, int, int, int, int]
-
-
-@dataclass(frozen=True)
-class IdentityDescriptor:
+class IdentityDescriptor(
+    namedtuple("IdentityDescriptor", "id kind slots anchor lhs_args closed domain_error", defaults=(None,))
+):
     """Binds an identity tag to its domain, oracle embedding and closed form.
 
     `slots` lists the parameter names the identity reads; the grid verifier
     collapses the rest.  `anchor` is the stable, human-readable statement of
     the identity (part of the public naming contract used by reports).
-    `closed` evaluates the right side and assumes `applicable`; `rhs` checks
-    the domain first.
-    """
+    `lhs_args` maps params to `direct_sum`'s (n, x, z, j, r, s, m).  `closed`
+    evaluates the right side and assumes `applicable`; `rhs` checks the domain
+    first.  `domain_error`, if given, returns why params are outside the
+    domain, or None.
 
-    id: IdentityId
-    kind: SequenceKind
-    slots: tuple[str, ...]
-    anchor: str
-    lhs_args: Callable[[IdentityParams], DirectSumArgs]
-    closed: Callable[[IdentityParams], int]
-    domain_error: Callable[[IdentityParams], str | None] | None = None
+    The fields are read-only.  With no `__slots__ = ()` an instance keeps a
+    `__dict__`, so a tracer can shadow `lhs` or `rhs` on one entry.
+    """
 
     def applicable(self, params: IdentityParams) -> tuple[bool, str | None]:
         if params.n < 0:
             return False, "n must be non-negative"
-        if "m" in self.slots and params.m < 0:
+        # a field read is a generic descriptor lookup on an instance with a `__dict__`,
+        # so `slots` is read only for a negative m, and `domain_error` once
+        if params.m < 0 and "m" in self.slots:
             return False, "m must be non-negative"
-        if self.domain_error is not None:
-            reason = self.domain_error(params)
+        domain_error = self.domain_error
+        if domain_error is not None:
+            reason = domain_error(params)
             if reason is not None:
                 return False, reason
         return True, None

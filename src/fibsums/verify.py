@@ -15,6 +15,11 @@ failures, text).  `run_grid` adds each into the one `Report` it returns, in
 catalog order, so the totals need no sort, and writes each chunk's lines as
 the chunk completes, so its memory does not grow with the grid.
 
+The record types are namedtuples, as `IdentityParams` is: `GridSpec` checks
+its ids and ranges however it is built, `_replace` included, and
+`VerificationRecord` and `Report` check nothing.  `IdTotals`, which the totals add into, is the one
+mutable record, a slotted class.
+
 Reports are JSON lines, all from one line writer (`record_line` for a record):
 one object per point with keys id, params (object of ints), lhs, rhs (decimal
 strings), match (bool), skipped (string) or error (string, with match false),
@@ -28,8 +33,7 @@ import heapq
 import json
 import math
 import os
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 from fractions import Fraction
 from functools import partial
 from itertools import islice, product
@@ -57,59 +61,84 @@ def _check_range(name: str, rng: Range, nonneg: bool = False) -> None:
         raise ValueError(f"{name} range must be non-negative: {rng}")
 
 
-@dataclass(frozen=True, slots=True)
-class GridSpec:
-    """Inclusive parameter ranges and the identity subset to sweep."""
+class GridSpec(
+    namedtuple(
+        "GridSpec",
+        "ids n_range j_range r_range s_range p_range m_range",
+        defaults=((0, 12), (-4, 4), (-4, 4), (-4, 4), (-4, 4), (0, 3)),
+    )
+):
+    """Inclusive parameter ranges and the identity subset to sweep.
 
-    ids: tuple[IdentityId, ...]
-    n_range: Range = (0, 12)
-    j_range: Range = (-4, 4)
-    r_range: Range = (-4, 4)
-    s_range: Range = (-4, 4)
-    p_range: Range = (-4, 4)
-    m_range: Range = (0, 3)
+    Checked when built, by `_make` and `_replace` too: at least one id, each
+    an `IdentityId`, and no empty range (none negative for n or m).
+    """
 
-    def __post_init__(self) -> None:
-        for id in self.ids:
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> GridSpec:
+        spec = super().__new__(cls, *args, **kwargs)
+        if not spec.ids:
+            raise ValueError("a grid spec needs at least one identity id")
+        for id in spec.ids:
             if not isinstance(id, IdentityId):
                 raise ValueError(f"unknown identity id: {id!r}")
-        _check_range("n", self.n_range, nonneg=True)
-        _check_range("j", self.j_range)
-        _check_range("r", self.r_range)
-        _check_range("s", self.s_range)
-        _check_range("p", self.p_range)
-        _check_range("m", self.m_range, nonneg=True)
+        _check_range("n", spec.n_range, nonneg=True)
+        _check_range("j", spec.j_range)
+        _check_range("r", spec.r_range)
+        _check_range("s", spec.s_range)
+        _check_range("p", spec.p_range)
+        _check_range("m", spec.m_range, nonneg=True)
+        return spec
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> GridSpec:
+        # the namedtuple's own `_make`, which its `_replace` calls, skips `__new__` and so the checks
+        return cls(*iterable)
 
     def range_for(self, slot: str) -> Range:
         return getattr(self, f"{slot}_range")
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationRecord:
+class VerificationRecord(
+    namedtuple("VerificationRecord", "id params lhs rhs match skipped_reason error", defaults=(None, None))
+):
     """One grid point: skipped, checked (match), or failed with an arithmetic error."""
 
-    id: IdentityId
-    params: IdentityParams
-    lhs: int | None
-    rhs: int | None
-    match: bool | None
-    skipped_reason: str | None = None
-    error: str | None = None
+    __slots__ = ()
 
 
-@dataclass(slots=True)
 class IdTotals:
-    checked: int = 0
-    matched: int = 0
-    skipped: int = 0
+    """One identity's running counts of checked, matched and skipped points."""
+
+    __slots__ = ("checked", "matched", "skipped")
+
+    def __init__(self, checked: int = 0, matched: int = 0, skipped: int = 0) -> None:
+        self.checked, self.matched, self.skipped = checked, matched, skipped
+
+    def __repr__(self) -> str:
+        return f"IdTotals(checked={self.checked!r}, matched={self.matched!r}, skipped={self.skipped!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not IdTotals:
+            return NotImplemented
+        return (self.checked, self.matched, self.skipped) == (other.checked, other.matched, other.skipped)
+
+    __hash__ = None  # mutable
 
 
-@dataclass
-class Report:
-    """Per-identity totals, rendered in insertion order, and the failed points' records."""
+class Report(namedtuple("Report", "totals failures")):
+    """Per-identity totals, rendered in insertion order, and the failed points' records.
 
-    totals: dict[IdentityId, IdTotals] = field(default_factory=dict)
-    failures: list[VerificationRecord] = field(default_factory=list)
+    Each report gets its own empty dict and list unless it is given them.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, totals: dict[IdentityId, IdTotals] | None = None, failures: list[VerificationRecord] | None = None
+    ) -> Report:
+        return cls._make(({} if totals is None else totals, [] if failures is None else failures))
 
     @classmethod
     def from_records(cls, records: Iterable[VerificationRecord]) -> Report:
@@ -364,7 +393,7 @@ def run_grid(specs: Sequence[GridSpec], parallelism: int = 1, out: TextIO | None
         t.checked += checked
         t.matched += matched
         t.skipped += skipped
-        report.failures += failures
+        report.failures.extend(failures)
         if text:
             out.write(text)
     return report

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -264,6 +263,10 @@ class TestVerify:
     def test_empty_range_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--ids", "C18", "--n", "2..1")
         assert code == 2
+        # `A..B` is not ordered by the parser: the narrowed spec's `_replace` refuses it
+        code, out, err = run_cli(capsys, "verify", "--n", "5..3", "--jobs", "1")
+        assert (code, out) == (2, "")
+        assert "n range is empty: (5, 3)" in err
 
     @pytest.mark.parametrize("ids", [",", ""])
     def test_empty_id_list_is_usage_error(self, capsys, ids):
@@ -301,7 +304,7 @@ class TestStreamedVerify:
         ranges = dict(n_range=(0, 12), j_range=(1, 2), r_range=(-1, 1), s_range=(0, 3), p_range=(-1, 1))
         wanted = {IdentityId.C18, IdentityId.Q13, IdentityId.EVEN_L, IdentityId.ODD_F}
         specs = [
-            replace(spec, ids=tuple(i for i in spec.ids if i in wanted), **ranges)
+            spec._replace(ids=tuple(i for i in spec.ids if i in wanted), **ranges)
             for spec in default_grid_specs()
         ]
         out = io.StringIO()
@@ -324,6 +327,16 @@ print(codes, sorted({"multiprocessing", "concurrent.futures", "statistics"} & sy
         proc = run_python("-c", self.SCRIPT)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == b"[0, 0] []"
+
+    def test_import_loads_no_dataclasses_or_inspect(self):
+        # -S: `site` preloads nothing, so the modules listed are the package's own imports
+        script = (
+            f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import fibsums.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & sys.modules.keys()))"
+        )
+        proc = run_python("-S", "-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == b"[]"
 
 
 class TestBench:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fibsums import (
     BinomialKernel,
     GridSpec,
+    IdentityDescriptor,
     IdentityId,
     IdentityParams,
     InapplicableParamsError,
@@ -61,6 +62,18 @@ class TestCatalog:
             assert d.anchor
             assert "n" in d.slots
             assert set(d.slots) <= set(SLOT_ORDER)
+
+    def test_descriptor_fields_are_read_only_and_instances_keep_a_dict(self):
+        desc = descriptor(IdentityId.C18)
+        with pytest.raises(AttributeError):
+            desc.closed = None
+        assert desc.domain_error is None and vars(desc) == {}
+        assert desc == tuple(desc) and desc._fields[-1] == "domain_error"
+        # a method may be shadowed on one entry, as perfbench's tracer does
+        copy = desc._replace(anchor="a")
+        assert type(copy) is IdentityDescriptor and copy.anchor == "a"
+        copy.rhs = lambda q: 0
+        assert copy.rhs(P(n=2, s=1)) == 0 and desc.rhs(P(n=2, s=1)) == 11
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):
@@ -162,6 +175,10 @@ class TestApplicable:
         assert not ok and "n" in reason
         ok, reason = descriptor(IdentityId.ODD_L).applicable(P(n=2, m=-1))
         assert not ok and "m" in reason
+
+    def test_negative_m_ignored_where_m_is_not_read(self):
+        assert descriptor(IdentityId.C18).applicable(P(n=2, m=-1)) == (True, None)
+        assert descriptor(IdentityId.Q13).applicable(P(n=2, p=0, m=-1)) == (False, "p must be nonzero")
 
     @pytest.mark.parametrize("id", list(IdentityId), ids=lambda id: id.value)
     def test_rhs_raises_one_domain_error(self, id):

@@ -1,8 +1,8 @@
 import concurrent.futures
-import dataclasses
 import io
 import itertools
 import json
+import pickle
 import random
 import sys
 from concurrent.futures import Future
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import fibsums
 from fibsums import GridSpec, IdentityDescriptor, IdentityId, IdentityParams, Report, VerificationRecord, summarize
 from fibsums import cli, verify
-from fibsums.identities import InapplicableParamsError, IntegralityError, catalog, descriptor, eval_pair
+from fibsums.identities import _BY_ID, InapplicableParamsError, IntegralityError, catalog, descriptor, eval_pair
 from fibsums.verify import (
     decimal_str,
     default_grid_specs,
@@ -63,6 +63,57 @@ class TestGridSpec:
             GridSpec(ids=("C18", IdentityId.F1))
         with pytest.raises(ValueError, match="unknown identity id: 'F1'"):
             small_spec(ids=(IdentityId.C18, "F1"))
+
+    def test_rejects_empty_ids(self):
+        # it would check nothing and report PASS (0 checks)
+        with pytest.raises(ValueError, match="at least one identity id"):
+            small_spec(ids=())
+        with pytest.raises(ValueError, match="at least one identity id"):
+            GridSpec(())
+
+    def test_replace_is_checked(self):
+        spec = small_spec()
+        narrowed = spec._replace(n_range=(3, 5))
+        assert type(narrowed) is GridSpec and narrowed.n_range == (3, 5) and narrowed.ids == spec.ids
+        with pytest.raises(ValueError, match=r"n range is empty: \(5, 3\)"):
+            spec._replace(n_range=(5, 3))
+        with pytest.raises(ValueError, match="at least one identity id"):
+            spec._replace(ids=())
+        with pytest.raises(ValueError, match="unknown identity id: 'C18'"):
+            spec._replace(ids=("C18",))
+        with pytest.raises(ValueError, match="m range must be non-negative"):
+            spec._replace(m_range=(-1, 0))
+        assert GridSpec._make(spec) == spec
+        with pytest.raises(ValueError, match="at least one identity id"):
+            GridSpec._make(((), *spec[1:]))
+
+    def test_record_types_keep_their_fields_and_defaults(self):
+        spec = GridSpec((IdentityId.C18,))
+        assert spec == ((IdentityId.C18,), (0, 12), (-4, 4), (-4, 4), (-4, 4), (-4, 4), (0, 3))
+        assert GridSpec._fields == ("ids", "n_range", "j_range", "r_range", "s_range", "p_range", "m_range")
+        assert repr(spec).startswith("GridSpec(ids=(<IdentityId.C18: 'C18'>,), n_range=(0, 12), ")
+        with pytest.raises(AttributeError):
+            spec.n_range = (0, 1)
+        rec = VerificationRecord(IdentityId.C18, IdentityParams(n=1), 2, 2, True)
+        assert (rec.skipped_reason, rec.error) == (None, None)
+        assert VerificationRecord._fields == ("id", "params", "lhs", "rhs", "match", "skipped_reason", "error")
+        with pytest.raises(AttributeError):
+            rec.match = False
+        # every report owns its containers
+        a, b = Report(), Report()
+        a.totals[IdentityId.C18] = verify.IdTotals(1, 1, 0)
+        a.failures.append(rec)
+        assert b == ({}, []) and a != b
+        assert repr(verify.IdTotals(3, 2, 1)) == "IdTotals(checked=3, matched=2, skipped=1)"
+        assert verify.IdTotals(3, 2, 1) == verify.IdTotals(3, 2, 1) != verify.IdTotals(3, 2, 0)
+
+    def test_record_types_pickle(self):
+        spec = small_spec()
+        rec = VerificationRecord(IdentityId.C18, IdentityParams(n=1), None, None, False, error="E")
+        report = Report({IdentityId.C18: verify.IdTotals(1, 0, 0)}, [rec])
+        for value in (spec, rec, report):
+            copy = pickle.loads(pickle.dumps(value))
+            assert copy == value and type(copy) is type(value)
 
     def test_rejects_negative_n_or_m(self):
         with pytest.raises(ValueError):
@@ -113,7 +164,8 @@ class TestRunGrid:
         assert [obj["skipped"] for obj in objs if "skipped" in obj] == ["p must be nonzero"] * skipped
 
     def test_empty_ids(self):
-        report, text = report_bytes([small_spec(ids=())])
+        # no specs at all: a spec with an empty `ids` is refused when built
+        report, text = report_bytes([])
         assert text == report.to_jsonl()  # the summary line alone
         assert summarize(report) == "PASS (0 checks)"
 
@@ -283,7 +335,7 @@ class TestStreaming:
     def test_stream_keeps_totals_and_failures_only(self):
         spec = small_spec(n_range=(0, 40), s_range=(-1, 1))
         report = run_grid([spec], parallelism=2)
-        assert [f.name for f in dataclasses.fields(report)] == ["totals", "failures"]
+        assert report == (report.totals, report.failures) and not hasattr(report, "__dict__")
         assert report.failures == []
         assert report.counts() == (123, 123, 0)
         assert summarize(report) == summarize(report_bytes([spec])[0])
@@ -301,7 +353,7 @@ class TestStreaming:
                 raise IntegralityError('5^-1 \\ "é"\x01')
             return closed(q)
 
-        monkeypatch.setitem(vars(c18), "closed", faulty)
+        monkeypatch.setitem(_BY_ID, IdentityId.C18, c18._replace(closed=faulty))
         spec = small_spec(ids=(IdentityId.C18, IdentityId.Q13), n_range=(0, 40), s_range=(-1, 1), p_range=(-1, 1))
         walked = walked_records(spec)
         expected = "".join(dump_json(record_json_oracle(rec, descriptor(rec.id).slots)) + "\n" for rec in walked)
@@ -322,7 +374,7 @@ class TestStreaming:
 
     def test_empty_stream(self):
         out = io.StringIO()
-        report = run_grid([small_spec(ids=())], out=out)
+        report = run_grid([], out=out)
         assert out.getvalue() == ""
         assert summarize(report) == "PASS (0 checks)"
 
