@@ -12,6 +12,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Callable
 
 class SequenceKind(Enum):
@@ -80,7 +81,7 @@ def binomial(n: int, k: int) -> int:
 
 
 def clear_caches() -> None:
-    """Empty all four sequence memos: `fib`, `lucas`, `_fib_pair` and `_power_row`.
+    """Empty all five sequence memos: `fib`, `lucas`, `_fib_pair`, `_power_row` and `_weights`.
 
     Used by cold-start benchmarks.  The memos are reached through `_MEMOS`,
     not the module names, so this also works while perfbench's trace mode
@@ -158,9 +159,11 @@ def direct_sum(
 
     W_{j(rk+s)} is walked by its order-2 recurrence from four seed values.
     A sum of at most 16 terms with short values, m (|js| + 15|jr|) <= 3000,
-    is Horner's rule in x over a precomputed row of C(n,k) and a memoized
-    row of 16 W^m (`_power_row`), with no division.  Every other sum is
-    walked in blocks of 32 terms.
+    reads a memoized row of 16 W^m (`_power_row`).  With short weights,
+    |x|, |z| < 2^128 after scaling, it is one dot product of that row and a
+    memoized row of the weights C(n,k) x^(n-k) z^k (`_weights`); with
+    longer weights, which no memo holds, it is Horner's rule in x over the
+    row.  Neither divides.  Every other sum is walked in blocks of 32 terms.
     Block [lo, hi) weighs its terms by small integers w_k = t_k Q / t_lo, Q
     holding every (k+1)x of the block, and adds t_lo (its weighted sum) / Q,
     one exact division; t_lo steps once per block.  A block whose first W is
@@ -179,7 +182,8 @@ def direct_sum(
     The sum is an int when it is integral, as it always is for integral
     weights, and a Fraction only when it has a denominator.  Rational
     weights are scaled by the common denominator D of x and z: the sum is
-    the integer sum at (D x, D z) divided by D^n.
+    the integer sum at (D x, D z) divided by D^n.  Any other weight, a
+    float or a Decimal, raises TypeError.
     """
     if n < 0:
         raise ValueError(f"direct_sum requires n >= 0, got n={n}")
@@ -191,14 +195,18 @@ def direct_sum(
         seq = lucas
     else:
         raise ValueError(f"direct_sum requires a SequenceKind, got kind={kind!r}")
-    # an int is its own numerator over 1; a float has no denominator and raises AttributeError
-    if x.denominator == z.denominator == 1:
+    # an int is its own numerator over 1; a float or a Decimal has no denominator
+    try:
+        integral = x.denominator == z.denominator == 1
+    except AttributeError:
+        raise TypeError(f"direct_sum takes int or Fraction weights, got x={x!r}, z={z!r}") from None
+    if integral:
         return _integer_sum(n, x.numerator, z.numerator, j, r, s, m, seq)
     den = math.lcm(x.denominator, z.denominator)
     return over_power(_integer_sum(n, int(x * den), int(z * den), j, r, s, m, seq), den, n)
 
 
-# A sum of at most _HORNER terms with short values is Horner's rule over a binomial row C(n, 0..n), n < _HORNER.
+# A sum of at most _HORNER terms with short values weighs them by a binomial row C(n, 0..n), n < _HORNER.
 _HORNER = 16
 _ROWS = tuple(tuple(math.comb(n, k) for k in range(n + 1)) for n in range(_HORNER))
 # Terms per block of a longer sum, whose weights are products of 32 factors (l+1)x or (n-l)z.
@@ -217,28 +225,29 @@ class RecurrenceError(ArithmeticError):
 # never at m = 1, which has no power to save.  Min-of-5 cold timings of direct_sum(n, 2, -1, 1, jr,
 # 1, m, F) (2-vCPU VM, Python 3.11; `tools/oracle_table.py`), every block per term, every block
 # expanded, and by this rule, with the blocks it expands:
-#   (n, jr, m) = (2000, 21, 3)    678 ms     62.6 ms    62.7 ms    61 of 63
-#                (1000, 15, 6)    170 ms     32.9 ms    34.2 ms    27 of 32
-#                (418, -430, 7)   8.47 s     1.04 s     1.30 s     10 of 14
-#                (600, -6, 8)     14.6 ms    5.71 ms    6.48 ms    10 of 19
-#                (200, 2500, 2)   1.04 s     320 ms     382 ms      5 of 7
-#                (20, 2500, 8)    31.5 ms    424 ms     31.7 ms     0 of 1
-#                (16, -2500, 6)   13.4 ms    112 ms     13.5 ms     0 of 1
-#                (200, -6, 8)     0.92 ms    1.09 ms    0.95 ms     0 of 7
-#                (1000, 2, 2)     1.73 ms    1.27 ms    1.24 ms    28 of 32
-#                (32, 128, 2)     0.12 ms    0.33 ms    0.12 ms     0 of 2
-#                (100, 1, 0)      0.04 ms    0.06 ms    0.04 ms     0 of 4
-#                (2000, 50, 0)    1.34 ms    1.51 ms    1.36 ms     0 of 63
-#                (5000, 1, 3)     68.9 ms    16.9 ms    15.8 ms   146 of 157
-#                (391, 15, 7)     25.1 ms    5.68 ms    6.96 ms     8 of 13
-#                (60, 3, 12)      0.08 ms    0.48 ms    0.09 ms     0 of 2
-#                (12, 150, 5)     0.09 ms    0.39 ms    0.09 ms     0 of 1
-#                (15, 300, 2)     0.08 ms    0.25 ms    0.09 ms     0 of 1
-#                (3, 100000, 1)   38.2 ms    1.54 s     39.2 ms     0 of 1
+#   (n, jr, m) = (2000, 21, 3)    788 ms     64.4 ms    61.2 ms    61 of 63
+#                (1000, 15, 6)    237 ms     44.0 ms    45.8 ms    27 of 32
+#                (418, -430, 7)   6.42 s     975 ms     1.20 s     10 of 14
+#                (600, -6, 8)     13.5 ms    5.06 ms    5.91 ms    10 of 19
+#                (200, 2500, 2)   911 ms     279 ms     323 ms      5 of 7
+#                (20, 2500, 8)    30.4 ms    404 ms     30.6 ms     0 of 1
+#                (16, -2500, 6)   13.0 ms    101 ms     12.8 ms     0 of 1
+#                (200, -6, 8)     0.86 ms    0.93 ms    0.87 ms     0 of 7
+#                (1000, 2, 2)     1.69 ms    1.09 ms    1.11 ms    28 of 32
+#                (32, 128, 2)     0.12 ms    0.32 ms    0.12 ms     0 of 2
+#                (100, 1, 0)      0.04 ms    0.06 ms    0.05 ms     0 of 4
+#                (2000, 50, 0)    1.28 ms    1.39 ms    1.28 ms     0 of 63
+#                (5000, 1, 3)     63.7 ms    14.4 ms    14.5 ms   146 of 157
+#                (391, 15, 7)     23.9 ms    5.34 ms    6.47 ms     8 of 13
+#                (60, 3, 12)      0.07 ms    0.41 ms    0.08 ms     0 of 2
+#                (12, 150, 5)     0.07 ms    0.33 ms    0.08 ms     0 of 1
+#                (15, 300, 2)     0.07 ms    0.21 ms    0.07 ms     0 of 1
+#                (3, 100000, 1)   32.1 ms    1.09 s     32.4 ms     0 of 1
 # The last three have at most 16 terms but values past the rows' byte bound, so they take one block.
 # Over 1,549 sums (126 pairs of 1 <= jr <= 2500 and 1 <= m <= 12, 16 <= n <= 2000), timed block by
-# block, the rule is within 7% of the best first expanded block in geometric mean, at most 3% slower
-# than every block per term where that takes over 1 ms, and at most 0.12 ms slower below it.
+# block before the expanded blocks' dot products ran in C, the rule was within 7% of the best first
+# expanded block in geometric mean, at most 3% slower than every block per term where that takes over
+# 1 ms, and at most 0.12 ms slower below it.
 def _expands(k: int, d: int, m: int) -> bool:
     return m >= 2 and 2 * abs(k) > m * (abs(d) + 6) * _BLOCK
 
@@ -264,7 +273,7 @@ def _expanded_sum(ws: list[int], table: list[list[int]], v: int, v1: int) -> int
     # from the top as (c_{l-1} v1 + c_l v) v^(l-1) v1^(m-l), and an even m leaves c_0 v1^m apart.
     # (A helper, not inline: comprehensions in _integer_sum would turn its locals into cells.)
     m = len(table) - 1
-    coeffs = [sum(map(int.__mul__, ws, row)) for row in table]
+    coeffs = [sum(map(mul, ws, row)) for row in table]
     odd = m & 1
     pairs = [c0 * v1 + c1 * v for c0, c1 in zip(coeffs[1 - odd :: 2], coeffs[2 - odd :: 2])]
     block, power = (pairs or coeffs)[-1], 1
@@ -308,7 +317,20 @@ def _power_row(a: int, d: int, m: int, seq: Callable[[int], int]) -> tuple[int, 
     return tuple(row)
 
 
-_MEMOS = (fib, lucas, _fib_pair, _power_row)
+# The weights (C(n,k) x^(n-k) z^k for k <= n) of a short sum, read only when |x|, |z| < _SHORT = 2^128, so a
+# weight has at most 15 * 128 + 13 = 1,933 bits and 1,024 rows hold at most about 5 MB.  The full default
+# grid reads it 990,990 times with 11,253 misses (3,588 distinct keys), and its weights have at most 300 bits.
+# Past the bound a repeated x is rare, and Horner's rule beats building the weights afresh: at n = 15,
+# 5.6 us against 17 us with a 129-bit x, and 0.40 ms against 0.93 ms with a 1,994-bit x (`tools/oracle_table.py`).
+_SHORT = 1 << 128
+
+
+@lru_cache(maxsize=1024)
+def _weights(n: int, x: int, z: int) -> tuple[int, ...]:
+    return tuple(c * x ** (n - k) * z**k for k, c in enumerate(_ROWS[n]))
+
+
+_MEMOS = (fib, lucas, _fib_pair, _power_row, _weights)
 
 
 def _integer_sum(
@@ -322,9 +344,13 @@ def _integer_sum(
         return z**n * seq(j * (r * n + s)) ** m
     a, d = j * s, j * r
     if n < _HORNER and m * (abs(a) + 15 * abs(d)) <= 3000:
-        # Horner's rule in x over the memoized row of W^m, so no term divides
+        row = _power_row(a, d, m, seq)
+        if abs(x) < _SHORT > abs(z):
+            # one dot product of two memoized rows, in C
+            return sum(map(mul, _weights(n, x, z), row))
+        # Horner's rule in x, as building the long weights afresh would cost more
         total, zk = 0, 1
-        for c, u in zip(_ROWS[n], _power_row(a, d, m, seq)):
+        for c, u in zip(_ROWS[n], row):
             total = total * x + c * zk * u
             zk *= z
         return total

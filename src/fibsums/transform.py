@@ -171,8 +171,12 @@ def binomial_rhs(bk: BinomialKernel, j: int, m: int, kind: SequenceKind) -> int 
     """Closed form of sum_k C(n,k) x^(n-k) z^k W_{j(rk+s)}^m: `reduce_power` at z = 1 over bk.
 
     The contract, enforced by the test suite, is exact equality with direct_sum.
+    A float or a Decimal weight raises TypeError.
     """
-    d = math.lcm(bk.x.denominator, bk.z.denominator)  # a float weight raises AttributeError
+    try:
+        d = math.lcm(bk.x.denominator, bk.z.denominator)
+    except AttributeError:  # a float or a Decimal has no denominator
+        raise TypeError(f"binomial_rhs takes int or Fraction weights, got {bk!r}") from None
     if d == 1:
         return reduce_power(bk, j, m, 1, kind)
     scaled = bk._replace(x=int(bk.x * d), z=int(bk.z * d))

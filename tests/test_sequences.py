@@ -1,5 +1,6 @@
 import ast
 import math
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -188,6 +189,12 @@ class TestDirectSum:
         with pytest.raises(ValueError):
             direct_sum(2, 1, 1, 1, 1, 0, -1, F)
 
+    @pytest.mark.parametrize("x, z", [(1.5, 1), (1, 2.0), (Decimal("1.5"), 1), (1, Decimal(2)), (0.0, 1)])
+    def test_rejects_inexact_weights(self, x, z):
+        # a float or a Decimal has no denominator: refused as the engine refuses it, not an AttributeError
+        with pytest.raises(TypeError, match="int or Fraction"):
+            direct_sum(3, x, z, 1, 1, 0, 1, F)
+
     @pytest.mark.parametrize("kind", ["F", "L", None])
     def test_rejects_a_kind_that_is_not_a_member(self, kind):
         # a kind that is not a member must not fall through to Lucas (125 here, where FIB gives 25)
@@ -366,7 +373,7 @@ class TestDirectSum:
         tree = ast.parse(Path(sequences.__file__).read_text())
         imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
         imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-        assert imported <= {"__future__", "enum", "fractions", "functools", "math", "typing"}
+        assert imported <= {"__future__", "enum", "fractions", "functools", "math", "operator", "typing"}
 
 
 class TestPowerRows:
@@ -434,6 +441,75 @@ class TestPowerRows:
         assert sequences._power_row.cache_info().misses == misses
         sequences.clear_caches()
         assert self.rows() == 0
+
+
+class TestWeightRows:
+    """A short sum with |x|, |z| < 2^128 is a dot product of its memoized weights and row of W^m.
+
+    Longer weights take Horner's rule and never reach the weights memo.
+    """
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        sequences.clear_caches()
+        yield
+        sequences.clear_caches()
+
+    SHORT = sequences._SHORT
+    # (x, z, whether the weights are short once scaled to integers)
+    WEIGHTS = [
+        (3, -2, True),
+        (Fraction(3, 2), Fraction(-1, 3), True),  # scaled to (9, -2)
+        (SHORT - 1, 1 - SHORT, True),  # the longest weights kept
+        (SHORT, 1, False),  # the shortest refused
+        (-1, -SHORT, False),
+        (Fraction(SHORT - 1, 2), 1, True),  # scaled to (2^128 - 1, 2)
+        (Fraction(1, 3), SHORT // 2, False),  # scaled past the bound, to (1, 3 * 2^127)
+    ]
+
+    @pytest.mark.parametrize("bound", ["default", "horner", "dot"])
+    @pytest.mark.parametrize("m", range(5))
+    @pytest.mark.parametrize("fibonacci", [True, False])
+    def test_dot_and_horner_match_naive_cold_and_warm(self, monkeypatch, bound, m, fibonacci):
+        # "horner" and "dot" move the bound so that every sum takes that path, on both sides of the real bound
+        if bound != "default":
+            monkeypatch.setattr(sequences, "_SHORT", 0 if bound == "horner" else 1 << 4000)
+        kind = F if fibonacci else L
+        for x, z, short in self.WEIGHTS:
+            args = (x, z, 2, 3, -1, m)
+            expected = [naive_weighted_sum(n, *args, fibonacci) for n in range(16)]
+            for n in range(16):
+                sequences.clear_caches()
+                assert direct_sum(n, *args, kind) == expected[n], (x, z, n)
+            sequences.clear_caches()
+            for n in [*range(16), *range(15, -1, -1)]:
+                assert direct_sum(n, *args, kind) == expected[n], (x, z, n)
+            kept = bound == "dot" or bound == "default" and short
+            assert sequences._weights.cache_info().currsize == 16 * kept, (x, z)
+
+    def test_weights_are_kept_up_to_the_bound(self):
+        top = self.SHORT - 1
+        weights = sequences._weights(15, top, -top)
+        assert max(w.bit_length() for w in weights) == 1933
+        assert weights == tuple(math.comb(15, k) * top ** (15 - k) * (-top) ** k for k in range(16))
+
+    @pytest.mark.parametrize("bits", [2000, 6644])
+    def test_long_weights_never_reach_the_memo(self, bits):
+        # the bound is checked before the lookup, so the memo sees neither the key nor the weights
+        direct_sum(15, 3, -2, 1, 2, 1, 2, F)
+        before = sequences._weights.cache_info()
+        for x, z in [(1 << (bits - 1), 1), (-1, -(1 << (bits - 1))), (Fraction(1 << (bits - 1), 3), 1)]:
+            assert direct_sum(15, x, z, 1, 2, 1, 2, F) == naive_weighted_sum(15, x, z, 1, 2, 1, 2, True)
+        assert sequences._weights.cache_info() == before
+        assert before.currsize == 1
+
+    def test_clear_caches_empties_every_memo(self):
+        assert sequences._weights in sequences._MEMOS
+        direct_sum(6, 3, -2, 1, 2, 1, 2, F)
+        direct_sum(6, 3, -2, 1, 2, 1, 2, L)
+        assert all(memo.cache_info().currsize for memo in sequences._MEMOS)
+        sequences.clear_caches()
+        assert [memo.cache_info().currsize for memo in sequences._MEMOS] == [0] * len(sequences._MEMOS)
 
 
 class TestBlocks:

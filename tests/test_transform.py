@@ -1,5 +1,6 @@
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -269,6 +270,14 @@ class TestReduce:
         # an exact engine: a float anywhere is refused, as QuadNum refuses it, never returned as a float
         with pytest.raises(TypeError, match="int or Fraction"):
             reduce_power(h, j, m, z, kind)
+
+    @pytest.mark.parametrize(
+        "bk", [BinomialKernel(3, 1.5, 1, 1, 0), BinomialKernel(3, 1, 2.0, 1, 0), BinomialKernel(2, Decimal("0.5"), 1, 1, 0)]
+    )
+    def test_binomial_rhs_rejects_inexact_weights(self, bk):
+        # a float or a Decimal weight has no denominator: a TypeError, as reduce_power raises, not an AttributeError
+        with pytest.raises(TypeError, match="int or Fraction"):
+            binomial_rhs(bk, 1, 1, F)
 
     def test_binomial_rhs_is_the_reduction_of_its_kernel(self):
         for bk in (BinomialKernel(5, 2, -3, 2, -1), BinomialKernel(4, Fraction(-1, 2), Fraction(2, 3), -1, 3)):
