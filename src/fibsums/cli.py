@@ -14,7 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import sequences
+from . import quadfield, sequences
 from .identities import (
     SLOT_ORDER,
     IdentityDescriptor,
@@ -201,8 +201,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def bench_identity(id: IdentityId, params: IdentityParams, reps: int) -> dict:
     """Median cold-start wall times of oracle vs closed form, equality verified first.
 
-    The sequence memos are dropped before every timed call so each rep
-    measures a cold evaluation.
+    The sequence memos and `quadfield`'s are dropped before every timed call
+    so each rep measures a cold evaluation.
     """
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
@@ -217,6 +217,7 @@ def bench_identity(id: IdentityId, params: IdentityParams, reps: int) -> dict:
         samples = []
         for _ in range(reps):
             sequences.clear_caches()
+            quadfield.clear_caches()
             t0 = time.perf_counter()
             fn(params)
             samples.append(time.perf_counter() - t0)

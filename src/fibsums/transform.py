@@ -10,13 +10,15 @@ h(w) = w^s (x + z w^r)^n, by one helper that `kernel_eval` (at any point) and
 the loop share.  A lemma point is c alpha^e with c = +-z, so the loop reads
 p^r and p^s from alpha's powers, the Fibonacci pairs alpha^k = F_{k-1} +
 F_k alpha (`sequences._fib_pair_at`), and (x + z p^r)^n is the one power of
-a pair per point.  `binomial_rhs` runs it at z = 1, where the points are
-units of Z[alpha]: with x, z scaled to integers by their common denominator
-d, every contribution is an integer pair of `quadfield` arithmetic, and the
-sum is divided by d^n once (`sequences.over_power`).  Results follow
-`sequences.as_exact`: an int when integral, a Fraction otherwise.  Both
-kernels are checked namedtuples, as `QuadNum` is: a `BinomialKernel` refuses
-n < 0 (`_make` and `_replace` skip that check).
+a pair per point.  Its base does not depend on s and is the same for F and
+L, so a short integer base reads it from `quadfield.power_memo`; every point
+is still evaluated on its own.  `binomial_rhs` runs it at z = 1, where the
+points are units of Z[alpha]: with x, z scaled to integers by their common
+denominator d, every contribution is an integer pair of `quadfield`
+arithmetic, and the sum is divided by d^n once (`sequences.over_power`).
+Results follow `sequences.as_exact`: an int when integral, a Fraction
+otherwise.  Both kernels are checked namedtuples, as `QuadNum` is: a
+`BinomialKernel` refuses n < 0 (`_make` and `_replace` skip that check).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .quadfield import SQRT5, QuadNum, mul, power
+from .quadfield import POWER_MEMO_BITS, SQRT5, QuadNum, mul, power, power_memo
 from .sequences import _FIB, _LUCAS, SequenceKind, _fib_pair_at, as_exact, binomial, over_power
 
 
@@ -79,9 +81,14 @@ def rationalize_root5(q: tuple, m: int) -> int | Fraction:
 
 
 def _binomial_at(h: BinomialKernel, ps: tuple, pr: tuple) -> tuple:
-    # h(p) = p^s (x + z p^r)^n from the point's powers p^s and p^r: the one closed form of a BinomialKernel
+    # h(p) = p^s (x + z p^r)^n from the point's powers p^s and p^r: the one closed form of a BinomialKernel.
+    # A short integer base's power comes from `power_memo`: the F and L sides of a pair, and every s, share it.
     pu, pv = pr
-    return mul(ps, power((h.x + h.z * pu, h.z * pv), h.n))
+    n, z = h.n, h.z
+    u, v = h.x + z * pu, z * pv
+    if type(u) is int and type(v) is int and abs(n) * (abs(u) + abs(v)).bit_length() <= POWER_MEMO_BITS:
+        return mul(ps, power_memo((u, v), n))
+    return mul(ps, power((u, v), n))
 
 
 def kernel_eval(h: Kernel | BinomialKernel, point: tuple) -> QuadNum:

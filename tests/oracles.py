@@ -98,6 +98,17 @@ _POSITION = {desc.id.value: i for i, desc in enumerate(catalog())}
 _SLOT_DEFAULTS = {"n": 0, "j": 1, "r": 1, "s": 0, "p": 1, "m": 1}
 
 
+def loaded_memos() -> dict[str, object]:
+    """Every `lru_cache` among the globals of the loaded `fibsums.*` modules, as `<defining module>.<global name>`."""
+    memos = {}
+    for name, module in list(sys.modules.items()):
+        if name == "fibsums" or name.startswith("fibsums."):
+            for attr, value in vars(module).items():
+                if callable(getattr(value, "cache_info", None)):
+                    memos[f"{value.__module__}.{attr}"] = value
+    return memos
+
+
 def canonical_key(line: str) -> tuple:
     """A report line's place in the canonical order: catalog position, then n, j, r, s, p, m."""
     obj = json.loads(line)

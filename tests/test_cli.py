@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,8 @@ from fibsums import cli
 from fibsums.cli import MAX_BITS, bench_identity, main
 from fibsums.identities import IdentityParams, _BY_ID, IdentityDescriptor
 from fibsums.verify import default_grid_specs, run_grid
+
+from oracles import loaded_memos
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -357,6 +360,24 @@ class TestBench:
         monkeypatch.setitem(_BY_ID, IdentityId.C18, broken)
         with pytest.raises(Exception, match="refusing to time"):
             bench_identity(IdentityId.C18, IdentityParams(n=2, s=1), 1)
+
+    @pytest.mark.parametrize("name", ["F1", "T1_F2RHS"])
+    def test_every_timed_rep_starts_on_empty_memos(self, monkeypatch, name):
+        # every memo's size when each rep's clock starts; the clock's read at a closed rep's end shows the
+        # rep filled the engine's power memo, so a clear left out would show as a nonzero start
+        memos = loaded_memos()
+        clock, reads = time.perf_counter, []
+
+        def perf_counter():
+            reads.append({memo_name: memo.cache_info().currsize for memo_name, memo in memos.items()})
+            return clock()
+
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=perf_counter))
+        reps = 3
+        bench_identity(IdentityId[name], IdentityParams(n=12), reps)
+        assert len(reads) == 4 * reps
+        assert reads[0::2] == [dict.fromkeys(memos, 0)] * (2 * reps)
+        assert all(end["fibsums.quadfield.power_memo"] > 0 for end in reads[2 * reps + 1 :: 2])
 
     def test_mismatch_exits_one(self, capsys, monkeypatch):
         real = _BY_ID[IdentityId.C18]

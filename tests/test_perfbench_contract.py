@@ -6,6 +6,7 @@ rename of a wrapped boundary fails here instead of breaking
 """
 
 import importlib.util
+import io
 import json
 import sys
 from pathlib import Path
@@ -14,6 +15,8 @@ import pytest
 
 from fibsums import cli, identities, quadfield, sequences, transform, verify
 from fibsums.identities import SLOT_ORDER, IdentityId, IdentityParams, catalog, descriptor
+
+from oracles import loaded_memos
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -89,6 +92,21 @@ def test_child_reads_and_clears_the_two_memos(monkeypatch):
     child._clear(memo)
     assert sizes() == (0, 0)
     assert memo.stats["fib"][2] > 0 and memo.stats["alpha_pow"][2] > 0
+
+
+def test_the_two_clears_empty_every_memo():
+    # `child._clear` calls `sequences.clear_caches()` and `quadfield.clear_caches()` before every cold
+    # rep; a memo that neither empties would leave large-n warm with no other test failing
+    ids = (IdentityId.F1, IdentityId.T1_F2RHS, IdentityId.C18, IdentityId.EVEN_F)
+    verify.run_grid([verify.GridSpec(ids=ids, n_range=(0, 6), j_range=(-2, 2), r_range=(-2, 2), s_range=(-1, 1))],
+                    1, io.StringIO())
+    quadfield.alpha_pow(7)
+    memos = loaded_memos()
+    assert "fibsums.quadfield.power_memo" in memos
+    assert all(memo.cache_info().currsize > 0 for memo in memos.values()), memos
+    sequences.clear_caches()
+    quadfield.clear_caches()
+    assert {name: memo.cache_info().currsize for name, memo in memos.items()} == dict.fromkeys(memos, 0)
 
 
 def test_trace_mode_times_the_oracle():

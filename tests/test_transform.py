@@ -27,16 +27,33 @@ from fibsums import (
     lucas,
     reduce_power,
 )
-from fibsums import sequences, transform
+from fibsums import quadfield, sequences, transform
 from fibsums.cli import main
-from fibsums.quadfield import mul
-from fibsums.transform import _lemma_value, rationalize_root5
+from fibsums.quadfield import POWER_MEMO_BITS, mul, power_memo
+from fibsums.transform import _binomial_at, _lemma_value, rationalize_root5
 
 from oracles import frac_pow, naive_fib
 
 F, L = SequenceKind.FIB, SequenceKind.LUCAS
 wide = st.integers(-50, 50)
 weights = st.integers(-9, 9) | st.fractions(min_value=-4, max_value=4, max_denominator=9)
+
+# reduce_power's inputs with a float somewhere, and binomial_rhs's inexact weights: each raises TypeError
+INEXACT_INPUTS = [
+    (BinomialKernel(2, 1, 1, 1, 0), 1, 1, 1.0, F),  # a float z
+    (BinomialKernel(3, 1, 1, 1, 0), 1, 2, -1.0, L),
+    (BinomialKernel(2, 1, 1, 2, 2), 1, 1, 1.0, F),  # every power of the float z is even
+    (BinomialKernel(2, 1, 1, 1, 0), 1, 1, 0.5, F),
+    (BinomialKernel(2, 1, 1, -1, -2), 1, 1, 0.5, F),  # negative powers of a float z
+    (BinomialKernel(2, 1.0, 1, 1, 0), 1, 1, 1, F),  # a float weight
+    (BinomialKernel(2, 1, 1.0, 1, 0), 2, 3, Fraction(1, 2), L),
+    (Kernel(((1, 0),)), 1, 0, 1.0, L),  # a float z, with no power taken
+    (Kernel(((1, 2),)), 1, 1, 1.0, F),
+    (Kernel(((0.1, 0),)), 1, 0, 0, L),  # z = 0: a float coefficient
+    (Kernel(((1, 0),)), 1, 0, 0.0, L),  # z = 0: a float z
+    (BinomialKernel(2, 0.5, 1, 1, 0), 1, 2, 0, F),
+]
+INEXACT_WEIGHTS = [BinomialKernel(3, 1.5, 1, 1, 0), BinomialKernel(3, 1, 2.0, 1, 0), BinomialKernel(2, Decimal("0.5"), 1, 1, 0)]
 
 
 def _primed_points(j, m, z):
@@ -249,31 +266,13 @@ class TestReduce:
         with pytest.raises(ValueError, match="requires a SequenceKind"):
             binomial_rhs(BinomialKernel(3, 1, 1, 1, 1), 1, 2, kind)
 
-    @pytest.mark.parametrize(
-        "h, j, m, z, kind",
-        [
-            (BinomialKernel(2, 1, 1, 1, 0), 1, 1, 1.0, F),  # a float z
-            (BinomialKernel(3, 1, 1, 1, 0), 1, 2, -1.0, L),
-            (BinomialKernel(2, 1, 1, 2, 2), 1, 1, 1.0, F),  # every power of the float z is even
-            (BinomialKernel(2, 1, 1, 1, 0), 1, 1, 0.5, F),
-            (BinomialKernel(2, 1, 1, -1, -2), 1, 1, 0.5, F),  # negative powers of a float z
-            (BinomialKernel(2, 1.0, 1, 1, 0), 1, 1, 1, F),  # a float weight
-            (BinomialKernel(2, 1, 1.0, 1, 0), 2, 3, Fraction(1, 2), L),
-            (Kernel(((1, 0),)), 1, 0, 1.0, L),  # a float z, with no power taken
-            (Kernel(((1, 2),)), 1, 1, 1.0, F),
-            (Kernel(((0.1, 0),)), 1, 0, 0, L),  # z = 0: a float coefficient
-            (Kernel(((1, 0),)), 1, 0, 0.0, L),  # z = 0: a float z
-            (BinomialKernel(2, 0.5, 1, 1, 0), 1, 2, 0, F),
-        ],
-    )
+    @pytest.mark.parametrize("h, j, m, z, kind", INEXACT_INPUTS)
     def test_rejects_inexact_inputs(self, h, j, m, z, kind):
         # an exact engine: a float anywhere is refused, as QuadNum refuses it, never returned as a float
         with pytest.raises(TypeError, match="int or Fraction"):
             reduce_power(h, j, m, z, kind)
 
-    @pytest.mark.parametrize(
-        "bk", [BinomialKernel(3, 1.5, 1, 1, 0), BinomialKernel(3, 1, 2.0, 1, 0), BinomialKernel(2, Decimal("0.5"), 1, 1, 0)]
-    )
+    @pytest.mark.parametrize("bk", INEXACT_WEIGHTS)
     def test_binomial_rhs_rejects_inexact_weights(self, bk):
         # a float or a Decimal weight has no denominator: a TypeError, as reduce_power raises, not an AttributeError
         with pytest.raises(TypeError, match="int or Fraction"):
@@ -425,3 +424,99 @@ class TestAlphaPowers:
             assert alpha_pow.cache_info().currsize == 0
         finally:
             sequences.clear_caches()
+
+
+def _exact(q):
+    # a float's or a Decimal's exact twin: the int it equals, else its Fraction
+    if isinstance(q, (float, Decimal)):
+        q = Fraction(q)
+        return q.numerator if q.denominator == 1 else q
+    return q
+
+
+def _exact_kernel(h):
+    if isinstance(h, BinomialKernel):
+        return h._replace(x=_exact(h.x), z=_exact(h.z))
+    return Kernel(tuple((_exact(g), f) for g, f in h.terms))
+
+
+def _bits(q):
+    return max(q.numerator.bit_length(), q.denominator.bit_length())
+
+
+class TestPowerMemo:
+    """`quadfield.power_memo`, in front of the engine's (x + z p^r)^n, keeps only short int bases."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        quadfield.clear_caches()
+        yield
+        quadfield.clear_caches()
+
+    @staticmethod
+    def kept(n, u, v):
+        # whether the engine's power of the base (u, v) read the memo: x = 0, z = 1, p^r = (u, v) and p^s = 1
+        before = power_memo.cache_info()
+        _binomial_at(BinomialKernel._make((n, 0, 1, 1, 0)), (1, 0), (u, v))
+        after = power_memo.cache_info()
+        return (after.hits, after.misses) != (before.hits, before.misses)
+
+    def test_inexact_inputs_still_raise_under_a_warm_memo(self):
+        # 1.0 == 1 and both hash alike, so a memo keyed by value alone would answer a float base with the
+        # int power its exact twin left there, and the float would pass unnoticed
+        for h, j, m, z, kind in INEXACT_INPUTS:
+            for twin_z in {_exact(z), 1, -1}:
+                reduce_power(_exact_kernel(h), j, m, twin_z, kind)
+        for bk in INEXACT_WEIGHTS:
+            binomial_rhs(_exact_kernel(bk), 1, 1, F)
+        assert power_memo.cache_info().currsize > 0
+        for h, j, m, z, kind in INEXACT_INPUTS:
+            with pytest.raises(TypeError, match="int or Fraction"):
+                reduce_power(h, j, m, z, kind)
+        for bk in INEXACT_WEIGHTS:
+            with pytest.raises(TypeError, match="int or Fraction"):
+                binomial_rhs(bk, 1, 1, F)
+
+    def test_fraction_weights_keep_their_values_and_types(self):
+        # Fraction(2) == 2 as well: a Fraction weight's values and types are the same cold and after int calls
+        def values(bk):
+            rhs = [binomial_rhs(bk, j, m, kind) for j, m, kind in product((-2, 1, 3), range(3), (F, L))]
+            points = [kernel_eval(bk, point) for point in ((1, 1), (-1, 2), (3, -2))]
+            return [(value, type(value)) for value in rhs] + [(c, type(c)) for point in points for c in point]
+
+        ints, fracs = BinomialKernel(3, 2, 1, 2, -1), BinomialKernel(3, Fraction(2), Fraction(1), 2, -1)
+        cold = values(fracs)
+        quadfield.clear_caches()
+        warm_ints = values(ints)
+        assert power_memo.cache_info().currsize > 0
+        assert values(fracs) == cold
+        assert [value for value, _ in cold] == [value for value, _ in warm_ints]
+        # the engine's sums are ints either way; a Fraction weight's kernel values keep Fraction coordinates
+        assert [t for _, t in cold[:18]] == [t for _, t in warm_ints[:18]] == [int] * 18
+        assert {t for _, t in cold[18:]} == {Fraction}
+
+    def test_a_huge_n_leaves_the_memo_unchanged(self):
+        binomial_rhs(BinomialKernel(12, 1, 1, 1, 0), 1, 1, F)
+        before = power_memo.cache_info()
+        assert before.currsize > 0
+        assert binomial_rhs(BinomialKernel(10**5, 1, 1, 1, 0), 1, 1, F) == fib(2 * 10**5)  # sum C(n,k) F_k = F_2n
+        assert power_memo.cache_info() == before
+
+    def test_the_bound_is_on_abs_n(self):
+        # (3, 4): bitlen(3 + 4) = 3, and 682 * 3 = 2,046 <= 2,048 < 683 * 3; a negative n inverts the base
+        # (norm 5, so Fraction coordinates), and the check reads |n|, not n
+        assert POWER_MEMO_BITS == 2048
+        assert self.kept(682, 3, 4) and not self.kept(683, 3, 4)
+        assert self.kept(-682, 3, 4) and not self.kept(-683, 3, 4)
+        assert not self.kept(-(10**5), 1, 1)  # alpha^2 is a unit: int coordinates, but far past the bound
+        assert not self.kept(2, Fraction(3), 4) and not self.kept(2, 3.0, 4) and not self.kept(2, 3, 4.0)
+
+    def test_no_kept_coordinate_exceeds_the_bound(self):
+        # the largest admitted n for the longest base of each bit length: a power n >= 0 has coordinates of
+        # at most about 2,400 bits, and a negative power's numerators and denominators at most 2 * 2,048
+        for length in range(1, 17):
+            big = (1 << length) - 1
+            for u, v in {(0, big), (big, 0), (1, big - 1), (-1, big - 1), (big - 1, -1)}:
+                for n, limit in ((POWER_MEMO_BITS // length, 2400), (-(POWER_MEMO_BITS // length), 2 * POWER_MEMO_BITS)):
+                    assert self.kept(n, u, v), (n, u, v)
+                    assert max(map(_bits, power_memo((u, v), n))) <= limit, (n, u, v)

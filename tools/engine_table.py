@@ -7,8 +7,9 @@ closed side of F1 (m = 1) or T1 (m = 2), timed two ways: with each lemma
 point p built as a pair and its powers p^r and p^s taken by `power`, and as
 the engine runs, with p^r and p^s read from alpha's powers, the Fibonacci
 pairs of `sequences._fib_pair_at`.  Each time is the minimum of 5 runs, cold
-(the sequence memos are cleared first) and warm (after one untimed run has
-filled them), and the two ways alternate within each round.
+(the sequence memos and `quadfield.power_memo` are cleared first) and warm
+(after one untimed run has filled them), and the two ways alternate within
+each round.
 The points are grid points, large-n points like perfbench's large-n
 workload, and one huge-s point.  Standard library only.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import time
 
-from fibsums import BinomialKernel, SequenceKind, binomial_rhs, kernel_eval, sequences, transform
+from fibsums import BinomialKernel, SequenceKind, binomial_rhs, kernel_eval, quadfield, sequences, transform
 
 # (n, j, r, s, m): grid points, large-n points and one huge-s point
 POINTS = (
@@ -38,6 +39,7 @@ def run_s(point: tuple[int, int, int, int, int], cold: bool) -> float:
     n, j, r, s, m = point
     bk = BinomialKernel(n, 1, 1, r, s)
     sequences.clear_caches()
+    quadfield.clear_caches()
     if not cold:
         binomial_rhs(bk, j, m, SequenceKind.FIB)
     start = time.perf_counter()
