@@ -163,16 +163,20 @@ def direct_sum(
     |x|, |z| < 2^128 after scaling, it is one dot product of that row and a
     memoized row of the weights C(n,k) x^(n-k) z^k (`_weights`); with
     longer weights, which no memo holds, it is Horner's rule in x over the
-    row.  Neither divides.  Every other sum is walked in blocks of 32 terms.
-    Block [lo, hi) weighs its terms by small integers w_k = t_k Q / t_lo, Q
-    holding every (k+1)x of the block, and adds t_lo (its weighted sum) / Q,
-    one exact division; t_lo steps once per block.  A block whose first W is
-    short takes each W to the m-th power.  A block whose first W is long
-    writes every W of the block as g0_i v + g1_i v' over its first pair
-    (v, v'), by W's own step, so its weighted sum of m-th powers is the
-    m+1 monomials v^l v'^(m-l) with small-integer coefficients, and the
-    pair then jumps past the block (see `_expands`).  Both reassociate the
-    same exact sum.
+    row.  Neither divides.  Of the other sums, one with z = 0 is its first
+    term x^n W_{js}^m alone, as any sum with x = 0 is its last term.  Every
+    other sum is walked in blocks of 32 terms.  Block [lo, hi) weighs its
+    terms by small integers w_k = t_k Q / t_lo, Q holding every (k+1)x of
+    the block, and adds t_lo (its weighted sum) / Q, one exact division;
+    t_lo steps once per block.  The factors (k+1)x and (n-k)z come from
+    ranges stepped by x and z.  A block whose first W is short takes each W
+    to the m-th power.  A block whose first W is long, at m >= 1, writes
+    every W of the block as g0_i v + g1_i v' over its first pair (v, v'),
+    by W's own step, so its weighted sum of m-th powers is the m+1
+    monomials v^l v'^(m-l) with small-integer coefficients, and the pair
+    then jumps past the block.  At m = 1 the step |jr| must also be under
+    100, and enough terms must follow to pay for the coefficients' table
+    (see `_expands`).  Both reassociate the same exact sum.
 
     As a safeguard each walk's final pair, at D = (n+1)d or a row's 16d, is
     compared with (W_{js+D}, W_{js+D+d}), W_{js+D} = F_{D-1} W_{js} + F_D
@@ -217,38 +221,57 @@ class RecurrenceError(ArithmeticError):
     """The oracle's walk of W disagrees with a value computed directly: an internal fault."""
 
 
-# A block whose first W is W_k expands over its first pair when m >= 2 and 2|k| > m (|d| + 6) _BLOCK,
-# and otherwise takes w**m per term.  An expanded block costs about 2m products of its first pair,
-# of about 0.69 |k| bits each, and m+1 dot products over a table of (m+1) _BLOCK coefficients of up
-# to 0.69 |d| m _BLOCK bits, built once per sum; a per-term block costs _BLOCK powers.  So expanding
-# pays once W_k is long against the block's growth and the table, both of which grow with m, and
-# never at m = 1, which has no power to save.  Min-of-5 cold timings of direct_sum(n, 2, -1, 1, jr,
-# 1, m, F) (2-vCPU VM, Python 3.11; `tools/oracle_table.py`), every block per term, every block
-# expanded, and by this rule, with the blocks it expands:
-#   (n, jr, m) = (2000, 21, 3)    788 ms     64.4 ms    61.2 ms    61 of 63
-#                (1000, 15, 6)    237 ms     44.0 ms    45.8 ms    27 of 32
-#                (418, -430, 7)   6.42 s     975 ms     1.20 s     10 of 14
-#                (600, -6, 8)     13.5 ms    5.06 ms    5.91 ms    10 of 19
-#                (200, 2500, 2)   911 ms     279 ms     323 ms      5 of 7
-#                (20, 2500, 8)    30.4 ms    404 ms     30.6 ms     0 of 1
-#                (16, -2500, 6)   13.0 ms    101 ms     12.8 ms     0 of 1
-#                (200, -6, 8)     0.86 ms    0.93 ms    0.87 ms     0 of 7
-#                (1000, 2, 2)     1.69 ms    1.09 ms    1.11 ms    28 of 32
-#                (32, 128, 2)     0.12 ms    0.32 ms    0.12 ms     0 of 2
-#                (100, 1, 0)      0.04 ms    0.06 ms    0.05 ms     0 of 4
-#                (2000, 50, 0)    1.28 ms    1.39 ms    1.28 ms     0 of 63
-#                (5000, 1, 3)     63.7 ms    14.4 ms    14.5 ms   146 of 157
-#                (391, 15, 7)     23.9 ms    5.34 ms    6.47 ms     8 of 13
-#                (60, 3, 12)      0.07 ms    0.41 ms    0.08 ms     0 of 2
-#                (12, 150, 5)     0.07 ms    0.33 ms    0.08 ms     0 of 1
-#                (15, 300, 2)     0.07 ms    0.21 ms    0.07 ms     0 of 1
-#                (3, 100000, 1)   32.1 ms    1.09 s     32.4 ms     0 of 1
-# The last three have at most 16 terms but values past the rows' byte bound, so they take one block.
-# Over 1,549 sums (126 pairs of 1 <= jr <= 2500 and 1 <= m <= 12, 16 <= n <= 2000), timed block by
-# block before the expanded blocks' dot products ran in C, the rule was within 7% of the best first
-# expanded block in geometric mean, at most 3% slower than every block per term where that takes over
-# 1 ms, and at most 0.12 ms slower below it.
-def _expands(k: int, d: int, m: int) -> bool:
+# A block whose first W is W_k either expands over its first pair or takes w**m per term.  An expanded
+# block costs about 2m products of its first pair, of about 0.69 |k| bits each, 4 more to jump the pair,
+# and m+1 dot products over a table of (m+1) _BLOCK coefficients of up to 0.69 |d| m _BLOCK bits, built
+# once per sum; a per-term block costs _BLOCK powers, _BLOCK products by weights of about _BLOCK
+# log2(n |x|) bits, and _BLOCK steps by L_d.  At m >= 2 expanding pays once W_k is long against the
+# block's growth and the table, both of which grow with m: when 2|k| > m (|d| + 6) _BLOCK.  At m = 1 it
+# saves no power, only the weights' products, against rows of 0.69 |d| _BLOCK bits: it pays when
+# |k| > (|d| + 6) _BLOCK and |d| < 100, and only once a few blocks follow the table, so the walk's end
+# k + d left, past the sum's last term, must be past 4 (|d| + 6) _BLOCK too; the end is the same for
+# every block of a sum, so it never sends a sum's later blocks back to per term.  Min-of-5 cold
+# timings of direct_sum(n, 2, -1, 1, jr, 1, m, F) (2-vCPU VM, Python 3.11; `tools/oracle_table.py`),
+# every block per term, every block expanded, and by this rule, with the blocks it expands:
+#   (n, jr, m) = (2000, 21, 3)           674 ms       59 ms     59.2 ms  61/63
+#                (1000, 15, 6)           159 ms     31.7 ms     32.5 ms  27/32
+#                (418, -430, 7)           7.2 s      1.09 s      1.37 s  10/14
+#                (600, -6, 8)             14 ms     5.23 ms      6.1 ms  10/19
+#                (200, 2500, 2)           1.1 s      321 ms      377 ms  5/7
+#                (20, 2500, 8)          33.5 ms      520 ms     32.3 ms  0/1
+#                (16, -2500, 6)         13.7 ms      107 ms     13.4 ms  0/1
+#                (200, -6, 8)            947 us     1.01 ms      960 us  0/7
+#                (1000, 2, 2)           1.78 ms     1.13 ms     1.12 ms  28/32
+#                (32, 128, 2)            124 us      341 us      128 us  0/2
+#                (100, 1, 0)            43.2 us     60.7 us     44.7 us  0/4
+#                (2000, 50, 0)          1.27 ms     1.37 ms      1.3 ms  0/63
+#                (5000, 1, 3)           67.5 ms     14.9 ms     15.2 ms  146/157
+#                (391, 15, 7)           25.3 ms     5.36 ms     6.63 ms  8/13
+#                (60, 3, 12)              74 us      415 us     79.1 us  0/2
+#                (12, 150, 5)           76.9 us      331 us       79 us  0/1
+#                (15, 300, 2)             73 us      216 us     74.6 us  0/1
+#                (3, 100000, 1)         35.6 ms      1.23 s     33.8 ms  0/1
+#                (2000, -6, 1)           6.3 ms     2.96 ms     2.99 ms  60/63
+#                (5000, 21, 1)           125 ms     53.7 ms     53.1 ms  155/157
+#                (1000, 21, 1)          4.54 ms     2.19 ms     2.22 ms  30/32
+#                (2000, 2, 1)           2.97 ms     1.92 ms     1.94 ms  59/63
+#                (300, 1, 1)             203 us      230 us      210 us  0/10
+#                (100, -6, 1)           78.9 us      110 us     84.2 us  0/4
+#                (100, 21, 1)            108 us      138 us      112 us  0/4
+#                (300, 2500, 1)          189 ms      252 ms      190 ms  0/10
+#                (2000, -430, 1)         497 ms      662 ms      489 ms  0/63
+# The three before the power-1 rows have at most 16 terms but values past the rows' byte bound, so they
+# take one block.  At m >= 2, over 1,549 sums (126 pairs of 1 <= jr <= 2500 and 1 <= m <= 12,
+# 16 <= n <= 2000), timed block by block before the expanded blocks' dot products ran in C, the rule was
+# within 7% of the best first expanded block in geometric mean, at most 3% slower than every block per
+# term where that takes over 1 ms, and at most 0.12 ms slower below it.  At m = 1 the step's bound 100 is
+# where an expanded block's ratio to a per-term one falls to about 1.2 at n = 1200 (it reaches 1 near
+# |d| = 128), and the end's bound where the gain of the blocks past |k| = (|d| + 6) _BLOCK first exceeds
+# the table, 2 to 4.5 times that index for 1 <= |d| <= 50 (5.7 at |d| = 100) in block-by-block timings.
+def _expands(k: int, d: int, m: int, left: int) -> bool:
+    if m == 1:
+        bound = (abs(d) + 6) * _BLOCK
+        return abs(d) < 100 and abs(k) > bound and abs(k + d * left) > 4 * bound
     return m >= 2 and 2 * abs(k) > m * (abs(d) + 6) * _BLOCK
 
 
@@ -354,21 +377,25 @@ def _integer_sum(
             total = total * x + c * zk * u
             zk *= z
         return total
+    if z == 0:
+        # only k = 0 survives, since 0^0 = 1
+        return x**n * seq(a) ** m
     seeds = _seeds(a, d, seq)
     *_, e0, e1, v, v1 = seeds
     table = None
     total, t = 0, x**n
     for lo in range(0, n + 1, _BLOCK):
         hi = min(lo + _BLOCK, n + 1)
-        # the weights w_k = t_k Q / t_lo for Q = perm(hi, c) x^c, c = hi - lo, all small integers
+        # the weights w_k = t_k Q / t_lo for Q = perm(hi, c) x^c, c = hi - lo, all small integers,
+        # whose factors (l+1) x and (n-l) z step by x and z
         tail = [1]
-        for k in range(hi, lo, -1):
-            tail.append(tail[-1] * k * x)
+        for lx in range(hi * x, lo * x, -x):
+            tail.append(tail[-1] * lx)
         p, ws = 1, []
-        for k in range(lo, hi):
-            ws.append(p * tail[hi - k])
-            p *= (n - k) * z
-        if _expands(a + d * lo, d, m):
+        for lz, u in zip(range((n - lo) * z, (n - hi) * z, -z), reversed(tail)):
+            ws.append(p * u)
+            p *= lz
+        if _expands(a + d * lo, d, m, n + 1 - lo):
             if table is None:
                 # built once, for no more rows than this block has: no later block is longer
                 g0s, g1s = _basis(e0, e1)

@@ -209,6 +209,17 @@ class TestDirectSum:
         assert direct_sum(0, 1, 1, 1, 1, 0, 0, F) == 1
 
     @pytest.mark.parametrize("kind", [F, L])
+    @pytest.mark.parametrize("x", [3, -2, Fraction(-3, 2)])
+    @pytest.mark.parametrize("n", [16, 33, 200])
+    def test_z_zero_is_a_one_term_sum_past_the_rows(self, monkeypatch, n, x, kind):
+        # past 16 terms a zero z leaves only the k = 0 term, so no block is walked
+        monkeypatch.setattr(sequences, "_expands", lambda *args: pytest.fail("a block was walked"))
+        for j, r, s, m in [(2, -1, 1, 2), (1, 3, -2, 1), (-3, 2, 5, 3), (1, 1, 0, 0)]:
+            expected = naive_weighted_sum(n, x, 0, j, r, s, m, kind is F)
+            assert direct_sum(n, x, 0, j, r, s, m, kind) == expected
+            assert direct_sum(n, x, Fraction(0), j, r, s, m, kind) == expected
+
+    @pytest.mark.parametrize("kind", [F, L])
     def test_m_zero_is_binomial_theorem(self, kind):
         for n in (*range(9), 16, 65, 2000):
             for x, z in [(1, 1), (2, -1), (Fraction(1, 2), Fraction(3, 2)), (-2, 3)]:
@@ -565,16 +576,32 @@ class TestBlocks:
         assert direct_sum(n, x, z, j, r, s, m, kind) == expected
         for forced in (False, True):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(sequences, "_expands", lambda k, d, m: forced)
+                patch.setattr(sequences, "_expands", lambda k, d, m, left: forced)
                 assert direct_sum(n, x, z, j, r, s, m, kind) == expected
+
+    @pytest.mark.parametrize("kind", [F, L])
+    @pytest.mark.parametrize("m", range(4))
+    @pytest.mark.parametrize("n", [16, 31, 32, 33, 64, 65, 200])
+    def test_stepped_weights_match_naive_summation(self, n, m, kind):
+        # each block's factors (l+1) x and (n-l) z come from ranges stepped by x and z,
+        # which run backwards for a negative weight and scale a rational one first;
+        # every block is forced per term and then forced expanded
+        weights = (1, -1, 3, -2, Fraction(-3, 2), Fraction(5, 7))
+        for x in weights:
+            for z in weights:
+                expected = naive_weighted_sum(n, x, z, 1, 3, -2, m, kind is F)
+                for forced in (False, True):
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(sequences, "_expands", lambda k, d, m, left: forced)
+                        assert direct_sum(n, x, z, 1, 3, -2, m, kind) == expected, (x, z, forced)
 
     @staticmethod
     def kinds(monkeypatch, n, d, m, s=1, kind=F):
         # The kind of each block of direct_sum(n, 2, -1, 1, d, s, m, kind), checked against its literal sum
         chosen, rule, seq = [], sequences._expands, fib if kind is F else lucas
 
-        def recording(k, d, m):
-            chosen.append(rule(k, d, m))
+        def recording(k, d, m, left):
+            chosen.append(rule(k, d, m, left))
             return chosen[-1]
 
         monkeypatch.setattr(sequences, "_expands", recording)
@@ -584,12 +611,27 @@ class TestBlocks:
         return chosen
 
     def test_rule_pins(self):
-        # a block expands when m >= 2 and its first index is long against m (|d| + 6) B / 2
-        b = sequences._BLOCK
+        # at m >= 2 a block expands when its first index is long against m (|d| + 6) B / 2,
+        # whatever the terms left
+        expands, b = sequences._expands, sequences._BLOCK
         for k, d, m in [(8 * b, 2, 2), (-8 * b, -2, 2), (39 * b, 20, 3), (-35 * b // 2, -1, 5)]:
-            assert not sequences._expands(k, d, m), (k, d, m)  # on the bound
-            assert sequences._expands(k + (1 if k > 0 else -1), d, m), (k, d, m)
-        assert not sequences._expands(10**9, 2, 1) and not sequences._expands(10**9, 0, 0)  # W^1 and W^0
+            for left in (1, 10**9):
+                assert not expands(k, d, m, left), (k, d, m, left)  # on the bound
+                assert expands(k + (1 if k > 0 else -1), d, m, left), (k, d, m, left)
+        assert not expands(10**9, 0, 0, 10**9)  # W^0
+        # at m = 1 it expands when |d| < 100, its first index k is past (|d| + 6) B, and the
+        # walk's end k + d left is past four times that: (|d| + 6) B = 8 B at |d| = 2
+        for k, d in [(8 * b, 2), (-8 * b, -2), (8 * b, -2), (-8 * b, 2)]:
+            # 10^6 terms left end the walk far from 0 on d's side
+            assert not expands(k, d, 1, 10**6), (k, d)  # on the bound
+            assert expands(k + (1 if k > 0 else -1), d, 1, 10**6), (k, d)
+        for k, d in [(9 * b, 2), (-9 * b, -2), (9 * b, -2), (-9 * b, 2)]:
+            left = ((32 * b if d > 0 else -32 * b) - k) // d  # the walk ends at k + d left = +-32 B, on the bound
+            assert not expands(k, d, 1, left), (k, d)
+            assert expands(k, d, 1, left + 1), (k, d)
+        for d in (99, -99):
+            k = 10**8 if d > 0 else -(10**8)  # far past both bounds
+            assert expands(k, d, 1, 10**6) and not expands(k, d + (1 if d > 0 else -1), 1, 10**6)
 
     @pytest.mark.parametrize(
         "below,past",
@@ -597,7 +639,10 @@ class TestBlocks:
             ((128, 2, 2, 0), (128, 2, 2, 1)),  # the last block's first index 256, then 257
             ((128, -2, 2, 0), (128, -2, 2, -1)),  # -256, then -257
             ((63, 130, 2, 1), (64, 130, 2, 1)),  # a block at lo = 64, whose index 8321 > 8704 / 2
-            ((128, 2, 1, 10**4), (128, 2, 2, 10**4)),  # m >= 2
+            # m = 1: the walk ends at s + 2 (n + 1) = 1024 = 32 B, on the bound, then 1025; -1024, then -1025
+            ((511, 2, 1, 0), (511, 2, 1, 1)),
+            ((511, -2, 1, 0), (511, -2, 1, -1)),
+            ((160, 100, 1, 1), (160, 99, 1, 1)),  # |d| = 100 never expands at m = 1; at 99 the last block does
         ],
     )
     @pytest.mark.parametrize("kind", [F, L])
@@ -610,13 +655,16 @@ class TestBlocks:
 
     def test_one_block_sums_with_a_huge_step_take_per_term_blocks(self, monkeypatch):
         # Expanding these over the first pair builds a basis table that no later block
-        # reuses: with every block expanded, (20, 2500, 8) takes 13x as long
-        for n, d, m in [(20, 2500, 8), (16, -2500, 6), (32, 128, 2), (60, 3, 12), (40, 130, 8)]:
+        # reuses: with every block expanded, (20, 2500, 8) takes 13x as long.  At m = 1 a
+        # huge step loses in every block, however many follow: (2000, -430, 1) takes 1.3x
+        for n, d, m in [
+            (20, 2500, 8), (16, -2500, 6), (32, 128, 2), (60, 3, 12), (40, 130, 8), (3, 100000, 1), (200, -430, 1),
+        ]:
             assert self.kinds(monkeypatch, n, d, m) == [False] * -(-(n + 1) // sequences._BLOCK)
 
-    @pytest.mark.parametrize("d", [2, -2])
-    def test_long_sums_with_a_small_step_expand_their_later_blocks(self, monkeypatch, d):
-        chosen = self.kinds(monkeypatch, 1000, d, 2)
+    @pytest.mark.parametrize("n,d,m", [(1000, 2, 2), (1000, -2, 2), (2000, -6, 1), (2000, 6, 1)])
+    def test_long_sums_with_a_small_step_expand_their_later_blocks(self, monkeypatch, n, d, m):
+        chosen = self.kinds(monkeypatch, n, d, m)
         first = chosen.index(True)
         assert first <= 16 and all(chosen[first:])
         assert not chosen[0]  # the first block's W are short against its growth
@@ -637,7 +685,7 @@ class TestBlocks:
 
         monkeypatch.setattr(sequences, "fib", counting(sequences.fib))
         monkeypatch.setattr(sequences, "lucas", counting(sequences.lucas))
-        monkeypatch.setattr(sequences, "_expands", lambda k, d, m: chosen.append(rule(k, d, m)) or chosen[-1])
+        monkeypatch.setattr(sequences, "_expands", lambda *args: chosen.append(rule(*args)) or chosen[-1])
         direct_sum(600, x, -1, 3, -2, 1, 8, kind)
         assert 0 < len(calls) <= 4
         assert not chosen[0] and chosen[-1]  # both kinds of block ran

@@ -30,6 +30,10 @@ def test_oracle_table_times_one_block_sum():
     *times, expanded, blocks = load("oracle_table").timings(40, 3, 2)
     assert len(times) == 3 and all(0 < t < 1 for t in times)
     assert (expanded, blocks) == (0, 2)
+    # at power 1 the rule also reads the terms left: the 15 blocks whose first index passes 256 expand
+    *times, expanded, blocks = load("oracle_table").timings(600, 2, 1)
+    assert len(times) == 3 and all(0 < t < 1 for t in times)
+    assert (expanded, blocks) == (15, 19)
 
 
 def test_oracle_table_times_one_short_sum():

@@ -31,6 +31,9 @@ POINTS = (
     (100, 1, 0), (2000, 50, 0), (5000, 1, 3), (391, 15, 7), (60, 3, 12),
     # sums of at most 16 terms past the byte bound of the memoized rows, which take the block loop
     (12, 150, 5), (15, 300, 2), (3, 100000, 1),
+    # power 1, where the basis table is built once per sum for two rows
+    (2000, -6, 1), (5000, 21, 1), (1000, 21, 1), (2000, 2, 1), (300, 1, 1),
+    (100, -6, 1), (100, 21, 1), (300, 2500, 1), (2000, -430, 1),
 )
 # (n, x, z): short sums with weights below the bound, as on the grid, and past it
 SHORT_POINTS = (
@@ -52,11 +55,11 @@ def timings(n: int, d: int, m: int) -> tuple[float, float, float, int, int]:
     rule = sequences._expands
     chosen = []
 
-    def recording(k: int, d: int, m: int) -> bool:
-        chosen.append(rule(k, d, m))
+    def recording(k: int, d: int, m: int, left: int) -> bool:
+        chosen.append(rule(k, d, m, left))
         return chosen[-1]
 
-    kinds = (lambda k, d, m: False, lambda k, d, m: True, recording)
+    kinds = (lambda k, d, m, left: False, lambda k, d, m, left: True, recording)
     best = [float("inf")] * 3
     try:
         for _ in range(REPS):
